@@ -23,7 +23,7 @@
  * Usage: fig_scale [--quick] [--threads N] [--out FILE]
  *                  [--rss-limit-mb M]
  *   --quick          12 s simulated horizon (CI smoke; default 60 s)
- *   --threads N      the parallel axis width (default 4): the pool
+ *   --threads N      the parallel axis width (default 4, 2..512): the pool
  *                    row runs N node-worker threads, the lanes row
  *                    runs N tick-team lanes per engine
  *   --out F          JSON output path (default BENCH_scale.json)
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -52,6 +53,9 @@ namespace {
 constexpr sim::Time kS = sim::kSecond;
 constexpr std::size_t kNodes = 1000;
 constexpr std::size_t kServicesPerNode = 10;
+
+const std::string kUsage = "usage: fig_scale [--quick] [--threads N] "
+                           "[--out FILE] [--rss-limit-mb M]";
 
 /** Process peak RSS in MB (Linux ru_maxrss is in KB). */
 double
@@ -235,15 +239,15 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             horizon = 12 * kS;
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::max(
-                2U, static_cast<unsigned>(std::atoi(argv[++i])));
+            threads =
+                util::parseFlag("--threads", argv[++i], kUsage, 2U, 512U);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--rss-limit-mb" && i + 1 < argc) {
-            rss_limit_mb = std::atof(argv[++i]);
+            rss_limit_mb =
+                util::parseFlag("--rss-limit-mb", argv[++i], kUsage, 0.0);
         } else {
-            std::cerr << "usage: fig_scale [--quick] [--threads N] "
-                         "[--out FILE] [--rss-limit-mb M]\n";
+            std::cerr << kUsage << '\n';
             return 2;
         }
     }

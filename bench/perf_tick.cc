@@ -19,7 +19,7 @@
  * Two optional axes replay every config under the new speed knobs,
  * in the same process so the speedup column compares like with like:
  *
- *   --threads 1,4     engine tick-team widths to measure. Entries
+ *   --threads 1,4     engine tick-team widths (1..512) to measure. Entries
  *                     beyond 1 are named <config>@t<N> and carry
  *                     speedup_vs_1t against the same run's 1-lane
  *                     measurement. Output is byte-identical at any
@@ -33,8 +33,8 @@
  *                  [--threads T1,T2,...] [--fast-sampling]
  *                  [--metrics-summary] [--metrics-out FILE]
  *   --quick   one repetition per config (CI smoke; timings noisy)
- *   --reps N  repetitions per config (default 3); best-of-N is
- *             reported to damp scheduler noise
+ *   --reps N  repetitions per config (default 3, 1..10000); best-of-N
+ *             is reported to damp scheduler noise
  *   --out F   JSON output path (default BENCH_tick.json)
  *   --metrics-summary   after the timing reps, run each base config
  *             once more with the observability registry enabled,
@@ -61,6 +61,7 @@
 #include "cluster/cluster.hh"
 #include "colo/engine.hh"
 #include "obs/metrics.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -68,6 +69,11 @@ using namespace pliant;
 namespace {
 
 constexpr sim::Time kS = sim::kSecond;
+
+const std::string kUsage =
+    "usage: perf_tick [--quick] [--reps N] [--out FILE] "
+    "[--threads T1,T2,...] [--fast-sampling] [--metrics-summary] "
+    "[--metrics-out FILE]";
 
 /** Wall-time measurement of one config set: best of `reps` runs. */
 struct Measurement
@@ -318,9 +324,7 @@ parseThreadAxis(const std::string &arg)
     std::stringstream ss(arg);
     std::string item;
     while (std::getline(ss, item, ','))
-        if (!item.empty())
-            axis.push_back(
-                static_cast<unsigned>(std::stoul(item)));
+        axis.push_back(util::parseFlag("--threads", item, kUsage, 1U, 512U));
     std::sort(axis.begin(), axis.end());
     axis.erase(std::unique(axis.begin(), axis.end()), axis.end());
     // The baseline row every speedup compares against must exist.
@@ -356,7 +360,7 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             reps = 1;
         } else if (arg == "--reps" && i + 1 < argc) {
-            reps = std::max(1, std::atoi(argv[++i]));
+            reps = util::parseFlag("--reps", argv[++i], kUsage, 1, 10000);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--threads" && i + 1 < argc) {
@@ -369,10 +373,7 @@ main(int argc, char **argv)
             metrics_out = argv[++i];
             metrics_summary = true;
         } else {
-            std::cerr << "usage: perf_tick [--quick] [--reps N] "
-                         "[--out FILE] [--threads T1,T2,...] "
-                         "[--fast-sampling] [--metrics-summary] "
-                         "[--metrics-out FILE]\n";
+            std::cerr << kUsage << '\n';
             return 2;
         }
     }

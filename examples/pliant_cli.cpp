@@ -55,9 +55,14 @@
  * the deterministic metrics registry as pliant-metrics-v1 JSON and
  * --metrics-summary prints it as a table. All three leave the
  * simulation outputs byte-identical to a run without them.
+ * Numeric values are parsed strictly (util::parseFlag): an empty,
+ * non-numeric, negative or out-of-range value prints the usage line
+ * and exits 2.
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -72,6 +77,7 @@
 #include "colo/trace.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -79,12 +85,11 @@ using namespace pliant;
 
 namespace {
 
-[[noreturn]] void
-usage(const char *argv0)
+std::string
+usageLine(const char *argv0)
 {
-    std::cerr
-        << "usage: " << argv0
-        << " [--service nginx|memcached|mongodb]"
+    return std::string("usage: ") + argv0 +
+           " [--service nginx|memcached|mongodb]"
            " [--services a,b,...]"
            " [--scenario constant|diurnal|flash|step|trace:<file>]"
            " [--apps a,b,...] [--runtime precise|pliant|learned]"
@@ -101,7 +106,13 @@ usage(const char *argv0)
            " [--budget-policy uniform|proportional|learned]"
            " [--trace-out FILE] [--metrics-out FILE]"
            " [--metrics-summary]"
-           " [--list-apps]\n";
+           " [--list-apps]";
+}
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::cerr << usageLine(argv0) << '\n';
     std::exit(2);
 }
 
@@ -134,7 +145,8 @@ parseBatching(const std::string &s, admission::AdmissionConfig &cfg,
     if (s == "fixed" || s.rfind("fixed:", 0) == 0) {
         cfg.batching = admission::BatchingKind::Fixed;
         if (s.size() > 6)
-            cfg.batchSize = std::stoi(s.substr(6));
+            cfg.batchSize = util::parseFlag("--batching", s.substr(6),
+                                            usageLine(argv0), 1);
         else if (s.size() == 6)
             usage(argv0);
         return;
@@ -142,7 +154,8 @@ parseBatching(const std::string &s, admission::AdmissionConfig &cfg,
     if (s == "adaptive" || s.rfind("adaptive:", 0) == 0) {
         cfg.batching = admission::BatchingKind::Adaptive;
         if (s.size() > 9)
-            cfg.batchTimeoutUs = std::stod(s.substr(9));
+            cfg.batchTimeoutUs = util::parseFlag(
+                "--batching", s.substr(9), usageLine(argv0), 0.0);
         else if (s.size() == 9)
             usage(argv0);
         return;
@@ -265,6 +278,7 @@ main(int argc, char **argv)
     std::string trace_out;
     std::string metrics_out;
     bool metrics_summary = false;
+    const std::string usage_line = usageLine(argv[0]);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -295,24 +309,30 @@ main(int argc, char **argv)
         } else if (arg == "--learned-scalar") {
             cfg.learnedVector = false;
         } else if (arg == "--load") {
-            cfg.loadFraction = std::stod(next());
+            cfg.loadFraction =
+                util::parseFlag(arg, next(), usage_line, 0.0);
         } else if (arg == "--interval-s") {
-            cfg.decisionInterval = sim::fromSeconds(std::stod(next()));
+            cfg.decisionInterval =
+                sim::fromSeconds(util::parseFlag(arg, next(),
+                                                 usage_line, 0.0));
         } else if (arg == "--seed") {
-            cfg.seed = std::stoull(next());
+            cfg.seed =
+                util::parseFlag<std::uint64_t>(arg, next(), usage_line);
         } else if (arg == "--engine-threads") {
             cfg.engineThreads =
-                static_cast<unsigned>(std::stoul(next()));
+                util::parseFlag(arg, next(), usage_line, 1U, 512U);
         } else if (arg == "--fast-sampling") {
             cfg.fastSampling = true;
         } else if (arg == "--cache-partitioning") {
             cfg.enableCachePartitioning = true;
         } else if (arg == "--nodes") {
-            nodes = std::stoul(next());
+            nodes =
+                util::parseFlag<std::size_t>(arg, next(), usage_line, 1);
         } else if (arg == "--placement") {
             placement = parsePlacement(next(), argv[0]);
         } else if (arg == "--epoch-s") {
-            epoch = sim::fromSeconds(std::stod(next()));
+            epoch = sim::fromSeconds(
+                util::parseFlag(arg, next(), usage_line, 0.0));
         } else if (arg == "--admission") {
             cfg.admission.enabled = true;
             cfg.admission.policy = parseAdmission(next(), argv[0]);
@@ -321,13 +341,16 @@ main(int argc, char **argv)
             parseBatching(next(), cfg.admission, argv[0]);
         } else if (arg == "--queue-bound-qos") {
             cfg.admission.enabled = true;
-            cfg.admission.queueBoundQos = std::stod(next());
+            cfg.admission.queueBoundQos =
+                util::parseFlag(arg, next(), usage_line, 0.0);
         } else if (arg == "--quality-budget") {
             budget_cfg.enabled = true;
-            budget_cfg.qualityBudget = std::stod(next());
+            budget_cfg.qualityBudget =
+                util::parseFlag(arg, next(), usage_line, 0.0);
         } else if (arg == "--shed-budget") {
             budget_cfg.enabled = true;
-            budget_cfg.shedBudget = std::stod(next());
+            budget_cfg.shedBudget =
+                util::parseFlag(arg, next(), usage_line, 0.0);
         } else if (arg == "--budget-policy") {
             budget_cfg.enabled = true;
             budget_cfg.policy = parseBudgetPolicy(next(), argv[0]);

@@ -45,14 +45,15 @@ PerformanceMonitor::closeInterval()
         double sum = 0.0;
         for (double l : window)
             sum += l;
-        // The window dies with the interval, so sort it in place:
-        // one sort (no copy) serves every percentile read. Values
-        // are bit-identical to the old per-percentile
-        // PercentileWindow copies — same sorted data, same
-        // interpolation.
-        std::sort(window.begin(), window.end());
-        rep.p99Us = util::sortedPercentile(window, 99.0);
-        rep.p50Us = util::sortedPercentile(window, 50.0);
+        // The window dies with the interval, so select the two
+        // percentiles in place (the sum above is taken before the
+        // reorder). Values are bit-identical to sorting the window
+        // and reading it with sortedPercentile.
+        static constexpr double kPercentiles[] = {50.0, 99.0};
+        double q[2];
+        util::selectPercentiles(window, kPercentiles, q);
+        rep.p50Us = q[0];
+        rep.p99Us = q[1];
         rep.meanUs = sum / static_cast<double>(window.size());
     }
     window.clear();

@@ -59,6 +59,9 @@ class PerformanceMonitor
     /** Samples retained in the open window. */
     std::size_t windowSize() const { return window.size(); }
 
+    /** The retained samples of the open window, in reservoir order. */
+    const std::vector<double> &windowSamples() const { return window; }
+
     /** Total samples offered (pre-subsampling) since construction. */
     std::uint64_t offered() const { return offeredCount; }
 

@@ -40,6 +40,33 @@ jsonNumber(std::ostream &os, double v)
     }
 }
 
+/**
+ * A wall-time value in seconds, scaled to the largest of s/ms/µs/ns
+ * it reaches, so µs-scale phase timers read as "3.200 µs" rather
+ * than "0.0000". Table only: the JSON export stays in seconds.
+ */
+std::string
+fmtSeconds(double s)
+{
+    const double mag = std::fabs(s);
+    if (mag >= 1.0)
+        return util::fmt(s, 3) + " s";
+    if (mag >= 1e-3)
+        return util::fmt(s * 1e3, 3) + " ms";
+    if (mag >= 1e-6)
+        return util::fmt(s * 1e6, 3) + " µs";
+    return util::fmt(s * 1e9, 3) + " ns";
+}
+
+/** Whether a metric holds wall-clock seconds (the `_s` suffix). */
+bool
+isWallSeconds(const MetricValue &m)
+{
+    const std::string &n = m.name;
+    return m.stability == Stability::WallTime && n.size() > 2 &&
+           n.compare(n.size() - 2, 2, "_s") == 0;
+}
+
 void
 jsonString(std::ostream &os, const std::string &s)
 {
@@ -343,18 +370,21 @@ metricsTable(const MetricsSnapshot &snap)
 {
     util::TextTable table({"metric", "kind", "stability", "value"});
     for (const MetricValue &m : snap.metrics) {
+        const auto num = [&m](double v) {
+            return isWallSeconds(m) ? fmtSeconds(v) : util::fmt(v, 4);
+        };
         std::string value;
         switch (m.kind) {
         case MetricKind::Counter:
             value = std::to_string(m.count);
             break;
         case MetricKind::Gauge:
-            value = util::fmt(m.value, 4);
+            value = num(m.value);
             break;
         case MetricKind::Stat:
             value = "n=" + std::to_string(m.stat.count()) +
-                    " mean=" + util::fmt(m.stat.mean(), 4) +
-                    " max=" + util::fmt(m.stat.max(), 4);
+                    " mean=" + num(m.stat.mean()) +
+                    " max=" + num(m.stat.max());
             break;
         case MetricKind::Histogram:
             value = "n=" + std::to_string(m.histCount()) +

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace pliant {
@@ -88,9 +89,8 @@ class RunningStats
 /**
  * Percentile of an already-sorted sample via linear interpolation
  * between closest ranks. @param p percentile in [0, 100]. Returns 0
- * on an empty sample. Shared by PercentileWindow and the monitor's
- * interval close, which sorts its window once and reads several
- * percentiles off it.
+ * on an empty sample. Shared by PercentileWindow and FiveNumber;
+ * selectPercentiles below returns the same doubles without sorting.
  */
 inline double
 sortedPercentile(const std::vector<double> &sorted, double p)
@@ -107,6 +107,55 @@ sortedPercentile(const std::vector<double> &sorted, double p)
 }
 
 /**
+ * Exact percentiles of an unsorted, NaN-free sample by selection:
+ * out[k] is bit-identical to sorting @p sample and calling
+ * sortedPercentile(sorted, ps[k]) (values that compare equal are
+ * interchangeable; only -0.0 vs +0.0 could tell them apart). Used by
+ * the monitor's interval close, whose window dies with the interval.
+ *
+ * Per percentile: std::nth_element places the lo-th order statistic,
+ * the hi-th is the minimum of the partition above it, and the two
+ * interpolate exactly as in sortedPercentile. Each selection only
+ * partitions the range the previous one left above it, so the
+ * monitor's ascending {50, 99} pair partitions about 1.5n elements
+ * instead of sorting n log n. Any order is correct; a descending one
+ * only costs more.
+ *
+ * @param sample reordered in place (partitioned, not sorted).
+ * @param ps percentiles in [0, 100].
+ * @param out one value per entry of @p ps; 0 on an empty sample.
+ */
+inline void
+selectPercentiles(std::vector<double> &sample, std::span<const double> ps,
+                  std::span<double> out)
+{
+    const std::size_t n = sample.size();
+    const auto base = sample.begin();
+    // Invariant: sample[0, from) <= sample[from, n), and sample[from-1]
+    // is the (from-1)-th order statistic.
+    std::size_t from = 0;
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+        if (n <= 1) {
+            out[k] = n ? sample.front() : 0.0;
+            continue;
+        }
+        const double rank = (ps[k] / 100.0) * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, n - 1);
+        const double frac = rank - static_cast<double>(lo);
+        if (lo >= from)
+            std::nth_element(base + from, base + lo, sample.end());
+        else if (lo + 1 < from)
+            std::nth_element(base, base + lo, base + from);
+        from = lo + 1;
+        const double vlo = sample[lo];
+        const double vhi =
+            hi == lo ? vlo : *std::min_element(base + hi, sample.end());
+        out[k] = vlo + frac * (vhi - vlo);
+    }
+}
+
+/**
  * Exact percentile computation over a retained sample vector.
  *
  * Used where windows are small (one decision interval of latency
@@ -114,8 +163,7 @@ sortedPercentile(const std::vector<double> &sorted, double p)
  *
  * Percentile queries sort a cached copy once per window generation:
  * any number of percentile()/p99()/p50() calls between adds reuse
- * the same sorted array (the monitors read two percentiles per
- * interval close), and the next add() invalidates it.
+ * the same sorted array, and the next add() invalidates it.
  */
 class PercentileWindow
 {

@@ -5,6 +5,11 @@
 
 #include "core/monitor.hh"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.hh"
@@ -13,6 +18,41 @@ namespace {
 
 using pliant::core::IntervalReport;
 using pliant::core::PerformanceMonitor;
+
+/** Exact bit pattern, so the comparisons below are bit equality. */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/**
+ * Closes the interval and checks the report against a reference:
+ * the sum in window order, and a sorted copy of the retained window
+ * read with sortedPercentile.
+ */
+void
+expectCloseMatchesSortedReference(PerformanceMonitor &m)
+{
+    const std::vector<double> window = m.windowSamples();
+    double sum = 0.0;
+    for (double l : window)
+        sum += l;
+    std::vector<double> sorted = window;
+    std::sort(sorted.begin(), sorted.end());
+
+    const IntervalReport r = m.closeInterval();
+    ASSERT_EQ(r.samples, window.size());
+    EXPECT_EQ(bitsOf(r.p99Us),
+              bitsOf(pliant::util::sortedPercentile(sorted, 99.0)));
+    EXPECT_EQ(bitsOf(r.p50Us),
+              bitsOf(pliant::util::sortedPercentile(sorted, 50.0)));
+    EXPECT_EQ(bitsOf(r.meanUs),
+              bitsOf(sum / static_cast<double>(window.size())));
+    EXPECT_EQ(m.windowSize(), 0u);
+}
 
 TEST(MonitorTest, EmptyIntervalReportsZero)
 {
@@ -92,6 +132,31 @@ TEST(MonitorTest, DeterministicForSeed)
         b.observe(static_cast<double>(i % 777));
     }
     EXPECT_DOUBLE_EQ(a.closeInterval().p99Us, b.closeInterval().p99Us);
+}
+
+TEST(MonitorTest, CloseMatchesSortedReferenceUnsaturated)
+{
+    PerformanceMonitor m(4096, 21);
+    pliant::util::Rng rng(8);
+    for (int i = 0; i < 3200; ++i)
+        m.observe(rng.lognormalMeanCv(150.0, 0.9));
+    ASSERT_EQ(m.windowSize(), 3200u);
+    expectCloseMatchesSortedReference(m);
+
+    // A second interval on the same monitor, with heavy ties.
+    for (int i = 0; i < 1000; ++i)
+        m.observe(static_cast<double>(10 * (i % 4)));
+    expectCloseMatchesSortedReference(m);
+}
+
+TEST(MonitorTest, CloseMatchesSortedReferenceSaturated)
+{
+    PerformanceMonitor m(256, 22);
+    pliant::util::Rng rng(9);
+    for (int i = 0; i < 100000; ++i)
+        m.observe(rng.lognormalMeanCv(150.0, 0.9));
+    ASSERT_EQ(m.windowSize(), 256u);
+    expectCloseMatchesSortedReference(m);
 }
 
 } // namespace

@@ -186,6 +186,42 @@ TEST(MetricsExportTest, TableListsEveryMetric)
     EXPECT_NE(text.find("gauge"), std::string::npos);
 }
 
+TEST(MetricsExportTest, TableScalesWallSecondsButNotJson)
+{
+    MetricsRegistry reg(1);
+    const MetricId phase =
+        reg.stat("phase.close_wall_s", Stability::WallTime);
+    const MetricId job =
+        reg.gauge("pool.job_wall_max_s", Stability::WallTime);
+    const MetricId epoch = reg.stat("epoch_wall_s", Stability::WallTime);
+    const MetricId p99 = reg.stat("engine.interval_p99_us");
+    reg.freeze();
+    reg.record(phase, 3.2e-6);
+    reg.set(job, 0.0125);
+    reg.record(epoch, 2.5);
+    reg.record(p99, 3.2e-6);
+    const MetricsSnapshot snap = reg.snapshot();
+
+    std::ostringstream table;
+    metricsTable(snap).print(table);
+    const std::string text = table.str();
+    EXPECT_NE(text.find("mean=3.200 µs max=3.200 µs"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("12.500 ms"), std::string::npos) << text;
+    EXPECT_NE(text.find("mean=2.500 s"), std::string::npos) << text;
+    // Deterministic values and non-second units keep the plain format.
+    EXPECT_NE(text.find("mean=0.0000 max=0.0000"), std::string::npos)
+        << text;
+
+    // The JSON export stays in raw seconds.
+    std::ostringstream json;
+    writeMetricsJson(json, snap);
+    EXPECT_NE(json.str().find("\"mean\": 3.1999999999999999e-06"),
+              std::string::npos)
+        << json.str();
+    EXPECT_EQ(json.str().find("µs"), std::string::npos);
+}
+
 TEST(MetricsRegistryTest, UpdatesOnFrozenRegistryDoNotAllocate)
 {
     // The warmed tick loop relies on every update path being

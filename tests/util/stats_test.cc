@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,9 @@ using pliant::util::PercentileWindow;
 using pliant::util::Reservoir;
 using pliant::util::Rng;
 using pliant::util::RunningStats;
+using pliant::util::selectPercentiles;
+using pliant::util::sortedPercentile;
+using pliant::util::SplitMix64;
 
 TEST(RunningStatsTest, EmptyIsZero)
 {
@@ -253,6 +260,151 @@ TEST(SortedPercentileTest, MatchesWindowOnSortedInput)
     EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile(v, 100.0), 40.0);
     EXPECT_EQ(pliant::util::sortedPercentile({}, 99.0), 0.0);
     EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile({5.0}, 37.0), 5.0);
+}
+
+/** Exact bit pattern, so -0.0 and +0.0 would not pass as equal. */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+enum class Shape
+{
+    Random,
+    HeavyTies,
+    AllEqual,
+    Sorted,
+    Reversed,
+};
+
+const char *const kShapeNames[] = {"random", "heavy-ties", "all-equal",
+                                   "sorted", "reversed"};
+
+/** Uniform double in [0, 1) from the top 53 bits. */
+double
+unit(SplitMix64 &sm)
+{
+    return static_cast<double>(sm.next() >> 11) * 0x1p-53;
+}
+
+std::vector<double>
+makeSample(SplitMix64 &sm, std::size_t n, Shape shape)
+{
+    std::vector<double> v(n);
+    for (double &x : v) {
+        switch (shape) {
+        case Shape::HeavyTies:
+            x = static_cast<double>(1 + sm.next() % 5) * 12.5;
+            break;
+        case Shape::AllEqual:
+            x = 42.75;
+            break;
+        default:
+            // Latency-like: positive, long upper tail.
+            x = 10.0 * std::exp(3.0 * unit(sm));
+            break;
+        }
+    }
+    if (shape == Shape::Sorted)
+        std::sort(v.begin(), v.end());
+    if (shape == Shape::Reversed)
+        std::sort(v.begin(), v.end(), [](double a, double b) {
+            return a > b;
+        });
+    return v;
+}
+
+/**
+ * Checks selectPercentiles against sort + sortedPercentile for one
+ * sample and one percentile list, bit for bit, and that the sample
+ * comes back as a permutation of itself.
+ */
+void
+expectMatchesSort(const std::vector<double> &sample,
+                  const std::vector<double> &ps)
+{
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> work = sample;
+    std::vector<double> out(ps.size(), -1.0);
+    selectPercentiles(work, ps, out);
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+        const double want = sortedPercentile(sorted, ps[k]);
+        EXPECT_EQ(bitsOf(out[k]), bitsOf(want))
+            << "p=" << ps[k] << " got " << out[k] << " want " << want;
+    }
+    std::sort(work.begin(), work.end());
+    EXPECT_TRUE(work == sorted) << "sample is not a permutation";
+}
+
+TEST(SelectPercentilesTest, BitIdenticalToSortThenSortedPercentile)
+{
+    constexpr std::uint64_t kSeed = 0x5e1ec7ULL;
+    SplitMix64 sm(kSeed);
+    const std::vector<double> kPs = {0, 1, 25, 50, 75, 99, 99.9, 100};
+
+    std::vector<std::size_t> sizes = {1, 2, 3, 5, 100, 4095, 4096};
+    for (int i = 0; i < 24; ++i)
+        sizes.push_back(1 + sm.next() % 5000);
+
+    int case_index = 0;
+    for (std::size_t n : sizes) {
+        for (Shape shape : {Shape::Random, Shape::HeavyTies,
+                            Shape::AllEqual, Shape::Sorted,
+                            Shape::Reversed}) {
+            const std::vector<double> sample = makeSample(sm, n, shape);
+            // The full list, the monitor's pair, a random ascending
+            // subset, and one random real percentile.
+            std::vector<std::vector<double>> lists = {kPs, {50.0, 99.0}};
+            std::vector<double> subset;
+            const std::uint64_t mask = sm.next();
+            for (std::size_t k = 0; k < kPs.size(); ++k)
+                if (mask >> k & 1)
+                    subset.push_back(kPs[k]);
+            if (subset.empty())
+                subset.push_back(kPs[mask % kPs.size()]);
+            lists.push_back(subset);
+            lists.push_back({100.0 * unit(sm)});
+            for (const auto &ps : lists) {
+                SCOPED_TRACE("seed=" + std::to_string(kSeed) +
+                             " case=" + std::to_string(case_index) +
+                             " n=" + std::to_string(n) + " shape=" +
+                             kShapeNames[static_cast<int>(shape)]);
+                expectMatchesSort(sample, ps);
+                ++case_index;
+            }
+        }
+    }
+}
+
+TEST(SelectPercentilesTest, AnyOrderAndRepeatsStayExact)
+{
+    // Ascending is the cheap order, not a precondition: a descending
+    // list, repeats, and a jump back below an earlier selection must
+    // all still read the right order statistics.
+    constexpr std::uint64_t kSeed = 0xdecade5ULL;
+    SplitMix64 sm(kSeed);
+    for (std::size_t n : {2u, 7u, 100u, 4096u}) {
+        SCOPED_TRACE("seed=" + std::to_string(kSeed) +
+                     " n=" + std::to_string(n));
+        const std::vector<double> sample =
+            makeSample(sm, n, Shape::Random);
+        expectMatchesSort(sample, {100, 99.9, 99, 75, 50, 25, 1, 0});
+        expectMatchesSort(sample, {50, 50, 99, 99, 25, 99.9, 0});
+    }
+}
+
+TEST(SelectPercentilesTest, EmptySampleReadsZero)
+{
+    std::vector<double> empty;
+    const double ps[] = {0.0, 50.0, 100.0};
+    double out[] = {-1.0, -1.0, -1.0};
+    selectPercentiles(empty, ps, out);
+    for (double x : out)
+        EXPECT_EQ(x, 0.0);
 }
 
 TEST(P2QuantileTest, ExactBelowFiveSamples)
