@@ -13,8 +13,8 @@
  *    10k-tenant per-tick series;
  *  - determinism: the cluster rollups (worst service ratio, merged
  *    steady-state P² p99, QoS fractions, app outcomes) are exactly
- *    equal — double-for-double — between the serial run, an N-thread
- *    node pool, and N engine tick-team lanes.
+ *    equal — double-for-double — between the serial run and an
+ *    N-thread node pool.
  *
  * Like perf_tick, the configuration is frozen: the committed
  * BENCH_scale.json is generated with --quick (the CI shape) and the
@@ -23,9 +23,8 @@
  * Usage: fig_scale [--quick] [--threads N] [--out FILE]
  *                  [--rss-limit-mb M]
  *   --quick          12 s simulated horizon (CI smoke; default 60 s)
- *   --threads N      the parallel axis width (default 4, 2..512): the pool
- *                    row runs N node-worker threads, the lanes row
- *                    runs N tick-team lanes per engine
+ *   --threads N      node-worker threads of the pool row (default 4,
+ *                    2..512)
  *   --out F          JSON output path (default BENCH_scale.json)
  *   --rss-limit-mb M exit 1 if the process peak RSS exceeds M MB
  *                    after all runs (0 = no check)
@@ -84,8 +83,7 @@ now()
  * equals the decision interval so the horizon stays tractable.
  */
 cluster::ClusterConfig
-scaleConfig(sim::Time horizon, unsigned pool_threads,
-            unsigned engine_lanes)
+scaleConfig(sim::Time horizon, unsigned pool_threads)
 {
     cluster::ClusterConfigBuilder builder;
     for (std::size_t n = 0; n < kNodes; ++n) {
@@ -114,8 +112,7 @@ scaleConfig(sim::Time horizon, unsigned pool_threads,
         .epoch(5 * kS)
         .maxDuration(horizon)
         .seed(97)
-        .threads(pool_threads)
-        .engineThreads(engine_lanes);
+        .threads(pool_threads);
     return builder.build();
 }
 
@@ -125,7 +122,6 @@ struct Measurement
     std::string name;
     std::string description;
     unsigned poolThreads = 1;
-    unsigned engineThreads = 1;
     double wallSeconds = 0.0;
     std::uint64_t ticks = 0;
     double peakRssMbAfter = 0.0;
@@ -143,16 +139,13 @@ struct Measurement
 
 Measurement
 runCell(const std::string &name, const std::string &description,
-        sim::Time horizon, unsigned pool_threads,
-        unsigned engine_lanes)
+        sim::Time horizon, unsigned pool_threads)
 {
     Measurement m;
     m.name = name;
     m.description = description;
     m.poolThreads = pool_threads;
-    m.engineThreads = engine_lanes;
-    const cluster::ClusterConfig cfg =
-        scaleConfig(horizon, pool_threads, engine_lanes);
+    const cluster::ClusterConfig cfg = scaleConfig(horizon, pool_threads);
     m.ticks = static_cast<std::uint64_t>(cfg.nodes.size()) *
         static_cast<std::uint64_t>(cfg.maxDuration / cfg.tick);
     cluster::Cluster c(cfg);
@@ -169,7 +162,7 @@ runCell(const std::string &name, const std::string &description,
 /**
  * Exact comparison of every scalar rollup against the serial cell.
  * These are doubles out of the simulation, not timings: the
- * streaming-aggregation contract is == at any thread/lane count.
+ * streaming-aggregation contract is == at any thread count.
  */
 bool
 rollupsEqual(const cluster::ClusterResult &a,
@@ -208,8 +201,6 @@ writeJson(const std::string &path,
             << "      \"tenants\": " << kNodes * kServicesPerNode
             << ",\n"
             << "      \"pool_threads\": " << m.poolThreads << ",\n"
-            << "      \"engine_threads\": " << m.engineThreads
-            << ",\n"
             << "      \"ticks\": " << m.ticks << ",\n"
             << "      \"steady_p99_us\": " << m.result.steadyP99Us
             << ",\n"
@@ -261,22 +252,18 @@ main(int argc, char **argv)
         " tenants, 12 static apps, streaming rollups";
     std::vector<Measurement> results;
     results.push_back(
-        runCell("scale_serial", shape + ", serial", horizon, 1, 1));
-    results.push_back(runCell(
-        "scale_pool", shape + ", node pool", horizon, threads, 1));
-    results.push_back(runCell(
-        "scale_lanes", shape + ", tick-team lanes", horizon, 1,
-        threads));
+        runCell("scale_serial", shape + ", serial", horizon, 1));
+    results.push_back(
+        runCell("scale_pool", shape + ", node pool", horizon, threads));
     for (Measurement &m : results)
         m.identicalToSerial =
             rollupsEqual(m.result, results.front().result);
 
-    util::TextTable t({"config", "pool", "lanes", "wall s",
-                       "ticks/s", "steady p99", "worst ratio",
-                       "rss MB", "== serial"});
+    util::TextTable t({"config", "pool", "wall s", "ticks/s",
+                       "steady p99", "worst ratio", "rss MB",
+                       "== serial"});
     for (const Measurement &m : results)
         t.addRow({m.name, std::to_string(m.poolThreads),
-                  std::to_string(m.engineThreads),
                   util::fmt(m.wallSeconds, 2),
                   util::fmt(m.ticksPerSec() / 1e3, 1) + "k",
                   util::fmt(m.result.steadyP99Us, 1),

@@ -16,45 +16,34 @@
  * byte-identical (see the regression suites) while moving wall time;
  * this harness only measures, it does not validate.
  *
- * Two optional axes replay every config under the new speed knobs,
- * in the same process so the speedup column compares like with like:
- *
- *   --threads 1,4     engine tick-team widths (1..512) to measure. Entries
- *                     beyond 1 are named <config>@t<N> and carry
- *                     speedup_vs_1t against the same run's 1-lane
- *                     measurement. Output is byte-identical at any
- *                     width, so these rows move wall time only.
- *   --fast-sampling   adds a <config>@fast row per config (1 lane,
- *                     quantile-table samplers). NOT byte-identical —
- *                     excluded from every golden; tracked here purely
- *                     as a wall-clock point.
- *
  * Usage: perf_tick [--quick] [--reps N] [--out FILE]
- *                  [--threads T1,T2,...] [--fast-sampling]
- *                  [--metrics-summary] [--metrics-out FILE]
+ *                  [--fast-sampling] [--metrics-summary]
+ *                  [--metrics-out FILE]
  *   --quick   one repetition per config (CI smoke; timings noisy)
  *   --reps N  repetitions per config (default 3, 1..10000); best-of-N
  *             is reported to damp scheduler noise
  *   --out F   JSON output path (default BENCH_tick.json)
+ *   --fast-sampling   adds a <config>@fast row per config
+ *             (quantile-table samplers). NOT byte-identical —
+ *             excluded from every golden; tracked here purely as a
+ *             wall-clock point.
  *   --metrics-summary   after the timing reps, run each base config
  *             once more with the observability registry enabled,
  *             print its metrics table, and write the per-config
  *             exports as a metrics JSON. The extra passes are
  *             separate from the timed reps, so BENCH_tick.json rows
  *             are unaffected. scripts/check_bench_schema.py validates
- *             the file: deterministic/lane_dependent values hard-fail
- *             on drift, wall_time values warn only.
+ *             the file: deterministic values hard-fail on drift,
+ *             wall_time values warn only.
  *   --metrics-out F     metrics JSON path (default metrics.json;
  *             implies --metrics-summary)
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,8 +61,7 @@ constexpr sim::Time kS = sim::kSecond;
 
 const std::string kUsage =
     "usage: perf_tick [--quick] [--reps N] [--out FILE] "
-    "[--threads T1,T2,...] [--fast-sampling] [--metrics-summary] "
-    "[--metrics-out FILE]";
+    "[--fast-sampling] [--metrics-summary] [--metrics-out FILE]";
 
 /** Wall-time measurement of one config set: best of `reps` runs. */
 struct Measurement
@@ -82,12 +70,7 @@ struct Measurement
     std::string description;
     double wallSeconds = 0.0;
     std::uint64_t ticks = 0;
-
-    unsigned engineThreads = 1;
     bool fastSampling = false;
-
-    /** 1-lane wall time from the same invocation (0 = is baseline). */
-    double baselineWallSeconds = 0.0;
 
     double
     ticksPerSec() const
@@ -95,14 +78,6 @@ struct Measurement
         return wallSeconds > 0.0
             ? static_cast<double>(ticks) / wallSeconds
             : 0.0;
-    }
-
-    double
-    speedupVsBaseline() const
-    {
-        return baselineWallSeconds > 0.0 && wallSeconds > 0.0
-            ? baselineWallSeconds / wallSeconds
-            : 1.0;
     }
 };
 
@@ -126,7 +101,6 @@ runEngineSet(const std::string &name, const std::string &description,
     Measurement m;
     m.name = name;
     m.description = description;
-    m.engineThreads = cfg.engineThreads;
     m.fastSampling = cfg.fastSampling;
     for (int r = 0; r < reps; ++r) {
         colo::Engine engine(cfg);
@@ -152,7 +126,6 @@ runClusterSet(const std::string &name,
     Measurement m;
     m.name = name;
     m.description = description;
-    m.engineThreads = cfg.engineThreads;
     m.fastSampling = cfg.fastSampling;
     const std::uint64_t ticks =
         static_cast<std::uint64_t>(cfg.nodes.size()) *
@@ -271,11 +244,8 @@ writeJson(const std::string &path,
         out << "    {\n"
             << "      \"name\": \"" << m.name << "\",\n"
             << "      \"description\": \"" << m.description << "\",\n"
-            << "      \"engine_threads\": " << m.engineThreads << ",\n"
             << "      \"fast_sampling\": "
             << (m.fastSampling ? "true" : "false") << ",\n"
-            << "      \"speedup_vs_1t\": " << m.speedupVsBaseline()
-            << ",\n"
             << "      \"wall_s\": " << m.wallSeconds << ",\n"
             << "      \"ticks\": " << m.ticks << ",\n"
             << "      \"ticks_per_sec\": " << m.ticksPerSec() << "\n"
@@ -316,34 +286,6 @@ writeMetricsJsonFile(const std::string &path,
     out << "  ]\n}\n";
 }
 
-/** Parse "1,4,8" into a thread axis: deduped, 1 forced first. */
-std::vector<unsigned>
-parseThreadAxis(const std::string &arg)
-{
-    std::vector<unsigned> axis;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        axis.push_back(util::parseFlag("--threads", item, kUsage, 1U, 512U));
-    std::sort(axis.begin(), axis.end());
-    axis.erase(std::unique(axis.begin(), axis.end()), axis.end());
-    // The baseline row every speedup compares against must exist.
-    if (axis.empty() || axis.front() != 1)
-        axis.insert(axis.begin(), 1U);
-    return axis;
-}
-
-std::string
-axisName(const std::string &base, unsigned threads, bool fast)
-{
-    std::string name = base;
-    if (threads > 1)
-        name += "@t" + std::to_string(threads);
-    if (fast)
-        name += "@fast";
-    return name;
-}
-
 } // namespace
 
 int
@@ -351,7 +293,6 @@ main(int argc, char **argv)
 {
     int reps = 3;
     std::string out_path = "BENCH_tick.json";
-    std::vector<unsigned> thread_axis = {1};
     bool fast_axis = false;
     bool metrics_summary = false;
     std::string metrics_out = "metrics.json";
@@ -363,8 +304,6 @@ main(int argc, char **argv)
             reps = util::parseFlag("--reps", argv[++i], kUsage, 1, 10000);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--threads" && i + 1 < argc) {
-            thread_axis = parseThreadAxis(argv[++i]);
         } else if (arg == "--fast-sampling") {
             fast_axis = true;
         } else if (arg == "--metrics-summary") {
@@ -401,70 +340,36 @@ main(int argc, char **argv)
     };
     const cluster::ClusterConfig cluster_base = cluster3Config();
 
+    const std::string cluster_description =
+        "3 nodes x (memcached + nginx) + 6 apps, QoS-aware, 90 s";
+
     std::vector<Measurement> results;
     for (const EngineBench &b : engine_benches) {
-        double baseline = 0.0;
-        for (unsigned t : thread_axis) {
-            colo::ColoConfig cfg = b.cfg;
-            cfg.engineThreads = t;
-            Measurement m =
-                runEngineSet(axisName(b.name, t, false),
-                             b.description, cfg, reps);
-            if (t == 1)
-                baseline = m.wallSeconds;
-            else
-                m.baselineWallSeconds = baseline;
-            results.push_back(std::move(m));
-        }
+        results.push_back(
+            runEngineSet(b.name, b.description, b.cfg, reps));
         if (fast_axis) {
             colo::ColoConfig cfg = b.cfg;
             cfg.fastSampling = true;
-            Measurement m =
-                runEngineSet(axisName(b.name, 1, true),
-                             b.description, cfg, reps);
-            m.baselineWallSeconds = baseline;
-            results.push_back(std::move(m));
+            results.push_back(runEngineSet(b.name + "@fast",
+                                           b.description, cfg, reps));
         }
     }
-    {
-        double baseline = 0.0;
-        for (unsigned t : thread_axis) {
-            cluster::ClusterConfig cfg = cluster_base;
-            cfg.engineThreads = t;
-            Measurement m = runClusterSet(
-                axisName("cluster_3_node", t, false),
-                "3 nodes x (memcached + nginx) + 6 apps, QoS-aware, "
-                "90 s",
-                cfg, reps);
-            if (t == 1)
-                baseline = m.wallSeconds;
-            else
-                m.baselineWallSeconds = baseline;
-            results.push_back(std::move(m));
-        }
-        if (fast_axis) {
-            cluster::ClusterConfig cfg = cluster_base;
-            cfg.fastSampling = true;
-            Measurement m = runClusterSet(
-                axisName("cluster_3_node", 1, true),
-                "3 nodes x (memcached + nginx) + 6 apps, QoS-aware, "
-                "90 s",
-                cfg, reps);
-            m.baselineWallSeconds = baseline;
-            results.push_back(std::move(m));
-        }
+    results.push_back(runClusterSet("cluster_3_node",
+                                    cluster_description, cluster_base,
+                                    reps));
+    if (fast_axis) {
+        cluster::ClusterConfig cfg = cluster_base;
+        cfg.fastSampling = true;
+        results.push_back(runClusterSet("cluster_3_node@fast",
+                                        cluster_description, cfg,
+                                        reps));
     }
 
-    util::TextTable t(
-        {"config", "lanes", "wall s", "ticks", "ticks/s", "vs 1t"});
+    util::TextTable t({"config", "wall s", "ticks", "ticks/s"});
     for (const Measurement &m : results)
-        t.addRow({m.name, std::to_string(m.engineThreads),
-                  util::fmt(m.wallSeconds, 3),
+        t.addRow({m.name, util::fmt(m.wallSeconds, 3),
                   std::to_string(m.ticks),
-                  util::fmt(m.ticksPerSec() / 1e3, 1) + "k",
-                  m.baselineWallSeconds > 0.0
-                      ? util::fmt(m.speedupVsBaseline(), 2) + "x"
-                      : "-"});
+                  util::fmt(m.ticksPerSec() / 1e3, 1) + "k"});
     t.print(std::cout);
 
     writeJson(out_path, results, reps);
@@ -472,9 +377,8 @@ main(int argc, char **argv)
 
     if (metrics_summary) {
         // Obs-enabled passes run after (and separate from) the timed
-        // reps: the timing rows above never pay for the registry, and
-        // the registry's deterministic values don't depend on the
-        // lane axis, so one pass per base config suffices.
+        // reps, so the timing rows above never pay for the registry.
+        // One pass per base config.
         std::vector<MetricsRun> mruns;
         for (const EngineBench &b : engine_benches) {
             colo::ColoConfig cfg = b.cfg;

@@ -11,7 +11,7 @@
  *              [--runtime precise|pliant|learned]
  *              [--learned-scalar]
  *              [--load 0.78] [--interval-s 1.0] [--seed 1]
- *              [--engine-threads N] [--fast-sampling]
+ *              [--fast-sampling]
  *              [--cache-partitioning] [--csv timeline|summary]
  *              [--nodes N] [--placement static|least-loaded|qos-aware]
  *              [--epoch-s 5.0]
@@ -34,11 +34,9 @@
  * --nodes N > 1 runs a cluster: every node hosts the service list,
  * and --placement decides where the apps land (and, for qos-aware,
  * whether they migrate at --epoch-s boundaries).
- * --engine-threads N parallelizes the per-tick tenant phase inside
- * every engine (byte-identical output at any N); --fast-sampling
- * switches the latency samplers to the quantile-table path, which is
- * faster but NOT byte-identical — never use it when diffing against
- * pinned output.
+ * --fast-sampling switches the latency samplers to the
+ * quantile-table path, which is faster but NOT byte-identical —
+ * never use it when diffing against pinned output.
  * --admission / --batching enable the request-level admission
  * front-end on every tenant: queueing delay composes into the
  * monitored tails, shed/batch counters appear in the tables and CSV
@@ -95,7 +93,7 @@ usageLine(const char *argv0)
            " [--apps a,b,...] [--runtime precise|pliant|learned]"
            " [--learned-scalar]"
            " [--load F] [--interval-s S] [--seed N]"
-           " [--engine-threads N] [--fast-sampling]"
+           " [--fast-sampling]"
            " [--cache-partitioning] [--csv timeline|summary]"
            " [--nodes N] [--placement static|least-loaded|qos-aware]"
            " [--epoch-s S]"
@@ -318,9 +316,6 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             cfg.seed =
                 util::parseFlag<std::uint64_t>(arg, next(), usage_line);
-        } else if (arg == "--engine-threads") {
-            cfg.engineThreads =
-                util::parseFlag(arg, next(), usage_line, 1U, 512U);
         } else if (arg == "--fast-sampling") {
             cfg.fastSampling = true;
         } else if (arg == "--cache-partitioning") {
@@ -427,7 +422,6 @@ main(int argc, char **argv)
                 .cachePartitioning(cfg.enableCachePartitioning)
                 .placement(placement)
                 .epoch(epoch)
-                .engineThreads(cfg.engineThreads)
                 .fastSampling(cfg.fastSampling)
                 .seed(cfg.seed);
             if (cfg.admission.enabled)

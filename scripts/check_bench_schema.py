@@ -8,17 +8,16 @@ simulation field changing — for fig_scale that includes the cluster
 rollups (steady_p99_us, worst_ratio) and the thread-invariance bit
 (identical_to_serial), which are pure simulation outputs and must
 not move between machines. Wall-clock fields (wall_s,
-ticks_per_sec, speedup_vs_1t, peak_rss_mb) are noisy on shared
-runners, so they only produce a warning line showing the ratio —
-the perf trajectory artifact is where timing history lives.
+ticks_per_sec, peak_rss_mb) are noisy on shared runners, so they
+only produce a warning line showing the ratio — the perf trajectory
+artifact is where timing history lives.
 
 Also validates metrics exports (perf_tick --metrics-summary writes
 metrics.json, a wrapper with one embedded pliant-metrics-v1 export
 per config). Each metric carries its own stability class in the
-schema: 'deterministic' and 'lane_dependent' values must match the
-committed reference exactly (hard fail — these are simulation
-outputs), while 'wall_time' values (phase timers, pool stats,
-futex parks) are machine noise and warn only.
+schema: 'deterministic' values must match the committed reference
+exactly (hard fail — these are simulation outputs), while 'wall_time'
+values (phase timers, pool stats) are machine noise and warn only.
 
 Usage: check_bench_schema.py <committed.json> <fresh.json>
 """
@@ -29,12 +28,10 @@ import sys
 WALL_CLOCK_FIELDS = {
     "wall_s",
     "ticks_per_sec",
-    "speedup_vs_1t",
     "peak_rss_mb",
 }
 DETERMINISTIC_FIELDS = {
     "ticks",
-    "engine_threads",
     "fast_sampling",
     "nodes",
     "tenants",
@@ -46,9 +43,7 @@ DETERMINISTIC_FIELDS = {
 
 
 # Stability classes whose values are pinned exactly by the schema.
-# lane_dependent values are deterministic given the config, and the
-# metrics pass always runs the frozen base configs, so they pin too.
-EXACT_STABILITIES = {"deterministic", "lane_dependent"}
+EXACT_STABILITIES = {"deterministic"}
 
 
 def fail(msg):

@@ -37,7 +37,7 @@
  * Every policy is a deterministic pure function of (controller
  * state, demand vector): allocation happens on one thread at the
  * epoch barrier, so cluster results stay byte-identical at any
- * worker thread or engine lane count. Disabled budgets construct no
+ * worker thread count. Disabled budgets construct no
  * controller and gate nothing — byte-identical to the pre-budget
  * cluster (pinned, like admission's disabled path).
  */

@@ -123,7 +123,6 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         nc.maxDuration = cfg.maxDuration;
         nc.enableCachePartitioning = cfg.enableCachePartitioning;
         nc.admission = cfg.admission;
-        nc.engineThreads = cfg.engineThreads;
         nc.fastSampling = cfg.fastSampling;
         nc.retainTimeline = cfg.retainTimeline;
         nc.observability = cfg.observability;
@@ -142,11 +141,11 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
     }
 
     // Cluster-layer metrics: all updated at epoch barriers on the
-    // coordinating thread (lane 0), so every deterministic value is
+    // coordinating thread, so every deterministic value is
     // pool-thread invariant. Pool stats are wall-time by nature
     // (queue depth and job latency depend on OS scheduling).
     if (cfg.observability.metrics) {
-        metrics = std::make_unique<obs::MetricsRegistry>(1);
+        metrics = std::make_unique<obs::MetricsRegistry>();
         mid.epochs = metrics->counter("cluster.epochs");
         mid.migrations = metrics->counter("cluster.migrations");
         mid.budgetAllocs =
@@ -243,7 +242,7 @@ Cluster::applyMigration(const MigrationDecision &decision,
         out.migrations.push_back(
             {now, decision.app, decision.from, decision.to});
         if (metrics)
-            metrics->add(mid.migrations, 0);
+            metrics->add(mid.migrations);
         if (tracer) {
             const std::string ev = "migrate:" + decision.app;
             tracer->instant(0, 1, ev.c_str(), now);
@@ -277,7 +276,7 @@ Cluster::allocateBudget(const std::vector<NodeStatus> &statuses)
         engines[i]->setBudgetSlice(slices[i].qualityCap,
                                    slices[i].shedCap);
     if (metrics)
-        metrics->add(mid.budgetAllocs, 0);
+        metrics->add(mid.budgetAllocs);
 }
 
 ClusterResult
@@ -340,7 +339,7 @@ Cluster::run()
                 std::rethrow_exception(err);
 
         if (metrics) {
-            metrics->add(mid.epochs, 0);
+            metrics->add(mid.epochs);
             metrics->record(
                 mid.epochWall,
                 std::chrono::duration<double>(
@@ -401,7 +400,7 @@ Cluster::run()
     // Cluster-wide steady-state p99: fold every tenant's P² sketch
     // in (node, service) order on this thread. The fixed fold order
     // is the determinism contract of P2Quantile::merge — the result
-    // is byte-identical at any pool thread or engine lane count.
+    // is byte-identical at any pool thread count.
     util::P2Quantile steady_all{0.99};
     for (const auto &nr : out.nodes) {
         for (const auto &svc : nr.result.services) {
@@ -725,13 +724,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::threads(unsigned threads)
 {
     cfg.threads = threads;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::engineThreads(unsigned lanes)
-{
-    cfg.engineThreads = lanes;
     return *this;
 }
 

@@ -116,14 +116,6 @@ struct ClusterConfig
     unsigned threads = 0;
 
     /**
-     * Per-engine tick-team lanes on every node (see
-     * colo::ColoConfig::engineThreads). Byte-identity-neutral;
-     * composes multiplicatively with `threads`, so large clusters
-     * usually want one of the two knobs, not both.
-     */
-    unsigned engineThreads = 1;
-
-    /**
      * Table-driven samplers on every node (see
      * colo::ColoConfig::fastSampling). NOT byte-identical; keep off
      * for golden-pinned runs.
@@ -182,7 +174,7 @@ struct ClusterResult
      * Cluster-wide steady-state p99 (µs): every tenant's post-warmup
      * P² sketch merged in (node, service) order — the fixed fold
      * order that keeps the estimate byte-identical at any pool
-     * thread or engine lane count (see util::P2Quantile::merge).
+     * thread count (see util::P2Quantile::merge).
      */
     double steadyP99Us = 0.0;
 
@@ -307,9 +299,6 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &cachePartitioning(bool enable = true);
     ClusterConfigBuilder &seed(std::uint64_t seed);
     ClusterConfigBuilder &threads(unsigned threads);
-
-    /** Per-engine tick-team lanes on every node (default 1). */
-    ClusterConfigBuilder &engineThreads(unsigned lanes);
 
     /** Table-driven samplers on every node (NOT byte-identical). */
     ClusterConfigBuilder &fastSampling(bool enable = true);

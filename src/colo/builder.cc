@@ -119,13 +119,6 @@ ConfigBuilder::cachePartitioning(bool enable)
 }
 
 ConfigBuilder &
-ConfigBuilder::engineThreads(unsigned lanes)
-{
-    cfg.engineThreads = lanes;
-    return *this;
-}
-
-ConfigBuilder &
 ConfigBuilder::fastSampling(bool enable)
 {
     cfg.fastSampling = enable;

@@ -76,12 +76,6 @@ class ConfigBuilder
     ConfigBuilder &cachePartitioning(bool enable = true);
 
     /**
-     * Tick-team lanes for the per-tenant phase (default 1 = inline).
-     * Byte-identity-neutral: purely a wall-clock knob.
-     */
-    ConfigBuilder &engineThreads(unsigned lanes);
-
-    /**
      * Table-driven samplers (NOT byte-identical; keep off for
      * golden-pinned runs).
      */

@@ -256,9 +256,6 @@ validateConfig(const ColoConfig &cfg)
                     sim::toSeconds(cfg.tick), " s)");
     if (cfg.maxDuration <= 0)
         util::fatal("max duration must be positive");
-    if (cfg.engineThreads < 1 || cfg.engineThreads > 512)
-        util::fatal("engineThreads must be in 1..512, got ",
-                    cfg.engineThreads);
 
     // Admission fields are validated only when the front-end is
     // enabled: a disabled config is inert whatever its fields hold,
@@ -375,15 +372,7 @@ Engine::Engine(ColoConfig config)
     reports.resize(tenants.size());
     svcAccum.resize(tenants.size());
 
-    // The per-tick tenant team (width 1 = inline, no threads) and
-    // one scratch arena per lane, sized so a tenant's peer-pressure
-    // array always fits the bump block.
-    team = std::make_unique<TickTeam>(cfg.engineThreads);
-    const std::size_t peer_bytes =
-        tenants.size() * sizeof(approx::PressureVector);
-    laneScratch.reserve(team->width());
-    for (unsigned w = 0; w < team->width(); ++w)
-        laneScratch.emplace_back(std::max<std::size_t>(peer_bytes, 64));
+    peerPressure.resize(tenants.size() - 1);
     // Tenant names are fixed for the run; the per-interval fields of
     // each report are overwritten at every interval close.
     for (std::size_t s = 0; s < tenants.size(); ++s)
@@ -402,8 +391,7 @@ Engine::Engine(ColoConfig config)
     // frozen before the first tick, keeping the warmed loop
     // allocation-free.
     if (cfg.observability.metrics) {
-        metrics =
-            std::make_unique<obs::MetricsRegistry>(team->width());
+        metrics = std::make_unique<obs::MetricsRegistry>();
         mid.ticks = metrics->counter("engine.ticks");
         mid.intervals = metrics->counter("engine.intervals");
         mid.samples = metrics->counter("engine.samples");
@@ -425,14 +413,6 @@ Engine::Engine(ColoConfig config)
         mid.gateReleases = metrics->gauge("admission.gate_releases");
         mid.budgetQuality = metrics->stat("budget.quality_used");
         mid.budgetSlices = metrics->counter("budget.slice_installs");
-        mid.arenaOverflows = metrics->gauge("arena.overflows");
-        mid.teamItems = metrics->gauge("team.items");
-        mid.teamLaunches = metrics->gauge(
-            "team.launches", obs::Stability::LaneDependent);
-        mid.teamParks =
-            metrics->gauge("team.parks", obs::Stability::WallTime);
-        mid.teamWidth = metrics->gauge("team.width",
-                                       obs::Stability::LaneDependent);
         mid.phasePrelude = metrics->stat("phase.prelude_wall_s",
                                          obs::Stability::WallTime);
         mid.phaseTenants = metrics->stat("phase.tenants_wall_s",
@@ -593,35 +573,23 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
         if (time_phases)
             tw1 = std::chrono::steady_clock::now();
 
-        // 2. Per-tenant phase, fanned out across the tick team
-        //    (inline at the default width of 1). For each tenant:
-        //    contention -> inflation, the admission front-end
-        //    (dispatched load capped at the capacity estimate
-        //    (cores / fair cores) / inflation, overload piling up in
-        //    the explicit queue), the service tick, and the
-        //    monitoring side (end-to-end latency = queue+batch wait
-        //    at the front door plus the interference-inflated
-        //    service time). Every mutation is tenant-private — the
-        //    shared pressures are frozen and the partition only
-        //    moves at interval closes — and each tenant's operation
-        //    sequence is exactly the old sequential one, so the
-        //    results are byte-identical at any team width. The
-        //    peer-pressure array comes from the lane's bump arena:
-        //    after warmup the whole phase is heap-allocation-free.
-        team->run(tenants.size(), [&](std::size_t s, unsigned lane) {
+        // 2. Per-tenant phase. For each tenant: contention ->
+        //    inflation, the admission front-end (dispatched load
+        //    capped at the capacity estimate (cores / fair cores) /
+        //    inflation, overload piling up in the explicit queue),
+        //    the service tick, and the monitoring side (end-to-end
+        //    latency = queue+batch wait at the front door plus the
+        //    interference-inflated service time). The peer-pressure
+        //    buffer is sized once, so after warmup the whole phase
+        //    is heap-allocation-free.
+        for (std::size_t s = 0; s < tenants.size(); ++s) {
             auto &ten = tenants[s];
-            util::Arena &arena = laneScratch[lane];
-            arena.reset();
-            const std::size_t n_peers = tenants.size() - 1;
-            approx::PressureVector *peers =
-                arena.allocateArray<approx::PressureVector>(n_peers);
             std::size_t k = 0;
             for (std::size_t o = 0; o < tenants.size(); ++o)
                 if (o != s)
-                    peers[k++] = svcPressure[o];
+                    peerPressure[k++] = svcPressure[o];
             const auto contention = interference.contentionMulti(
-                svcPressure[s], peers, n_peers, taskPressure.data(),
-                taskPressure.size(), partition);
+                svcPressure[s], peerPressure, taskPressure, partition);
             inflationBuf[s] = interference.inflation(
                 contention, ten.service->config().sensitivity);
 
@@ -645,12 +613,9 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                     ten.steady.add(sample);
             }
             ten.lastLoad = ten.tickBuf.offeredLoad;
-            // Lane-sharded sample counter: the per-lane partial sums
-            // fold to the same total at any team width.
             if (metrics)
-                metrics->add(mid.samples, lane,
-                             ten.tickBuf.sampleUs.size());
-        });
+                metrics->add(mid.samples, ten.tickBuf.sampleUs.size());
+        }
 
         if (time_phases)
             tw2 = std::chrono::steady_clock::now();
@@ -667,7 +632,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             const double tasks_s =
                 std::chrono::duration<double>(tw3 - tw2).count();
             if (metrics) {
-                metrics->add(mid.ticks, 0);
+                metrics->add(mid.ticks);
                 metrics->record(mid.phasePrelude, prelude_s);
                 metrics->record(mid.phaseTenants, tenants_s);
                 metrics->record(mid.phaseTasks, tasks_s);
@@ -806,21 +771,16 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
             maxWaysSeen = std::max(maxWaysSeen, tp.partitionWays);
 
-            // Observability at the close: all updates come from the
-            // engine thread (lane 0), in tenant order, so every
-            // folded value is thread-count invariant.
+            // Observability at the close, in tenant order.
             if (metrics) {
-                metrics->add(mid.intervals, 0);
-                metrics->add(
-                    mid.decisions[static_cast<int>(decision.kind)],
-                    0);
+                metrics->add(mid.intervals);
+                metrics->add(mid.decisions[static_cast<int>(decision.kind)]);
                 if (decision.kind != core::Decision::Kind::None)
-                    metrics->add(mid.actuations, 0);
+                    metrics->add(mid.actuations);
                 for (std::size_t s = 0; s < tenants.size(); ++s) {
                     const bool met = reports[s].interval.p99Us <=
                                      reports[s].qosUs;
-                    metrics->add(met ? mid.qosMet : mid.qosViolated,
-                                 0);
+                    metrics->add(met ? mid.qosMet : mid.qosViolated);
                     if (cfg.admission.enabled) {
                         metrics->record(mid.shedFraction,
                                         reports[s].shedFraction);
@@ -828,7 +788,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                                         reports[s].queueDelayUs);
                     }
                 }
-                metrics->histAdd(mid.intervalP99Hist, 0,
+                metrics->histAdd(mid.intervalP99Hist,
                                  reports[0].interval.p99Us);
                 metrics->record(mid.intervalP99Stat,
                                 reports[0].interval.p99Us);
@@ -941,7 +901,7 @@ Engine::setBudgetSlice(double quality_cap, double shed_cap)
         if (ten.admission)
             ten.admission->setShedCap(shed_cap);
     if (metrics)
-        metrics->add(mid.budgetSlices, 0);
+        metrics->add(mid.budgetSlices);
     if (tracer)
         tracer->instant(tracePid, 1, "budget-slice", clock.now());
 }
@@ -1065,20 +1025,8 @@ Engine::finalize()
         result.apps.push_back(std::move(out));
     }
 
-    // Snapshot-time gauges, then the folded snapshot itself. Arena
-    // overflow totals are lane-count invariant (each tenant-tick's
-    // single scratch allocation either fits the bump block or not,
-    // regardless of which lane ran it).
+    // Snapshot-time gauges, then the snapshot itself.
     if (metrics) {
-        std::uint64_t overflows = 0;
-        for (const util::Arena &arena : laneScratch)
-            overflows += arena.overflowCount();
-        metrics->set(mid.arenaOverflows,
-                     static_cast<double>(overflows));
-        if (overflows > 0)
-            util::warn("obs: ", overflows,
-                       " tick-loop scratch allocations overflowed "
-                       "the lane arena block");
         double arms = 0.0;
         double releases = 0.0;
         for (const auto &ten : tenants) {
@@ -1090,14 +1038,6 @@ Engine::finalize()
         }
         metrics->set(mid.gateArms, arms);
         metrics->set(mid.gateReleases, releases);
-        metrics->set(mid.teamItems,
-                     static_cast<double>(team->totalItems()));
-        metrics->set(mid.teamLaunches,
-                     static_cast<double>(team->totalLaunches()));
-        metrics->set(mid.teamParks,
-                     static_cast<double>(team->totalParks()));
-        metrics->set(mid.teamWidth,
-                     static_cast<double>(team->width()));
         result.metrics = metrics->snapshot();
     }
     return result;

@@ -26,7 +26,6 @@
 #include "admission/admission.hh"
 #include "approx/task.hh"
 #include "colo/scenario.hh"
-#include "colo/tick_team.hh"
 #include "core/actuator.hh"
 #include "core/monitor.hh"
 #include "core/runtime.hh"
@@ -38,7 +37,6 @@
 #include "server/spec.hh"
 #include "services/interactive.hh"
 #include "sim/clock.hh"
-#include "util/arena.hh"
 #include "util/stats.hh"
 
 namespace pliant {
@@ -152,16 +150,6 @@ struct ColoConfig
     admission::AdmissionConfig admission;
 
     /**
-     * Worker lanes for the per-tick tenant phase (TickTeam). The
-     * engine's results are byte-identical at ANY value (static
-     * tiling, per-tenant state only — the driver::Sweep contract
-     * applied inside one experiment), so this is purely a wall-clock
-     * knob for many-tenant configs; it defaults to 1, which spawns
-     * no threads and adds no synchronization. Validated to 1..512.
-     */
-    unsigned engineThreads = 1;
-
-    /**
      * Opt into the table-driven samplers (Rng::fillLognormalFast)
      * for every interactive tenant. Statistically equivalent but
      * deliberately NOT byte-identical to the exact Box-Muller
@@ -192,7 +180,7 @@ struct ColoConfig
      * registry is constructed, no instrumentation branch taken, no
      * RNG stream touched (pinned by regression tests). With metrics
      * on, every metric not tagged wall_time is exactly equal at any
-     * engineThreads / pool-thread count.
+     * pool-thread count.
      */
     obs::ObsConfig observability;
 };
@@ -687,11 +675,7 @@ class Engine
     TimelineSink *sink = nullptr;
 
     // --- observability (all null/empty when disabled) ---
-    /**
-     * Metric handles, registered once at construction. Counters
-     * touched inside the parallel tenant phase are lane-sharded;
-     * everything else is written from the engine thread only.
-     */
+    /** Metric handles, registered once at construction. */
     struct MetricIds
     {
         obs::MetricId ticks = 0;
@@ -709,11 +693,6 @@ class Engine
         obs::MetricId gateReleases = 0;
         obs::MetricId budgetQuality = 0;
         obs::MetricId budgetSlices = 0;
-        obs::MetricId arenaOverflows = 0;
-        obs::MetricId teamItems = 0;
-        obs::MetricId teamLaunches = 0;
-        obs::MetricId teamParks = 0;
-        obs::MetricId teamWidth = 0;
         obs::MetricId phasePrelude = 0;
         obs::MetricId phaseTenants = 0;
         obs::MetricId phaseTasks = 0;
@@ -736,16 +715,12 @@ class Engine
     std::vector<double> inflationBuf;
     std::vector<core::ServiceReport> reports;
     /**
-     * Worker team for the per-tick tenant phase
-     * (cfg.engineThreads lanes; width 1 runs inline).
+     * Each tenant's co-runner services' pressures, refilled per
+     * tenant per tick. Tenants are fixed for the engine's life, so
+     * it is sized once and the warmed tick loop performs zero heap
+     * allocations (pinned by the zero-alloc tests).
      */
-    std::unique_ptr<TickTeam> team;
-    /**
-     * Per-lane bump arenas holding each tenant's peer-pressure
-     * array; reset per tenant, so a warmed-up tick loop performs
-     * zero heap allocations (pinned by the parallel-tick tests).
-     */
-    std::vector<util::Arena> laneScratch;
+    std::vector<approx::PressureVector> peerPressure;
     /** Partially-built result: identity fields + growing timeline. */
     ColoResult partial;
 };

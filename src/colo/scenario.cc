@@ -164,9 +164,13 @@ Scenario::trace(std::vector<LoadPoint> points)
 Scenario
 Scenario::traceFromCsv(std::istream &in)
 {
+    // sim::Time is int64 µs: |t| must stay below 2^63 µs for the
+    // seconds -> Time conversion to be defined.
+    constexpr double kTimeLimitUs = 0x1p63;
     std::vector<LoadPoint> points;
     std::string line;
     std::size_t lineno = 0;
+    bool first_row = true;
     while (std::getline(in, line)) {
         ++lineno;
         const auto first = line.find_first_not_of(" \t\r");
@@ -187,22 +191,36 @@ Scenario::traceFromCsv(std::istream &in)
             return field.find_first_not_of(" \t\r", end) ==
                    std::string::npos;
         };
+        double t_s = 0.0, load = 0.0;
+        bool numeric = false;
         try {
             std::size_t t_end = 0, load_end = 0;
-            const double t_s = std::stod(t_field, &t_end);
-            const double load = std::stod(load_field, &load_end);
-            if (!consumed(t_field, t_end) ||
-                !consumed(load_field, load_end))
-                throw std::invalid_argument("trailing garbage");
-            points.push_back({sim::fromSeconds(t_s), load});
+            t_s = std::stod(t_field, &t_end);
+            load = std::stod(load_field, &load_end);
+            numeric =
+                consumed(t_field, t_end) && consumed(load_field, load_end);
         } catch (const std::exception &) {
-            // Non-numeric lines before the first data point are
-            // header lines; after it they are malformed rows.
-            if (points.empty())
+            numeric = false;
+        }
+        // Only the first non-comment line may be a header; any later
+        // non-numeric line is a malformed row.
+        const bool may_be_header = first_row;
+        first_row = false;
+        if (!numeric) {
+            if (may_be_header)
                 continue;
             util::fatal("trace CSV line ", lineno,
                         ": non-numeric fields in '", line, "'");
         }
+        if (!std::isfinite(load))
+            util::fatal("trace CSV line ", lineno, ": load '",
+                        load_field, "' is not finite");
+        const double t_us = t_s * static_cast<double>(sim::kSecond);
+        if (!(t_us > -kTimeLimitUs && t_us < kTimeLimitUs))
+            util::fatal("trace CSV line ", lineno, ": time '", t_field,
+                        "' s is not finite or outside the simulated "
+                        "time range");
+        points.push_back({sim::fromSeconds(t_s), load});
     }
     if (points.empty())
         util::fatal("trace CSV contains no (time, load) points");

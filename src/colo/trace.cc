@@ -188,7 +188,6 @@ writeSummaryCsv(std::ostream &os, const ColoResult &result)
         header.push_back("obs_samples");
         header.push_back("obs_actuations");
         header.push_back("obs_qos_met_intervals");
-        header.push_back("obs_arena_overflows");
     }
     csv.writeRow(header);
     double inacc = 0.0, rel = 0.0;
@@ -238,10 +237,6 @@ writeSummaryCsv(std::ostream &os, const ColoResult &result)
             row.push_back(counter("engine.samples"));
             row.push_back(counter("engine.actuations"));
             row.push_back(counter("engine.qos_met_intervals"));
-            const obs::MetricValue *overflow =
-                result.metrics.find("arena.overflows");
-            row.push_back(
-                util::fmt(overflow ? overflow->value : 0.0, 0));
         }
         csv.writeRow(row);
     }

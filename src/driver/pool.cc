@@ -16,12 +16,6 @@ namespace {
  * exhaust the process thread limit.
  */
 constexpr long kMaxThreads = 512;
-
-/** Per-worker scratch arena block size (grown on demand via reset). */
-constexpr std::size_t kWorkerArenaBytes = 16 * 1024;
-
-/** The running worker's arena, set for the duration of each job. */
-thread_local util::Arena *tlsWorkerArena = nullptr;
 } // namespace
 
 unsigned
@@ -40,12 +34,6 @@ Pool::defaultThreadCount()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
-}
-
-util::Arena *
-Pool::workerArena()
-{
-    return tlsWorkerArena;
 }
 
 void
@@ -134,8 +122,6 @@ Pool::stats()
 void
 Pool::workerLoop()
 {
-    util::Arena arena(kWorkerArenaBytes);
-    tlsWorkerArena = &arena;
     for (;;) {
         PoolJob job;
         {
@@ -148,7 +134,6 @@ Pool::workerLoop()
             ++inFlight;
         }
 
-        arena.reset();
         std::exception_ptr err;
         const auto jobStart = std::chrono::steady_clock::now();
         try {

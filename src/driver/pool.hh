@@ -20,11 +20,6 @@
  * is identical either way. The queue itself is a ring over a
  * capacity-doubling slot vector, so steady-state push/pop never
  * allocates either.
- *
- * Each worker additionally owns a util::Arena, reset before every
- * job and reachable from inside the job via Pool::workerArena() —
- * per-task scratch space that recycles the same block for the whole
- * run (driver::Sweep forwards it as TaskContext::scratch).
  */
 
 #ifndef PLIANT_DRIVER_POOL_HH
@@ -39,8 +34,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/arena.hh"
 
 namespace pliant {
 namespace driver {
@@ -230,13 +223,6 @@ class Pool
     {
         return static_cast<unsigned>(workers.size());
     }
-
-    /**
-     * The calling worker's scratch arena, reset before each job; null
-     * when the caller is not a pool worker. Valid only for the
-     * duration of the current job.
-     */
-    static util::Arena *workerArena();
 
     /**
      * Worker count used when the caller passes 0: the environment

@@ -63,14 +63,6 @@ struct TaskContext
      * and the task index (see taskSeed()).
      */
     std::uint64_t seed = 0;
-
-    /**
-     * The executing worker's scratch arena, reset before the task
-     * started (Pool::workerArena()). Task-duration lifetime; scratch
-     * only — anything that outlives the task must not live here.
-     * Never null when the task runs on a pool worker.
-     */
-    util::Arena *scratch = nullptr;
 };
 
 /**
@@ -176,8 +168,7 @@ class Sweep
         std::atomic<std::size_t> completed{0};
         for (std::size_t i = 0; i < n; ++i) {
             pool.submit([this, i, n, &errors, &completed, &body] {
-                const TaskContext ctx{i, taskSeed(opts.seed, i),
-                                      Pool::workerArena()};
+                const TaskContext ctx{i, taskSeed(opts.seed, i)};
                 try {
                     body(ctx);
                 } catch (...) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry implementation: registration, freezing, the fixed
- * lane-order fold, snapshot merging, and the JSON/table exporters.
+ * MetricsRegistry implementation: registration, freezing,
+ * snapshots and their merging, and the JSON/table exporters.
  */
 
 #include "obs/metrics.hh"
@@ -16,14 +16,6 @@ namespace pliant {
 namespace obs {
 
 namespace {
-
-/** Pad a lane count so each slot's shard run owns whole cache lines. */
-std::size_t
-paddedLanes(unsigned lanes)
-{
-    constexpr std::size_t kLine = 64 / sizeof(std::uint64_t);
-    return ((lanes + kLine - 1) / kLine) * kLine;
-}
 
 /** Emit a double the way the bench JSON writers do (round-trip). */
 void
@@ -103,8 +95,6 @@ stabilityName(Stability stability)
     switch (stability) {
     case Stability::Deterministic:
         return "deterministic";
-    case Stability::LaneDependent:
-        return "lane_dependent";
     case Stability::WallTime:
         return "wall_time";
     }
@@ -198,11 +188,6 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
     }
 }
 
-MetricsRegistry::MetricsRegistry(unsigned lanes)
-    : laneCount(lanes > 0 ? lanes : 1)
-{
-}
-
 MetricId
 MetricsRegistry::registerMetric(std::string name, MetricKind kind,
                                 Stability stability,
@@ -221,8 +206,10 @@ MetricsRegistry::registerMetric(std::string name, MetricKind kind,
 MetricId
 MetricsRegistry::counter(std::string name, Stability stability)
 {
+    const auto slot = static_cast<std::uint32_t>(counters.size());
+    counters.push_back(0);
     return registerMetric(std::move(name), MetricKind::Counter,
-                          stability, counterSlots++);
+                          stability, slot);
 }
 
 MetricId
@@ -247,8 +234,8 @@ MetricId
 MetricsRegistry::histogram(std::string name, double lo, double base,
                            std::size_t buckets, Stability stability)
 {
-    const auto slot = static_cast<std::uint32_t>(histSpecs.size());
-    histSpecs.push_back(HistSpec{lo, base, buckets});
+    const auto slot = static_cast<std::uint32_t>(hists.size());
+    hists.emplace_back(lo, base, buckets);
     return registerMetric(std::move(name), MetricKind::Histogram,
                           stability, slot);
 }
@@ -258,12 +245,6 @@ MetricsRegistry::freeze()
 {
     PLIANT_ASSERT(!isFrozen, "metrics registry frozen twice");
     isFrozen = true;
-    counterStride = paddedLanes(laneCount);
-    counterShards.assign(counterSlots * counterStride, 0);
-    hists.reserve(histSpecs.size() * laneCount);
-    for (const HistSpec &spec : histSpecs)
-        for (unsigned lane = 0; lane < laneCount; ++lane)
-            hists.emplace_back(spec.lo, spec.base, spec.buckets);
 }
 
 MetricsSnapshot
@@ -280,11 +261,7 @@ MetricsRegistry::snapshot() const
         const std::uint32_t slot = slotOf[id];
         switch (m.kind) {
         case MetricKind::Counter:
-            // Integer fold in ascending lane order: exact under any
-            // grouping, hence lane/thread-count invariant.
-            for (unsigned lane = 0; lane < laneCount; ++lane)
-                m.count +=
-                    counterShards[slot * counterStride + lane];
+            m.count = counters[slot];
             break;
         case MetricKind::Gauge:
             m.value = gauges[slot];
@@ -293,16 +270,10 @@ MetricsRegistry::snapshot() const
             m.stat = stats[slot];
             break;
         case MetricKind::Histogram: {
-            const HistSpec &spec = histSpecs[slot];
-            m.histLo = spec.lo;
-            m.histBase = spec.base;
-            m.buckets.assign(spec.buckets + 2, 0);
-            for (unsigned lane = 0; lane < laneCount; ++lane) {
-                const auto &shard =
-                    hists[slot * laneCount + lane].buckets();
-                for (std::size_t i = 0; i < shard.size(); ++i)
-                    m.buckets[i] += shard[i];
-            }
+            const util::LogHistogram &h = hists[slot];
+            m.histLo = h.lo();
+            m.histBase = h.base();
+            m.buckets.assign(h.buckets().begin(), h.buckets().end());
             break;
         }
         }

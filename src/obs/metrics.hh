@@ -4,29 +4,22 @@
  * stats, and log-histograms, registered once up front and updated
  * allocation-free afterwards.
  *
- * Determinism contract. Metrics fall into three stability classes,
+ * Determinism contract. Metrics fall into two stability classes,
  * tagged in every export:
  *
- *  - `deterministic`: pure simulation outputs. Counters and
- *    histogram buckets are integer shards, one per engine lane,
- *    folded by summation in fixed lane order — integer sums
- *    re-associate exactly, so the folded value is identical at any
- *    pool-thread or engine-lane count. Gauges and stats in this
- *    class are only ever written from sequential contexts (the
- *    engine thread at interval closes, the cluster barrier thread)
- *    or merged in fixed (node, lane) order, so their doubles are
- *    bit-equal across thread/lane counts too.
- *  - `lane_dependent`: deterministic given the configuration, but a
- *    function of the lane/thread knob itself (e.g. tick-team launch
- *    counts scale with the lane width).
+ *  - `deterministic`: pure simulation outputs. Each registry is
+ *    written by one thread only (its engine's, or the cluster
+ *    barrier thread), and cluster snapshots merge in fixed node
+ *    order, so integer counts and doubles alike are identical at
+ *    any pool-thread count.
  *  - `wall_time`: measured off std::chrono::steady_clock (phase
- *    timers, pool job latencies, futex park counts). These are the
- *    only nondeterministic values in an export and the tooling
- *    treats them as warn-only.
+ *    timers, pool job latencies). These are the only
+ *    nondeterministic values in an export and the tooling treats
+ *    them as warn-only.
  *
  * Registration (counter()/gauge()/stat()/histogram()) happens at
- * engine/cluster construction and allocates; freeze() then pins the
- * shard arrays. Every update on a frozen registry — add(), set(),
+ * engine/cluster construction and allocates; freeze() then closes
+ * the roster. Every update on a frozen registry — add(), set(),
  * record(), histAdd() — is heap-allocation-free, which the warmed
  * tick loop's zero-allocation test relies on.
  */
@@ -70,17 +63,16 @@ struct ObsConfig
 /** What a metric measures; fixes the update API and export shape. */
 enum class MetricKind
 {
-    Counter,   ///< monotone uint64, per-lane sharded
-    Gauge,     ///< last-written double (sequential writers only)
-    Stat,      ///< util::RunningStats (sequential writers only)
-    Histogram, ///< util::LogHistogram, per-lane sharded
+    Counter,   ///< monotone uint64
+    Gauge,     ///< last-written double
+    Stat,      ///< util::RunningStats
+    Histogram, ///< util::LogHistogram
 };
 
 /** Stability class of a metric's value (see file header). */
 enum class Stability
 {
     Deterministic,
-    LaneDependent,
     WallTime,
 };
 
@@ -141,17 +133,14 @@ struct MetricsSnapshot
 };
 
 /**
- * The registry. Construction fixes the lane (shard) count;
- * registration fixes the metric roster; freeze() pins storage.
- * Counter/histogram updates take the caller's lane index and touch
- * only that lane's shard, so tick-team lanes never contend; gauge
- * and stat updates are reserved for sequential contexts.
+ * The registry. Registration fixes the metric roster and allocates
+ * each metric's storage; freeze() ends registration. Not
+ * thread-safe: one registry has one writer.
  */
 class MetricsRegistry
 {
   public:
-    /** @param lanes shard count; at least 1. */
-    explicit MetricsRegistry(unsigned lanes);
+    MetricsRegistry() = default;
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -166,23 +155,22 @@ class MetricsRegistry
                        std::size_t buckets,
                        Stability stability = Stability::Deterministic);
 
-    /** End registration; allocates all shard storage. */
+    /** End registration. */
     void freeze();
 
     bool frozen() const { return isFrozen; }
-    unsigned lanes() const { return laneCount; }
     std::size_t size() const { return names.size(); }
 
-    /** Counter add on the caller's lane shard. Frozen-only. */
-    void add(MetricId id, unsigned lane, std::uint64_t delta = 1)
+    /** Counter add. Frozen-only. */
+    void add(MetricId id, std::uint64_t delta = 1)
     {
-        counterShards[slotOf[id] * counterStride + lane] += delta;
+        counters[slotOf[id]] += delta;
     }
 
-    /** Gauge overwrite (sequential contexts only). Frozen-only. */
+    /** Gauge overwrite. Frozen-only. */
     void set(MetricId id, double v) { gauges[slotOf[id]] = v; }
 
-    /** Gauge running-max (sequential contexts only). Frozen-only. */
+    /** Gauge running-max. Frozen-only. */
     void setMax(MetricId id, double v)
     {
         double &g = gauges[slotOf[id]];
@@ -190,26 +178,19 @@ class MetricsRegistry
             g = v;
     }
 
-    /** Stat observation (sequential contexts only). Frozen-only. */
+    /** Stat observation. Frozen-only. */
     void record(MetricId id, double v) { stats[slotOf[id]].add(v); }
 
-    /** Histogram add on the caller's lane shard. Frozen-only. */
-    void histAdd(MetricId id, unsigned lane, double v)
-    {
-        hists[slotOf[id] * laneCount + lane].add(v);
-    }
+    /** Histogram add. Frozen-only. */
+    void histAdd(MetricId id, double v) { hists[slotOf[id]].add(v); }
 
-    /**
-     * Fold every metric across its lane shards, in ascending lane
-     * order, into a registry-independent snapshot.
-     */
+    /** Copy every metric into a registry-independent snapshot. */
     MetricsSnapshot snapshot() const;
 
   private:
     MetricId registerMetric(std::string name, MetricKind kind,
                             Stability stability, std::uint32_t slot);
 
-    unsigned laneCount;
     bool isFrozen = false;
 
     std::vector<std::string> names;
@@ -218,25 +199,9 @@ class MetricsRegistry
     /** Per-kind slot index of each MetricId. */
     std::vector<std::uint32_t> slotOf;
 
-    /**
-     * Counter shards, slot-major with the per-slot lane run padded
-     * to a cache line so adjacent slots' shards never share one.
-     */
-    std::size_t counterStride = 0;
-    std::uint32_t counterSlots = 0;
-    std::vector<std::uint64_t> counterShards;
-
+    std::vector<std::uint64_t> counters;
     std::vector<double> gauges;
     std::vector<util::RunningStats> stats;
-
-    struct HistSpec
-    {
-        double lo;
-        double base;
-        std::size_t buckets;
-    };
-    std::vector<HistSpec> histSpecs;
-    /** laneCount consecutive shards per histogram slot. */
     std::vector<util::LogHistogram> hists;
 };
 

@@ -8,8 +8,8 @@
  * chrome://tracing. Timestamps are SIMULATED microseconds
  * (sim::Time already counts µs), so the span layout of a run is
  * deterministic: the same config produces the same trace at any
- * thread or lane count, modulo the interleaving of events from
- * different (pid, tid) tracks in the file. Wall-clock durations,
+ * thread count, modulo the interleaving of events from different
+ * (pid, tid) tracks in the file. Wall-clock durations,
  * when a caller attaches them, ride in the `args` object under
  * `wall_us` and are the only nondeterministic values.
  *

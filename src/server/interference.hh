@@ -110,12 +110,11 @@ class InterferenceModel
         const CachePartition &partition) const;
 
     /**
-     * Pointer/length form of contentionMulti for hot paths whose
-     * peer/task lists live in per-worker arenas instead of
-     * std::vectors. Aggregation order (and therefore every floating
-     * point intermediate) is identical to the vector overload, which
-     * simply forwards here — the byte-identity suites hold across
-     * both entry points.
+     * Pointer/length form of contentionMulti for callers whose
+     * peer/task lists are not std::vectors. Aggregation order (and
+     * therefore every floating point intermediate) is identical to
+     * the vector overload, which simply forwards here — the
+     * byte-identity suites hold across both entry points.
      */
     ContentionBreakdown contentionMulti(
         const approx::PressureVector &self,

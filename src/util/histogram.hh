@@ -78,6 +78,8 @@ class LogHistogram
 
     std::size_t count() const { return total; }
     const std::vector<std::size_t> &buckets() const { return counts; }
+    double lo() const { return loBound; }
+    double base() const { return growth; }
 
     /** Lower edge of regular bucket i (0-based, excluding under/over). */
     double bucketLo(std::size_t i) const

@@ -30,7 +30,6 @@ std::atomic<std::uint32_t> nextThreadId{0};
 
 thread_local std::uint32_t tlsThreadId = 0;
 thread_local bool tlsThreadIdAssigned = false;
-thread_local int tlsLane = -1;
 } // namespace
 
 LogLevel
@@ -62,18 +61,6 @@ logThreadId()
     return tlsThreadId;
 }
 
-void
-setLogLane(int lane)
-{
-    tlsLane = lane;
-}
-
-int
-logLane()
-{
-    return tlsLane;
-}
-
 namespace detail {
 
 void
@@ -91,7 +78,6 @@ emit(LogLevel level, const std::string &tag, const std::string &msg)
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
     record.threadId = logThreadId();
-    record.lane = tlsLane;
     std::lock_guard<std::mutex> lock(emitMutex());
     LogSink *sink = globalSink.load(std::memory_order_acquire);
     if (sink) {

@@ -27,9 +27,7 @@ void setLogLevel(LogLevel level);
 /**
  * One log record as handed to a sink. Timestamps come from
  * std::chrono::steady_clock (monotonic, ns); threadId is a small
- * dense id assigned on a thread's first log; lane is the engine /
- * tick-team lane the thread last announced via setLogLane(), or -1
- * for threads outside a lane.
+ * dense id assigned on a thread's first log.
  */
 struct LogRecord
 {
@@ -38,7 +36,6 @@ struct LogRecord
     std::string msg;
     std::uint64_t monotonicNs = 0;
     std::uint32_t threadId = 0;
-    int lane = -1;
 };
 
 /**
@@ -63,12 +60,6 @@ LogSink *setLogSink(LogSink *sink);
 
 /** Dense id of the calling thread (assigned on first use). */
 std::uint32_t logThreadId();
-
-/** Tag the calling thread with an engine lane id (-1 clears). */
-void setLogLane(int lane);
-
-/** The calling thread's announced lane id, or -1. */
-int logLane();
 
 namespace detail {
 void emit(LogLevel level, const std::string &tag, const std::string &msg);

@@ -294,9 +294,9 @@ class P2Quantile
 
     /**
      * Merge another estimator targeting the same quantile into this
-     * one — the cross-lane / cross-node reduction the streaming
-     * rollup layer needs (a single P2Quantile fed from one stream is
-     * NOT equivalent to merging per-shard sketches; this is a
+     * one — the cross-node reduction the streaming rollup layer
+     * needs (a single P2Quantile fed from one stream is NOT
+     * equivalent to merging per-shard sketches; this is a
      * deterministic sketch-of-sketches).
      *
      * Marker combination: the outer markers (running min/max) merge

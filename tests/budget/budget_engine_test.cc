@@ -12,8 +12,7 @@
  *     bench/fig_budget point — better worst-node QoS met% at an
  *     equal or lower global quality loss.
  *  3. Every split policy is deterministic: cluster worker threads
- *     (1 vs 6) and per-engine lanes (1 vs 4) never change a single
- *     bit of the result.
+ *     (1 vs 6) never change a single bit of the result.
  */
 
 #include "approx/profile.hh"
@@ -242,51 +241,46 @@ TEST(BudgetCsvTest, BudgetColumnsAppearOnlyWhenEnabled)
 }
 
 /**
- * Byte-identity across cluster worker threads and engine lanes, per
- * split policy. Exact == comparisons: determinism is all-or-nothing.
+ * Byte-identity across cluster worker threads, per split policy.
+ * Exact == comparisons: determinism is all-or-nothing.
  */
 class BudgetDeterminismTest
     : public ::testing::TestWithParam<budget::BudgetPolicy>
 {
 };
 
-TEST_P(BudgetDeterminismTest, ThreadAndLaneCountsNeverChangeBits)
+TEST_P(BudgetDeterminismTest, ThreadCountNeverChangesBits)
 {
-    const auto run_with = [&](unsigned threads, unsigned lanes) {
-        ClusterConfig cfg =
-            figBudgetConfig(GetParam(), 0.12, 1.5);
+    const auto run_with = [&](unsigned threads) {
+        ClusterConfig cfg = figBudgetConfig(GetParam(), 0.12, 1.5);
         cfg.threads = threads;
-        cfg.engineThreads = lanes;
         return Cluster(cfg).run();
     };
 
-    const ClusterResult ref = run_with(1, 1);
-    for (const auto &[threads, lanes] :
-         {std::pair<unsigned, unsigned>{6, 1}, {1, 4}, {6, 4}}) {
-        const ClusterResult r = run_with(threads, lanes);
-        EXPECT_EQ(r.worstServiceRatio, ref.worstServiceRatio);
-        EXPECT_EQ(r.meanQosMetFraction, ref.meanQosMetFraction);
-        EXPECT_EQ(r.meanInaccuracy, ref.meanInaccuracy);
-        EXPECT_EQ(r.meanRelativeExecTime, ref.meanRelativeExecTime);
-        EXPECT_EQ(r.budgetQualityUsed, ref.budgetQualityUsed);
-        EXPECT_EQ(r.budgetShedUsed, ref.budgetShedUsed);
-        EXPECT_EQ(r.migrations.size(), ref.migrations.size());
-        ASSERT_EQ(r.nodes.size(), ref.nodes.size());
-        for (std::size_t n = 0; n < r.nodes.size(); ++n) {
-            const auto &a = r.nodes[n].result;
-            const auto &b = ref.nodes[n].result;
-            ASSERT_EQ(a.services.size(), b.services.size());
-            for (std::size_t s = 0; s < a.services.size(); ++s) {
-                EXPECT_EQ(a.services[s].meanIntervalP99Us,
-                          b.services[s].meanIntervalP99Us);
-                EXPECT_EQ(a.services[s].qosMetFraction,
-                          b.services[s].qosMetFraction);
-                EXPECT_EQ(a.services[s].shedFraction,
-                          b.services[s].shedFraction);
-            }
-            EXPECT_EQ(a.budgetQualityUsed, b.budgetQualityUsed);
-            EXPECT_EQ(a.budgetShedUsed, b.budgetShedUsed);
+    const ClusterResult ref = run_with(1);
+    const ClusterResult r = run_with(6);
+    EXPECT_EQ(r.worstServiceRatio, ref.worstServiceRatio);
+    EXPECT_EQ(r.meanQosMetFraction, ref.meanQosMetFraction);
+    EXPECT_EQ(r.meanInaccuracy, ref.meanInaccuracy);
+    EXPECT_EQ(r.meanRelativeExecTime, ref.meanRelativeExecTime);
+    EXPECT_EQ(r.budgetQualityUsed, ref.budgetQualityUsed);
+    EXPECT_EQ(r.budgetShedUsed, ref.budgetShedUsed);
+    EXPECT_EQ(r.migrations.size(), ref.migrations.size());
+    ASSERT_EQ(r.nodes.size(), ref.nodes.size());
+    for (std::size_t n = 0; n < r.nodes.size(); ++n) {
+        const auto &a = r.nodes[n].result;
+        const auto &b = ref.nodes[n].result;
+        ASSERT_EQ(a.services.size(), b.services.size());
+        for (std::size_t s = 0; s < a.services.size(); ++s) {
+            EXPECT_EQ(a.services[s].meanIntervalP99Us,
+                      b.services[s].meanIntervalP99Us);
+            EXPECT_EQ(a.services[s].qosMetFraction,
+                      b.services[s].qosMetFraction);
+            EXPECT_EQ(a.services[s].shedFraction,
+                      b.services[s].shedFraction);
         }
+        EXPECT_EQ(a.budgetQualityUsed, b.budgetQualityUsed);
+        EXPECT_EQ(a.budgetShedUsed, b.budgetShedUsed);
     }
 }
 

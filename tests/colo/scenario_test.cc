@@ -243,6 +243,22 @@ TEST(ScenarioTraceTest, RejectsMalformedCsv)
     EXPECT_THROW(Scenario::traceFromCsv(extra_column),
                  util::FatalError);
 
+    // Only the first non-comment line may be a header: a malformed
+    // first data row after it is an error, not a second header.
+    std::istringstream bad_first_row("t,load\n0,0.5x\n10,0.7\n");
+    EXPECT_THROW(Scenario::traceFromCsv(bad_first_row),
+                 util::FatalError);
+
+    // Non-finite loads, and times that are non-finite or outside
+    // sim::Time's range, fail before any conversion.
+    for (const char *text :
+         {"0,nan\n", "0,inf\n", "0,0.5\nnan,0.7\n",
+          "0,0.5\n1e300,0.7\n", "-1e300,0.5\n0,0.7\n"}) {
+        std::istringstream in(text);
+        EXPECT_THROW(Scenario::traceFromCsv(in), util::FatalError)
+            << text;
+    }
+
     EXPECT_THROW(Scenario::traceFromCsvFile("/nonexistent/trace.csv"),
                  util::FatalError);
 }

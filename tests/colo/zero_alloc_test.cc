@@ -1,0 +1,275 @@
+/**
+ * @file
+ * A warmed-up colo::Engine tick loop performs zero heap allocations,
+ * with the metrics registry off and on. Every per-tick buffer is
+ * sized at construction or reaches its steady capacity during
+ * warmup, so the steady-state loop only reuses memory.
+ */
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "colo/builder.hh"
+#include "colo/engine.hh"
+
+// ---------------------------------------------------------------------
+// Global allocation counter. Each *_test.cc builds into its own
+// binary, so overriding the global allocation functions here observes
+// every heap allocation in the process. Every replaceable form is
+// intercepted — throwing and nothrow, plain and aligned — so nothing
+// allocated here is ever freed by an allocator that did not make it.
+// ---------------------------------------------------------------------
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size == 0)
+        size = 1;
+    void *p = nullptr;
+    if (align <= alignof(std::max_align_t)) {
+        p = std::malloc(size);
+    } else {
+        // aligned_alloc requires size to be a multiple of alignment.
+        const std::size_t rounded = (size + align - 1) / align * align;
+        p = std::aligned_alloc(align, rounded);
+    }
+    return p;
+}
+
+void *
+countedAllocOrThrow(std::size_t size, std::size_t align)
+{
+    void *p = countedAlloc(size, align);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    return countedAllocOrThrow(size, alignof(std::max_align_t));
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return countedAllocOrThrow(size, alignof(std::max_align_t));
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, alignof(std::max_align_t));
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, alignof(std::max_align_t));
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t,
+                  const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+using namespace pliant;
+using namespace pliant::colo;
+
+constexpr sim::Time kS = sim::kSecond;
+
+TEST(ZeroAllocTest, CounterSeesNothrowAllocations)
+{
+    // std::stable_sort's temporary buffer, for one, is a nothrow
+    // allocation; an uncounted form would hide it from the tests
+    // below and be freed by an allocator that did not make it.
+    for (const bool aligned : {false, true}) {
+        const std::uint64_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        void *p = aligned ? ::operator new(64, std::align_val_t{64},
+                                           std::nothrow)
+                          : ::operator new(64, std::nothrow);
+        const std::uint64_t after =
+            g_allocations.load(std::memory_order_relaxed);
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(after - before, 1U) << "aligned=" << aligned;
+        if (aligned)
+            ::operator delete(p, std::align_val_t{64}, std::nothrow);
+        else
+            ::operator delete(p, std::nothrow);
+    }
+}
+
+TEST(ZeroAllocTest, WarmTickLoopPerformsZeroHeapAllocations)
+{
+    // Constant-load tenants keep each tick's sample-vector size
+    // fixed, so after warmup every per-tick buffer has reached its
+    // steady capacity. The measured window (10.2s -> 10.9s) crosses
+    // no decision-interval close — the next timeline append (which
+    // legitimately allocates) happens at 11s.
+    const ColoConfig cfg =
+        ConfigBuilder()
+            .service("mc-a", services::ServiceKind::Memcached,
+                     Scenario::constant(0.70))
+            .service("mc-b", services::ServiceKind::Memcached,
+                     Scenario::constant(0.60))
+            .service("ng", services::ServiceKind::Nginx,
+                     Scenario::constant(0.55))
+            .apps({"canneal", "bayesian"})
+            .runtime(core::RuntimeKind::Pliant)
+            .seed(5)
+            .build();
+    Engine engine(cfg);
+    engine.advanceUntil(sim::Time(10.2 * kS));
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    engine.advanceUntil(sim::Time(10.9 * kS));
+    const std::uint64_t after =
+        g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(after - before, 0U)
+        << "warm tick loop allocated " << (after - before)
+        << " times between 10.2s and 10.9s";
+}
+
+TEST(ZeroAllocTest, WarmTickLoopStaysZeroAllocWithMetricsEnabled)
+{
+    // The observability contract: the registry allocates at
+    // construction (registration) and at snapshot, never per update.
+    // Same window as the test above, now with counters/stats/phase
+    // timers recording every tick.
+    const ColoConfig cfg =
+        ConfigBuilder()
+            .service("mc-a", services::ServiceKind::Memcached,
+                     Scenario::constant(0.70))
+            .service("mc-b", services::ServiceKind::Memcached,
+                     Scenario::constant(0.60))
+            .service("ng", services::ServiceKind::Nginx,
+                     Scenario::constant(0.55))
+            .apps({"canneal", "bayesian"})
+            .runtime(core::RuntimeKind::Pliant)
+            .seed(5)
+            .observability(true)
+            .build();
+    Engine engine(cfg);
+    engine.advanceUntil(sim::Time(10.2 * kS));
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    engine.advanceUntil(sim::Time(10.9 * kS));
+    const std::uint64_t after =
+        g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(after - before, 0U)
+        << "metrics-enabled warm tick loop allocated "
+        << (after - before) << " times between 10.2s and 10.9s";
+}
+
+} // namespace

@@ -138,31 +138,6 @@ TEST(PoolTest, QueueRingSurvivesGrowthAndWrap)
     EXPECT_EQ(count.load(), 900);
 }
 
-TEST(SweepTest, TasksReceiveAResetScratchArena)
-{
-    driver::SweepOptions opts;
-    opts.threads = 4;
-    driver::Sweep sweep(opts);
-    // Every task gets a worker arena, freshly reset (bytesUsed == 0),
-    // and usable for task-local allocation.
-    const auto out =
-        sweep.map(64, [](const driver::TaskContext &ctx) {
-            if (ctx.scratch == nullptr)
-                return std::size_t{0};
-            if (ctx.scratch->bytesUsed() != 0)
-                return std::size_t{1};
-            auto *vals = ctx.scratch->allocateArray<double>(16);
-            for (int i = 0; i < 16; ++i)
-                vals[i] = static_cast<double>(i);
-            double sum = 0.0;
-            for (int i = 0; i < 16; ++i)
-                sum += vals[i];
-            return static_cast<std::size_t>(sum); // 120
-        });
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], 120u) << "task " << i;
-}
-
 TEST(TaskSeedTest, DependsOnlyOnBaseAndIndex)
 {
     EXPECT_EQ(driver::taskSeed(1, 0), driver::taskSeed(1, 0));

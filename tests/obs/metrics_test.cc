@@ -1,9 +1,7 @@
 /**
  * @file
- * obs::MetricsRegistry: the fixed lane-order fold (exact equality
- * under any grouping of updates onto lanes), freeze semantics,
- * snapshot merging, and the JSON/table exporters the bench tooling
- * parses.
+ * obs::MetricsRegistry: freeze semantics, snapshot merging, and the
+ * JSON/table exporters the bench tooling parses.
  */
 
 #include "obs/metrics.hh"
@@ -21,44 +19,12 @@ namespace pliant {
 namespace obs {
 namespace {
 
-TEST(MetricsRegistryTest, CounterFoldsExactlyAcrossLaneGroupings)
-{
-    // The same 1000 updates distributed over 1, 3, and 8 lanes must
-    // fold to the same total: integer shard sums re-associate
-    // exactly, which is the root of the thread-invariance contract.
-    std::vector<std::uint64_t> totals;
-    for (unsigned lanes : {1U, 3U, 8U}) {
-        MetricsRegistry reg(lanes);
-        const MetricId id = reg.counter("t.hits");
-        reg.freeze();
-        for (unsigned i = 0; i < 1000; ++i)
-            reg.add(id, i % lanes, 1 + i % 7);
-        totals.push_back(reg.snapshot().metrics[0].count);
-    }
-    EXPECT_EQ(totals[0], totals[1]);
-    EXPECT_EQ(totals[0], totals[2]);
-}
-
-TEST(MetricsRegistryTest, HistogramFoldsExactlyAcrossLaneGroupings)
-{
-    std::vector<std::vector<std::uint64_t>> folded;
-    for (unsigned lanes : {1U, 4U}) {
-        MetricsRegistry reg(lanes);
-        const MetricId id = reg.histogram("t.lat", 10.0, 1.25, 32);
-        reg.freeze();
-        for (unsigned i = 0; i < 500; ++i)
-            reg.histAdd(id, i % lanes, 5.0 + 3.0 * i);
-        folded.push_back(reg.snapshot().metrics[0].buckets);
-    }
-    EXPECT_EQ(folded[0], folded[1]);
-}
-
 TEST(MetricsRegistryTest, SnapshotPreservesRegistrationOrderAndTags)
 {
-    MetricsRegistry reg(2);
+    MetricsRegistry reg;
     reg.counter("a.count");
     reg.gauge("b.gauge", Stability::WallTime);
-    reg.stat("c.stat", Stability::LaneDependent);
+    reg.stat("c.stat");
     reg.histogram("d.hist", 1.0, 2.0, 8);
     reg.freeze();
     const MetricsSnapshot snap = reg.snapshot();
@@ -69,13 +35,13 @@ TEST(MetricsRegistryTest, SnapshotPreservesRegistrationOrderAndTags)
     EXPECT_EQ(snap.metrics[3].name, "d.hist");
     EXPECT_EQ(snap.metrics[0].kind, MetricKind::Counter);
     EXPECT_EQ(snap.metrics[1].stability, Stability::WallTime);
-    EXPECT_EQ(snap.metrics[2].stability, Stability::LaneDependent);
+    EXPECT_EQ(snap.metrics[2].stability, Stability::Deterministic);
     EXPECT_EQ(snap.metrics[3].buckets.size(), 8U + 2U);
 }
 
 TEST(MetricsRegistryTest, GaugeSetAndSetMax)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     const MetricId g = reg.gauge("g");
     reg.freeze();
     reg.set(g, 4.0);
@@ -87,7 +53,7 @@ TEST(MetricsRegistryTest, GaugeSetAndSetMax)
 
 TEST(MetricsRegistryTest, RegistrationAfterFreezePanics)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     reg.counter("ok");
     reg.freeze();
     EXPECT_TRUE(reg.frozen());
@@ -99,16 +65,16 @@ TEST(MetricsSnapshotTest, MergeAddsCountersGaugesAndBuckets)
 {
     const auto build = [](std::uint64_t hits, double depth,
                           double obs) {
-        MetricsRegistry reg(1);
+        MetricsRegistry reg;
         const MetricId c = reg.counter("hits");
         const MetricId g = reg.gauge("depth");
         const MetricId s = reg.stat("lat");
         const MetricId h = reg.histogram("h", 1.0, 2.0, 4);
         reg.freeze();
-        reg.add(c, 0, hits);
+        reg.add(c, hits);
         reg.set(g, depth);
         reg.record(s, obs);
-        reg.histAdd(h, 0, obs);
+        reg.histAdd(h, obs);
         return reg.snapshot();
     };
     MetricsSnapshot a = build(10, 1.5, 2.0);
@@ -123,12 +89,12 @@ TEST(MetricsSnapshotTest, MergeAddsCountersGaugesAndBuckets)
 
 TEST(MetricsSnapshotTest, MergeAppendsUnknownMetrics)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     reg.counter("common");
     reg.freeze();
     MetricsSnapshot a = reg.snapshot();
 
-    MetricsRegistry other(1);
+    MetricsRegistry other;
     other.counter("common");
     other.counter("extra");
     other.freeze();
@@ -146,11 +112,11 @@ TEST(MetricsSnapshotTest, FindReturnsNullForAbsentName)
 
 TEST(MetricsExportTest, JsonCarriesSchemaKindAndStabilityTags)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     const MetricId c = reg.counter("e.ticks");
     reg.stat("e.wall", Stability::WallTime);
     reg.freeze();
-    reg.add(c, 0, 7);
+    reg.add(c, 7);
     std::ostringstream os;
     writeMetricsJson(os, reg.snapshot());
     const std::string json = os.str();
@@ -173,7 +139,7 @@ TEST(MetricsExportTest, JsonCarriesSchemaKindAndStabilityTags)
 
 TEST(MetricsExportTest, TableListsEveryMetric)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     reg.counter("one");
     reg.gauge("two");
     reg.freeze();
@@ -188,7 +154,7 @@ TEST(MetricsExportTest, TableListsEveryMetric)
 
 TEST(MetricsExportTest, TableScalesWallSecondsButNotJson)
 {
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     const MetricId phase =
         reg.stat("phase.close_wall_s", Stability::WallTime);
     const MetricId job =
@@ -225,19 +191,19 @@ TEST(MetricsExportTest, TableScalesWallSecondsButNotJson)
 TEST(MetricsRegistryTest, UpdatesOnFrozenRegistryDoNotAllocate)
 {
     // The warmed tick loop relies on every update path being
-    // heap-free; the shards are pinned by freeze(), so the update
-    // methods are plain array writes. Verified for real (with a
-    // global operator-new trap) in colo_parallel_tick_test; here we
+    // heap-free; storage is allocated at registration, so the
+    // update methods are plain array writes. Verified for real (with
+    // a global operator-new trap) in colo_zero_alloc_test; here we
     // just pin the shapes that make it possible.
-    MetricsRegistry reg(4);
+    MetricsRegistry reg;
     const MetricId c = reg.counter("c");
     const MetricId h = reg.histogram("h", 1.0, 2.0, 16);
     const MetricId g = reg.gauge("g");
     const MetricId s = reg.stat("s");
     reg.freeze();
-    for (unsigned lane = 0; lane < 4; ++lane) {
-        reg.add(c, lane);
-        reg.histAdd(h, lane, 3.0);
+    for (int i = 0; i < 4; ++i) {
+        reg.add(c);
+        reg.histAdd(h, 3.0);
     }
     reg.set(g, 1.0);
     reg.record(s, 2.0);

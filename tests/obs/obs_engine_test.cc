@@ -3,9 +3,8 @@
  * Observability wired through the engine and cluster layers:
  *
  *  - determinism: every `deterministic` metric is exactly equal
- *    (integer counts, bit-equal doubles) at 1 vs 4 engine lanes and
- *    at 1 vs 6 cluster pool threads — the fixed (node, lane) fold
- *    order contract;
+ *    (integer counts, bit-equal doubles) at 1 vs 6 cluster pool
+ *    threads — the fixed node-order merge contract;
  *  - isolation: enabling the registry does not perturb the
  *    simulation (timeline CSV byte-equal to an obs-off run);
  *  - output byte-pin: an obs-off run's summary CSV contains no obs
@@ -76,14 +75,13 @@ clusterConfig()
 }
 
 /**
- * Exact equality of two snapshots' folded values, restricted to the
- * given stability classes. Doubles compare with ==: the fold-order
- * contract promises bit-equality, not approximation.
+ * Exact equality of two snapshots' deterministic values. Doubles
+ * compare with ==: the merge-order contract promises bit-equality,
+ * not approximation.
  */
 void
 expectMetricsEqual(const obs::MetricsSnapshot &a,
-                   const obs::MetricsSnapshot &b,
-                   bool lane_dependent_too)
+                   const obs::MetricsSnapshot &b)
 {
     ASSERT_EQ(a.metrics.size(), b.metrics.size());
     for (std::size_t i = 0; i < a.metrics.size(); ++i) {
@@ -93,9 +91,6 @@ expectMetricsEqual(const obs::MetricsSnapshot &a,
         ASSERT_EQ(ma.kind, mb.kind);
         ASSERT_EQ(ma.stability, mb.stability);
         if (ma.stability == obs::Stability::WallTime)
-            continue;
-        if (ma.stability == obs::Stability::LaneDependent &&
-            !lane_dependent_too)
             continue;
         switch (ma.kind) {
         case obs::MetricKind::Counter:
@@ -118,35 +113,6 @@ expectMetricsEqual(const obs::MetricsSnapshot &a,
     }
 }
 
-TEST(ObsEngineTest, DeterministicMetricsIdenticalAt1And4Lanes)
-{
-    colo::ColoConfig base = engineConfig();
-    base.observability.metrics = true;
-
-    colo::ColoConfig lanes1 = base, lanes4 = base;
-    lanes1.engineThreads = 1;
-    lanes4.engineThreads = 4;
-    const colo::ColoResult a = colo::Engine(lanes1).run();
-    const colo::ColoResult b = colo::Engine(lanes4).run();
-    ASSERT_TRUE(a.obsEnabled);
-    ASSERT_TRUE(b.obsEnabled);
-
-    // The roster is always the full fixed set, so exports have the
-    // same structure regardless of the lane knob.
-    expectMetricsEqual(a.metrics, b.metrics,
-                       /*lane_dependent_too=*/false);
-
-    // Sanity: the run actually produced work for the registry.
-    EXPECT_GT(a.metrics.find("engine.ticks")->count, 0U);
-    EXPECT_GT(a.metrics.find("engine.intervals")->count, 0U);
-    EXPECT_GT(a.metrics.find("engine.samples")->count, 0U);
-    EXPECT_GT(a.metrics.find("engine.interval_p99_us_hist")
-                  ->histCount(),
-              0U);
-    EXPECT_GT(a.metrics.find("admission.shed_fraction")->stat.count(),
-              0U);
-}
-
 TEST(ObsEngineTest, ClusterMetricsIdenticalAt1And6PoolThreads)
 {
     cluster::ClusterConfig one = clusterConfig();
@@ -158,10 +124,7 @@ TEST(ObsEngineTest, ClusterMetricsIdenticalAt1And6PoolThreads)
     ASSERT_TRUE(a.obsEnabled);
     ASSERT_TRUE(b.obsEnabled);
 
-    // Same lane knob on both sides: lane_dependent values are
-    // deterministic too and must match bit-for-bit.
-    expectMetricsEqual(a.metrics, b.metrics,
-                       /*lane_dependent_too=*/true);
+    expectMetricsEqual(a.metrics, b.metrics);
 
     EXPECT_GT(a.metrics.find("cluster.epochs")->count, 0U);
     // Node snapshots folded in: engine counters are present and sum
@@ -190,6 +153,16 @@ TEST(ObsEngineTest, EnablingMetricsDoesNotPerturbTheSimulation)
     colo::writeTimelineCsv(ta, a);
     colo::writeTimelineCsv(tb, b);
     EXPECT_EQ(ta.str(), tb.str());
+
+    // Sanity: the run actually produced work for the registry.
+    EXPECT_GT(b.metrics.find("engine.ticks")->count, 0U);
+    EXPECT_GT(b.metrics.find("engine.intervals")->count, 0U);
+    EXPECT_GT(b.metrics.find("engine.samples")->count, 0U);
+    EXPECT_GT(b.metrics.find("engine.interval_p99_us_hist")
+                  ->histCount(),
+              0U);
+    EXPECT_GT(b.metrics.find("admission.shed_fraction")->stat.count(),
+              0U);
 }
 
 TEST(ObsEngineTest, SummaryCsvObsColumnsAppearOnlyWhenEnabled)
@@ -219,7 +192,7 @@ TEST(ObsEngineTest, SummaryCsvObsColumnsAppearOnlyWhenEnabled)
         EXPECT_GT(line_on.size(), line_off.size());
     }
     EXPECT_NE(csv_on.find("obs_ticks"), std::string::npos);
-    EXPECT_NE(csv_on.find("obs_arena_overflows"), std::string::npos);
+    EXPECT_NE(csv_on.find("obs_qos_met_intervals"), std::string::npos);
 }
 
 /** One parsed trace_event, enough structure for the invariants. */

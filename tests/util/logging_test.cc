@@ -1,8 +1,8 @@
 /**
  * @file
- * util::logging sink plumbing: records carry a monotonic timestamp,
- * a dense thread id, and the announced lane; sinks are pluggable and
- * the default stderr sink is restored by installing null.
+ * util::logging sink plumbing: records carry a monotonic timestamp
+ * and a dense thread id; sinks are pluggable and the default stderr
+ * sink is restored by installing null.
  */
 
 #include "util/logging.hh"
@@ -81,22 +81,6 @@ TEST(LoggingTest, ThreadIdsAreDenseAndStablePerThread)
     ASSERT_EQ(sink.records.size(), 2U);
     EXPECT_EQ(sink.records[0].threadId, mine);
     EXPECT_EQ(sink.records[1].threadId, other);
-}
-
-TEST(LoggingTest, LaneTagFollowsAnnouncementAndClears)
-{
-    CaptureSink sink;
-    ScopedSink scoped(&sink);
-    warn("before");
-    setLogLane(3);
-    EXPECT_EQ(logLane(), 3);
-    warn("inside");
-    setLogLane(-1);
-    warn("after");
-    ASSERT_EQ(sink.records.size(), 3U);
-    EXPECT_EQ(sink.records[0].lane, -1);
-    EXPECT_EQ(sink.records[1].lane, 3);
-    EXPECT_EQ(sink.records[2].lane, -1);
 }
 
 TEST(LoggingTest, InstallReturnsPreviousSinkAndNullRestoresDefault)

@@ -500,7 +500,7 @@ TEST(P2MergeTest, RawStageMergesExactly)
 
 TEST(P2MergeTest, ShardedMergeTracksExactOnHeavyTailMillionSamples)
 {
-    // The cluster reduction case: 8 per-lane sketches over disjoint
+    // The cluster reduction case: 8 per-node sketches over disjoint
     // heavy-tail (cv = 2.0) shards of a 10^6-sample stream, folded
     // into one estimate, compared against the exact percentile of
     // the full stream.
