@@ -68,9 +68,7 @@ runMixes(services::ServiceKind kind, core::ArbiterKind arbiter,
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "ablation-arbiter";
-    for (const auto &r : colo::runColocations(configs, sweep)) {
+    for (const auto &r : colo::runColocations(configs)) {
         stats.latency.add(r.meanIntervalP99Us / r.qosUs);
         double lo = 1.0, hi = 0.0, sum = 0.0;
         for (const auto &app : r.apps) {
@@ -121,9 +119,7 @@ learnedConditioningTable(std::ostream &os)
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "ablation-conditioning";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     util::TextTable t({"scenario", "model", "worst p99/QoS", "met%",
                        "inaccuracy", "switches"});

@@ -56,9 +56,7 @@ main(int argc, char **argv)
             }
         }
 
-        driver::SweepOptions sweep;
-        sweep.label = "fig10-" + services::serviceName(kind);
-        const auto results = colo::runColocations(configs, sweep);
+        const auto results = colo::runColocations(configs);
 
         int buckets[5] = {0, 0, 0, 0, 0};
         for (const auto &r : results)

@@ -9,7 +9,7 @@
  * variant when statically colocated with each interactive service.
  *
  * Both halves run through the parallel experiment driver
- * (driver::Sweep). The kernel explorations are live wall-clock
+ * (driver::parallelMap). The kernel explorations are live wall-clock
  * measurements, so that half is pinned to one worker for timing
  * fidelity; the static colocation grid is pure simulation and fans
  * out one task per (app, variant, service) cell, printing identical
@@ -34,15 +34,12 @@ exploreRealKernels()
                  "(odd rows, live measurement) ---\n\n";
     dse::ExploreOptions opts;
     opts.repetitions = 3;
-    driver::SweepOptions sweep;
-    sweep.seed = 42;
-    sweep.label = "fig1-dse";
+    opts.seed = 42;
     // Kernel exploration is live wall-clock measurement; concurrent
     // kernels contend for cores, skewing timeNorm and flipping
     // Pareto selections. Keep this half measurement-grade (serial).
     // The colocation half below is pure simulation and fans out.
-    sweep.threads = 1;
-    for (const auto &res : dse::exploreRegistry(opts, sweep)) {
+    for (const auto &res : dse::exploreRegistry(opts, /*threads=*/1)) {
         std::cout << "[" << res.app << "] precise "
                   << util::fmt(res.preciseMs, 2) << " ms, "
                   << res.points.size() << " variants examined, "
@@ -91,9 +88,7 @@ staticColocationRows()
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "fig1-colo";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     std::size_t cell = 0;
     for (const auto &prof : approx::catalog()) {

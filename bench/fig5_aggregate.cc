@@ -45,9 +45,7 @@ main()
                 kind, {prof.name}, core::RuntimeKind::Pliant, 31));
         }
     }
-    driver::SweepOptions sweep;
-    sweep.label = "fig5";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     double inacc_sum = 0.0, inacc_max = 0.0;
     double ovh_sum = 0.0, ovh_max = 0.0;

@@ -110,9 +110,7 @@ main(int argc, char **argv)
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "fig7";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     for (std::size_t s = 0; s < std::size(kinds); ++s) {
         util::TextTable t({"apps", "p99/QoS (violin)",

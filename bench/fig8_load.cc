@@ -55,9 +55,7 @@ sweepService(services::ServiceKind kind)
         configs.push_back(colo::makeColoConfig(
             kind, {"canneal"}, core::RuntimeKind::Precise, 37, load));
 
-    driver::SweepOptions sweep;
-    sweep.label = "fig8-" + services::serviceName(kind);
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     util::TextTable t({"app", "load", "QPS", "pliant p99/QoS",
                        "rel exec", "inaccuracy", "cores"});

@@ -35,9 +35,7 @@ main()
             configs.push_back(cfg);
         }
     }
-    driver::SweepOptions sweep;
-    sweep.label = "fig9";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     util::TextTable t({"app", "interval", "p99/QoS", "met%",
                        "rel exec", "inaccuracy", "switches"});

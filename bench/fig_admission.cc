@@ -9,7 +9,7 @@
  * runtime, and sweeps {admission policy x batching policy x load
  * scenario}. "off" rows are the approximate-only baseline (admission
  * disabled — exactly the pre-admission engine). The whole grid runs
- * as one batch through driver::Sweep.
+ * as one batch through driver::parallelMap.
  *
  * Reading guide: under sustained overload the approximate-only
  * baseline can only burn app quality (deep approximation + core
@@ -179,9 +179,7 @@ main(int argc, char **argv)
                                              core::RuntimeKind::Pliant));
             }
 
-    driver::SweepOptions sweep;
-    sweep.label = "fig-admission";
-    auto results = colo::runColocations(configs, sweep);
+    auto results = colo::runColocations(configs);
 
     util::TextTable t({"scenario", "admission", "batching",
                        "mc p99/QoS", "met%", "shed%", "qdelay us",
@@ -214,10 +212,8 @@ main(int argc, char **argv)
                        admission::BatchingKind::None,
                        core::RuntimeKind::Learned));
     }
-    driver::SweepOptions learned_sweep;
-    learned_sweep.label = "fig-admission-learned";
     auto learned_results =
-        colo::runColocations(learned_configs, learned_sweep);
+        colo::runColocations(learned_configs);
 
     util::TextTable lt({"scenario", "admission", "batching",
                         "mc p99/QoS", "met%", "shed%", "qdelay us",

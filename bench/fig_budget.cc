@@ -137,9 +137,7 @@ main(int argc, char **argv)
     for (const auto &bc : cases)
         configs.push_back(makeConfig(bc, quick));
 
-    driver::SweepOptions sweep;
-    sweep.label = "fig-budget";
-    const auto results = cluster::runClusters(configs, sweep);
+    const auto results = cluster::runClusters(configs);
 
     util::TextTable t({"budget", "qualityB", "shedB",
                        "worst-node met%", "cluster met%", "inaccuracy",

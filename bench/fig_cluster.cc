@@ -6,8 +6,8 @@
  * compares placement policies (static round-robin, least-loaded LPT,
  * QoS-pressure-aware with migration) under the precise baseline and
  * the Pliant runtime. The whole grid runs as one batch through
- * driver::Sweep; per-node execution is deterministic at any thread
- * count, so the table is byte-identical run to run.
+ * driver::parallelMap; per-node execution is deterministic at any
+ * thread count, so the table is byte-identical run to run.
  *
  * `--trace-out FILE` additionally runs the QoS-aware Pliant cell
  * once more (outside the sweep, so the table is unaffected) with a
@@ -98,9 +98,7 @@ main(int argc, char **argv)
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "cluster";
-    const auto results = cluster::runClusters(configs, sweep);
+    const auto results = cluster::runClusters(configs);
 
     cluster::clusterTable(labels, results).print(std::cout);
     std::cout

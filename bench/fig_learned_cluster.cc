@@ -19,8 +19,8 @@
  *    approximating as pressured even while actuation masks the
  *    violation.
  *
- * The whole grid runs as one driver::Sweep batch; per-node execution
- * is deterministic at any thread count, so the table is
+ * The whole grid runs as one driver::parallelMap batch; per-node
+ * execution is deterministic at any thread count, so the table is
  * byte-identical run to run.
  */
 
@@ -87,9 +87,7 @@ main(int argc, char **argv)
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "learned-cluster";
-    const auto results = cluster::runClusters(configs, sweep);
+    const auto results = cluster::runClusters(configs);
 
     cluster::clusterTable(labels, results).print(std::cout);
     for (std::size_t i = 0; i < results.size(); ++i)

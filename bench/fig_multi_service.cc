@@ -7,7 +7,7 @@
  * reports each service's tail behaviour and the apps' quality cost,
  * showing how the engine handles heterogeneous QoS targets
  * (memcached's 200 us next to nginx's 10 ms) under time-varying
- * load. The entire grid runs as one batch through driver::Sweep.
+ * load. The entire grid runs as one batch through driver::parallelMap.
  */
 
 #include <iostream>
@@ -76,9 +76,7 @@ main(int argc, char **argv)
         }
     }
 
-    driver::SweepOptions sweep;
-    sweep.label = "multi-service";
-    const auto results = colo::runColocations(configs, sweep);
+    const auto results = colo::runColocations(configs);
 
     util::TextTable t({"scenario", "apps", "runtime",
                        "memcached p99/QoS", "met%", "nginx p99/QoS",

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 
 #include "driver/pool.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/table.hh"
 
 namespace pliant {
@@ -82,7 +82,13 @@ validateClusterConfig(const ClusterConfig &cfg)
 std::uint64_t
 Cluster::nodeSeed(std::uint64_t clusterSeed, std::size_t node)
 {
-    return driver::taskSeed(clusterSeed, node);
+    // Salt the index so node 0 of seed s and node s of seed 0 do not
+    // collide, then finalize with SplitMix64 for avalanche.
+    util::SplitMix64 sm(clusterSeed ^
+                        (static_cast<std::uint64_t>(node) *
+                         0x9e3779b97f4a7c15ULL) ^
+                        0x5eedULL);
+    return sm.next();
 }
 
 Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
@@ -322,21 +328,9 @@ Cluster::run()
         // valid migration targets. Each job touches only its own
         // engine; exceptions propagate from the lowest node index so
         // failure behavior cannot race.
-        std::vector<std::exception_ptr> errors(engines.size());
-        for (std::size_t i = 0; i < engines.size(); ++i) {
-            pool.submit([this, i, t, &errors] {
-                try {
-                    engines[i]->advanceUntil(
-                        t, /*keep_services_running=*/true);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-        for (auto &err : errors)
-            if (err)
-                std::rethrow_exception(err);
+        driver::runIndexed(pool, engines.size(), [this, t](std::size_t i) {
+            engines[i]->advanceUntil(t, /*keep_services_running=*/true);
+        });
 
         if (metrics) {
             metrics->add(mid.epochs);
@@ -465,25 +459,19 @@ Cluster::run()
 }
 
 std::vector<ClusterResult>
-runClusters(const std::vector<ClusterConfig> &configs,
-            const driver::SweepOptions &sweep_opts)
+runClusters(const std::vector<ClusterConfig> &configs, unsigned threads)
 {
-    driver::Sweep sweep(sweep_opts);
-    util::inform("cluster: running ", configs.size(),
-                 " experiments on ", sweep.threadCount(), " threads");
-    return sweep.mapItems(
-        configs,
-        [](const ClusterConfig &cfg, const driver::TaskContext &) {
-            // One cluster per sweep worker: run its nodes serially
-            // so the sweep's parallelism is not multiplied. The
-            // config's own seed governs the experiment (the task
-            // seed is deliberately unused), so a batch equals the
-            // same configs run one by one.
-            ClusterConfig serial = cfg;
-            serial.threads = 1;
-            Cluster cluster(std::move(serial));
-            return cluster.run();
-        });
+    util::inform("cluster: running ", configs.size(), " experiments");
+    return driver::parallelMap(configs, threads, [](const ClusterConfig &cfg) {
+        // One cluster per batch worker: run its nodes serially so the
+        // batch's parallelism is not multiplied. The config's own seed
+        // governs the experiment, so a batch equals the same configs
+        // run one by one.
+        ClusterConfig serial = cfg;
+        serial.threads = 1;
+        Cluster cluster(std::move(serial));
+        return cluster.run();
+    });
 }
 
 util::TextTable

@@ -13,7 +13,7 @@
  * make cluster experiments reproducible and regression-testable:
  *
  *  - per-node seeds derive from (cluster seed, node index) via
- *    SplitMix64 (driver::taskSeed), so results are byte-identical at
+ *    SplitMix64 (Cluster::nodeSeed), so results are byte-identical at
  *    any worker thread count;
  *  - each engine is only ever touched by one job per epoch, and all
  *    placement decisions happen at the epoch barrier on one thread;
@@ -32,7 +32,7 @@
 #include "budget/budget.hh"
 #include "cluster/placement.hh"
 #include "colo/engine.hh"
-#include "driver/sweep.hh"
+#include "util/table.hh"
 
 namespace pliant {
 namespace cluster {
@@ -419,14 +419,14 @@ class Cluster
 };
 
 /**
- * Run a batch of cluster experiments through driver::Sweep, results
- * in config order, byte-identical at any sweep thread count. Inside
- * a sweep each cluster runs its nodes serially (threads = 1): the
- * sweep already saturates the machine one cluster per worker.
+ * Run a batch of cluster experiments through driver::parallelMap on
+ * `threads` workers (0 = driver::Pool::defaultThreadCount()), results
+ * in config order, byte-identical at any thread count. Inside a
+ * batch each cluster runs its nodes serially (threads = 1): the
+ * batch already saturates the machine one cluster per worker.
  */
 std::vector<ClusterResult>
-runClusters(const std::vector<ClusterConfig> &configs,
-            const driver::SweepOptions &sweep = driver::SweepOptions{});
+runClusters(const std::vector<ClusterConfig> &configs, unsigned threads = 0);
 
 /**
  * Aggregate cluster results into a util::TextTable, one row per

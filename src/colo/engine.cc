@@ -6,6 +6,7 @@
 
 #include "approx/profile.hh"
 #include "core/learned.hh"
+#include "driver/pool.hh"
 #include "util/logging.hh"
 
 namespace pliant {
@@ -1083,21 +1084,15 @@ makeMultiServiceConfig(std::vector<ServiceSpec> services,
 }
 
 std::vector<ColoResult>
-runColocations(const std::vector<ColoConfig> &configs,
-               const driver::SweepOptions &sweep_opts)
+runColocations(const std::vector<ColoConfig> &configs, unsigned threads)
 {
-    driver::Sweep sweep(sweep_opts);
-    util::inform("colo: running ", configs.size(),
-                 " experiments on ", sweep.threadCount(), " threads");
-    return sweep.mapItems(
-        configs,
-        [](const ColoConfig &cfg, const driver::TaskContext &) {
-            // The config's own seed governs the experiment; the task
-            // seed is deliberately unused so a batch equals the same
-            // configs run one by one.
-            Engine engine(cfg);
-            return engine.run();
-        });
+    util::inform("colo: running ", configs.size(), " experiments");
+    // The config's own seed governs each experiment, so a batch
+    // equals the same configs run one by one.
+    return driver::parallelMap(configs, threads, [](const ColoConfig &cfg) {
+        Engine engine(cfg);
+        return engine.run();
+    });
 }
 
 } // namespace colo

@@ -29,7 +29,6 @@
 #include "core/actuator.hh"
 #include "core/monitor.hh"
 #include "core/runtime.hh"
-#include "driver/sweep.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "server/interference.hh"
@@ -737,16 +736,15 @@ ColoResult runColocation(services::ServiceKind service,
 
 /**
  * Run a batch of colocation experiments through the parallel
- * experiment driver: one sweep task per config, results in config
- * order. Each experiment is fully deterministic given its
- * ColoConfig (cfg.seed included), so the returned vector is
- * byte-identical at any thread count — the property the figure
- * benches and the driver determinism test rely on.
+ * experiment driver (driver::parallelMap) on `threads` workers
+ * (0 = driver::Pool::defaultThreadCount()), results in config order.
+ * Each experiment is fully deterministic given its ColoConfig
+ * (cfg.seed included), so the returned vector is byte-identical at
+ * any thread count — the property the figure benches and the driver
+ * determinism test rely on.
  */
-std::vector<ColoResult>
-runColocations(const std::vector<ColoConfig> &configs,
-               const driver::SweepOptions &sweep =
-                   driver::SweepOptions{});
+std::vector<ColoResult> runColocations(const std::vector<ColoConfig> &configs,
+                                       unsigned threads = 0);
 
 /**
  * Build the ColoConfig runColocation() would run, so batch callers

@@ -1,8 +1,11 @@
 #include "driver/pool.hh"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <string>
+#include <cstring>
+#include <system_error>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -22,35 +25,18 @@ unsigned
 Pool::defaultThreadCount()
 {
     if (const char *env = std::getenv("PLIANT_THREADS")) {
-        try {
-            const long v = std::stol(env);
-            if (v >= 1 && v <= kMaxThreads)
-                return static_cast<unsigned>(v);
-            util::warn("ignoring out-of-range PLIANT_THREADS=", env,
-                       " (want 1..", kMaxThreads, ")");
-        } catch (const std::exception &) {
-            util::warn("ignoring unparsable PLIANT_THREADS=", env);
-        }
+        // The whole string must be the integer: "3x", "2.9" or " 5"
+        // are junk, not 3, 2 or 5.
+        const char *last = env + std::strlen(env);
+        long v = 0;
+        const auto [end, ec] = std::from_chars(env, last, v);
+        if (end == last && ec == std::errc() && v >= 1 && v <= kMaxThreads)
+            return static_cast<unsigned>(v);
+        util::warn("ignoring PLIANT_THREADS='", env,
+                   "' (want an integer in 1..", kMaxThreads, ")");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
-}
-
-void
-Pool::panicStopped()
-{
-    util::panic("Pool::submit on a stopping pool");
-}
-
-void
-Pool::JobRing::grow()
-{
-    // Unroll the ring into a doubled slot vector starting at 0.
-    std::vector<PoolJob> next(slots.empty() ? 64 : slots.size() * 2);
-    for (std::size_t i = 0; i < count; ++i)
-        next[i] = std::move(slots[(head + i) % slots.size()]);
-    slots = std::move(next);
-    head = 0;
 }
 
 Pool::Pool(unsigned threads)
@@ -58,7 +44,7 @@ Pool::Pool(unsigned threads)
     if (threads == 0)
         threads = defaultThreadCount();
     if (threads > kMaxThreads)
-        threads = static_cast<unsigned>(kMaxThreads);
+        util::fatal("pool thread count ", threads, " is above ", kMaxThreads);
     workers.reserve(threads);
     try {
         for (unsigned i = 0; i < threads; ++i)
@@ -86,6 +72,23 @@ Pool::~Pool()
     cvJob.notify_all();
     for (auto &w : workers)
         w.join();
+}
+
+void
+Pool::submit(std::function<void()> job)
+{
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        if (stopping)
+            util::panic("Pool::submit on a stopping pool");
+        queue.push_back(std::move(job));
+        ++submitted;
+        const std::uint64_t depth = queue.size();
+        depthSum += depth;
+        if (depth > depthMax)
+            depthMax = depth;
+    }
+    cvJob.notify_one();
 }
 
 void
@@ -123,14 +126,15 @@ void
 Pool::workerLoop()
 {
     for (;;) {
-        PoolJob job;
+        std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mtx);
             cvJob.wait(lock,
                        [this] { return stopping || !queue.empty(); });
             if (queue.empty())
                 return; // stopping and drained
-            job = queue.pop();
+            job = std::move(queue.front());
+            queue.pop_front();
             ++inFlight;
         }
 
@@ -148,7 +152,7 @@ Pool::workerLoop()
         // Release the capture before reporting idle: a caller may
         // destroy resources the capture references as soon as wait()
         // returns.
-        job = PoolJob();
+        job = nullptr;
 
         {
             std::lock_guard<std::mutex> lock(mtx);

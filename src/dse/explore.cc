@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "driver/pool.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -56,23 +57,18 @@ exploreKernel(kernels::ApproxKernel &kernel, const ExploreOptions &opts)
 }
 
 std::vector<ExploreResult>
-exploreRegistry(const ExploreOptions &opts,
-                const driver::SweepOptions &sweep_opts)
+exploreRegistry(const ExploreOptions &opts, unsigned threads)
 {
     const auto &registry = kernels::kernelRegistry();
-    driver::Sweep sweep(sweep_opts);
-    util::inform("dse: exploring ", registry.size(),
-                 " kernels on ", sweep.threadCount(), " threads");
-    return sweep.map(registry.size(),
-                     [&](const driver::TaskContext &ctx) {
-                         // The base seed, not the per-task seed:
-                         // every kernel gets the dataset a serial
-                         // `entry.make(seed)` loop would build, so
-                         // batching never changes the figures.
-                         auto kernel = registry[ctx.index].make(
-                             sweep_opts.seed);
-                         return exploreKernel(*kernel, opts);
-                     });
+    util::inform("dse: exploring ", registry.size(), " kernels");
+    return driver::parallelMap(
+        registry, threads, [&](const kernels::KernelEntry &entry) {
+            // Every kernel gets the dataset a serial
+            // `entry.make(seed)` loop would build, so batching never
+            // changes the figures.
+            auto kernel = entry.make(opts.seed);
+            return exploreKernel(*kernel, opts);
+        });
 }
 
 std::vector<std::size_t>

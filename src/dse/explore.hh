@@ -20,7 +20,6 @@
 
 #include "approx/profile.hh"
 #include "approx/variant.hh"
-#include "driver/sweep.hh"
 #include "kernels/kernel.hh"
 
 namespace pliant {
@@ -44,6 +43,9 @@ struct ExploreOptions
 
     /** Repetitions per variant; the median time is kept. */
     int repetitions = 3;
+
+    /** Dataset seed every kernel of exploreRegistry() is built from. */
+    std::uint64_t seed = 1;
 };
 
 /** Full exploration result for one application. */
@@ -66,21 +68,21 @@ ExploreResult exploreKernel(kernels::ApproxKernel &kernel,
 
 /**
  * Explore every kernel in the registry through the parallel
- * experiment driver: one sweep task per kernel, each constructing its
- * own kernel instance from sweep.seed (the same seed a serial loop
- * would use, so a batch equals one-by-one exploration) and running
- * exploreKernel on it. Results come back in registry order at any
- * thread count. Caveat: kernel times are live wall-clock
- * measurements, so concurrent exploration adds contention noise to
- * timeNorm — and Pareto selection depends on it. Inaccuracy values
- * and the knob space are exactly reproducible; for measurement-grade
- * timings and stable selections run with sweep.threads = 1 (or
- * PLIANT_THREADS=1).
+ * experiment driver (driver::parallelMap on `threads` workers, 0 =
+ * driver::Pool::defaultThreadCount()): one task per kernel, each
+ * constructing its own kernel instance from opts.seed (the same seed
+ * a serial loop would use, so a batch equals one-by-one exploration)
+ * and running exploreKernel on it. Results come back in registry
+ * order at any thread count. Caveat: kernel times are live
+ * wall-clock measurements, so concurrent exploration adds contention
+ * noise to timeNorm — and Pareto selection depends on it. Inaccuracy
+ * values and the knob space are exactly reproducible; for
+ * measurement-grade timings and stable selections run with
+ * threads = 1 (or PLIANT_THREADS=1).
  */
 std::vector<ExploreResult>
 exploreRegistry(const ExploreOptions &opts = ExploreOptions{},
-                const driver::SweepOptions &sweep =
-                    driver::SweepOptions{});
+                unsigned threads = 0);
 
 /**
  * Pareto selection over measured points: a point is selected iff its

@@ -8,7 +8,7 @@
  *    to a bare colo::Engine run of the same node config;
  *  - thread-count invariance: a 3-node QoS-aware placement run (with
  *    migrations) is byte-identical at 1 and 6 worker threads, both
- *    inside one Cluster and across a driver::Sweep batch;
+ *    inside one Cluster and across a runClusters batch;
  *  - placement semantics: static round-robin and least-loaded LPT
  *    assignments, and pressure-driven migration off a crowded node
  *    with every app accounted for exactly once.
@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "colo/trace.hh"
-#include "driver/sweep.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -294,7 +293,7 @@ TEST(ClusterDeterminismTest, LearnedRunWithMigrationIdenticalAt1And6Threads)
 
 TEST(ClusterDeterminismTest, LearnedSweepBatchIdenticalAt1And6Threads)
 {
-    // The same learned cluster, batched through driver::Sweep at two
+    // The same learned cluster, batched through runClusters at two
     // thread counts, next to its scalar-conditioned ablation twin.
     ClusterConfig vec = acceptanceConfig(PlacementKind::QosAware,
                                          core::RuntimeKind::Learned, 1);
@@ -302,13 +301,8 @@ TEST(ClusterDeterminismTest, LearnedSweepBatchIdenticalAt1And6Threads)
     scalar.learnedVector = false;
     const std::vector<ClusterConfig> configs = {vec, scalar};
 
-    driver::SweepOptions serial;
-    serial.threads = 1;
-    driver::SweepOptions parallel;
-    parallel.threads = 6;
-
-    const auto one = runClusters(configs, serial);
-    const auto many = runClusters(configs, parallel);
+    const auto one = runClusters(configs, 1);
+    const auto many = runClusters(configs, 6);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         expectIdenticalCluster(one[i], many[i]);
@@ -323,13 +317,8 @@ TEST(ClusterDeterminismTest, BatchSweepIdenticalAt1And6Threads)
         configs.push_back(acceptanceConfig(
             placement, core::RuntimeKind::Pliant, 1));
 
-    driver::SweepOptions serial;
-    serial.threads = 1;
-    driver::SweepOptions parallel;
-    parallel.threads = 6;
-
-    const auto one = runClusters(configs, serial);
-    const auto many = runClusters(configs, parallel);
+    const auto one = runClusters(configs, 1);
+    const auto many = runClusters(configs, 6);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         expectIdenticalCluster(one[i], many[i]);
@@ -599,10 +588,12 @@ TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
     EXPECT_NE(first_row.find("-"), std::string::npos);
 }
 
-TEST(ClusterSeedTest, NodeSeedsMatchTheSweepDerivation)
+TEST(ClusterSeedTest, NodeSeedsArePinned)
 {
-    EXPECT_EQ(Cluster::nodeSeed(71, 0), driver::taskSeed(71, 0));
-    EXPECT_EQ(Cluster::nodeSeed(71, 2), driver::taskSeed(71, 2));
+    // Every node seed feeds every cluster golden: these values must
+    // never move.
+    EXPECT_EQ(Cluster::nodeSeed(71, 0), 15968808164157232190ULL);
+    EXPECT_EQ(Cluster::nodeSeed(71, 2), 17623219195243849542ULL);
     EXPECT_NE(Cluster::nodeSeed(71, 0), Cluster::nodeSeed(71, 1));
     EXPECT_NE(Cluster::nodeSeed(71, 1), Cluster::nodeSeed(72, 1));
 }

@@ -8,7 +8,7 @@
  *    refactor provably did not move any figure;
  *  - the acceptance scenario: memcached + nginx sharing a box with
  *    two approximate apps through a flash crowd, run through
- *    driver::Sweep, byte-identical at 1 and 6 worker threads;
+ *    runColocations, byte-identical at 1 and 6 worker threads;
  *  - config validation (bad fair-core splits, duplicate tenants).
  */
 
@@ -198,13 +198,8 @@ TEST(EngineMultiServiceTest, FlashCrowdSweepIdenticalAt1And6Threads)
 {
     const auto configs = acceptanceConfigs();
 
-    driver::SweepOptions serial;
-    serial.threads = 1;
-    driver::SweepOptions parallel;
-    parallel.threads = 6;
-
-    const auto one = runColocations(configs, serial);
-    const auto many = runColocations(configs, parallel);
+    const auto one = runColocations(configs, 1);
+    const auto many = runColocations(configs, 6);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         expectIdentical(one[i], many[i]);
@@ -212,8 +207,7 @@ TEST(EngineMultiServiceTest, FlashCrowdSweepIdenticalAt1And6Threads)
 
 TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
 {
-    const auto results =
-        runColocations(acceptanceConfigs(), driver::SweepOptions{});
+    const auto results = runColocations(acceptanceConfigs());
     for (const auto &r : results) {
         ASSERT_EQ(r.services.size(), 2u);
         EXPECT_EQ(r.services[0].name, "memcached");
@@ -234,8 +228,7 @@ TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
 
 TEST(EngineMultiServiceTest, PliantImprovesOnPreciseUnderFlashCrowd)
 {
-    const auto results =
-        runColocations(acceptanceConfigs(), driver::SweepOptions{});
+    const auto results = runColocations(acceptanceConfigs());
     const ColoResult &precise = results[0];
     const ColoResult &pliant = results[1];
     // The joint control loop must beat the static baseline on the
@@ -289,12 +282,8 @@ TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
     cfg.enableCachePartitioning = true;
     cfg.maxDuration = 120 * s;
 
-    driver::SweepOptions serial;
-    serial.threads = 1;
-    driver::SweepOptions parallel;
-    parallel.threads = 6;
-    const auto one = runColocations({cfg}, serial);
-    const auto many = runColocations({cfg}, parallel);
+    const auto one = runColocations({cfg}, 1);
+    const auto many = runColocations({cfg}, 6);
     expectIdentical(one[0], many[0]);
 
     const ColoResult &r = one[0];

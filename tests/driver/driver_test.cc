@@ -1,27 +1,28 @@
 /**
  * @file
- * Tests for the parallel experiment driver: pool mechanics, sweep
- * determinism across thread counts (including a fig1-style static
- * colocation sweep), deterministic exception propagation, and the
- * empty-sweep edge case.
+ * Tests for the parallel experiment driver: pool mechanics and
+ * PLIANT_THREADS parsing, runIndexed's deterministic exception
+ * propagation, parallelMap's item order (including the empty input),
+ * and determinism across thread counts of a fig1-style static
+ * colocation batch and of the DSE.
  */
 
 #include "driver/pool.hh"
-#include "driver/sweep.hh"
 
 #include <array>
 #include <atomic>
-#include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "approx/profile.hh"
 #include "colo/engine.hh"
 #include "dse/explore.hh"
-#include "util/rng.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace {
@@ -70,43 +71,6 @@ TEST(PoolTest, WaitRethrowsJobException)
     EXPECT_EQ(count.load(), 1);
 }
 
-TEST(PoolJobTest, SmallCapturesLiveInline)
-{
-    int hits = 0;
-    int *p = &hits;
-    driver::PoolJob small([p] { ++*p; });
-    EXPECT_TRUE(small.inlined());
-    small();
-    EXPECT_EQ(hits, 1);
-
-    // Moving an inline job relocates the capture, not a pointer.
-    driver::PoolJob moved(std::move(small));
-    EXPECT_TRUE(moved.inlined());
-    moved();
-    EXPECT_EQ(hits, 2);
-    EXPECT_FALSE(static_cast<bool>(small));
-}
-
-TEST(PoolJobTest, OversizedCapturesAreBoxedAndStillRun)
-{
-    // 128 bytes of capture exceeds kInlineBytes: the job must fall
-    // back to one heap box and behave identically.
-    std::array<std::uint64_t, 16> payload{};
-    payload.fill(7);
-    std::uint64_t sum = 0;
-    driver::PoolJob big([payload, &sum] {
-        for (std::uint64_t v : payload)
-            sum += v;
-    });
-    static_assert(sizeof(payload) > driver::PoolJob::kInlineBytes);
-    EXPECT_FALSE(big.inlined());
-
-    driver::PoolJob moved(std::move(big));
-    EXPECT_FALSE(moved.inlined());
-    moved();
-    EXPECT_EQ(sum, 7u * 16u);
-}
-
 TEST(PoolTest, OversizedCaptureJobsPropagateExceptions)
 {
     driver::Pool pool(2);
@@ -123,11 +87,10 @@ TEST(PoolTest, OversizedCaptureJobsPropagateExceptions)
     }
 }
 
-TEST(PoolTest, QueueRingSurvivesGrowthAndWrap)
+TEST(PoolTest, ManyQueuedJobsAllRun)
 {
-    // More queued jobs than the ring's initial capacity, twice over,
-    // with waits in between so head sits mid-ring when the second
-    // burst wraps and regrows.
+    // Bursts far deeper than the worker count, with waits in between
+    // so the queue drains and refills.
     driver::Pool pool(3);
     std::atomic<int> count{0};
     for (int round = 0; round < 3; ++round) {
@@ -138,80 +101,44 @@ TEST(PoolTest, QueueRingSurvivesGrowthAndWrap)
     EXPECT_EQ(count.load(), 900);
 }
 
-TEST(TaskSeedTest, DependsOnlyOnBaseAndIndex)
+TEST(PoolTest, DefaultThreadCountRejectsMalformedEnv)
 {
-    EXPECT_EQ(driver::taskSeed(1, 0), driver::taskSeed(1, 0));
-    EXPECT_NE(driver::taskSeed(1, 0), driver::taskSeed(1, 1));
-    EXPECT_NE(driver::taskSeed(1, 0), driver::taskSeed(2, 0));
-    // The salt keeps (base, index) pairs with equal xor distinct.
-    EXPECT_NE(driver::taskSeed(0, 5), driver::taskSeed(5, 0));
+    const char *saved = std::getenv("PLIANT_THREADS");
+    const std::string restore = saved ? saved : "";
+    ::unsetenv("PLIANT_THREADS");
+    const unsigned fallback = driver::Pool::defaultThreadCount();
+    EXPECT_GE(fallback, 1u);
+
+    ::setenv("PLIANT_THREADS", "4", 1);
+    EXPECT_EQ(driver::Pool::defaultThreadCount(), 4u);
+    // Anything that is not exactly an integer in 1..512 is ignored,
+    // trailing junk and leading blanks included.
+    for (const char *junk : {"3x", "2.9", "1e9", " 5", "abc", "-2"}) {
+        ::setenv("PLIANT_THREADS", junk, 1);
+        EXPECT_EQ(driver::Pool::defaultThreadCount(), fallback)
+            << "PLIANT_THREADS='" << junk << "'";
+    }
+
+    if (saved)
+        ::setenv("PLIANT_THREADS", restore.c_str(), 1);
+    else
+        ::unsetenv("PLIANT_THREADS");
 }
 
-TEST(SweepTest, MapPreservesTaskOrder)
+TEST(PoolTest, ThreadCountAboveTheCeilingIsFatal)
 {
-    driver::SweepOptions opts;
-    opts.threads = 8;
-    driver::Sweep sweep(opts);
-    const auto out =
-        sweep.map(64, [](const driver::TaskContext &ctx) {
-            return ctx.index * 10;
-        });
-    ASSERT_EQ(out.size(), 64u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * 10);
+    // A typo'd thread count fails loudly instead of being clamped.
+    EXPECT_THROW(driver::Pool pool(513), util::FatalError);
 }
 
-TEST(SweepTest, SeededResultsAreThreadCountInvariant)
+TEST(RunIndexedTest, LowestIndexExceptionWinsDeterministically)
 {
-    auto run = [](unsigned threads) {
-        driver::SweepOptions opts;
-        opts.threads = threads;
-        opts.seed = 99;
-        driver::Sweep sweep(opts);
-        return sweep.map(32, [](const driver::TaskContext &ctx) {
-            // A task-seeded computation long enough that any seed or
-            // ordering leak between workers would show.
-            util::Rng rng(ctx.seed);
-            double acc = 0.0;
-            for (int i = 0; i < 1000; ++i)
-                acc += rng.uniform();
-            return acc;
-        });
-    };
-    const auto serial = run(1);
-    const auto parallel = run(7);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]) << "task " << i;
-}
-
-TEST(SweepTest, EmptySweepReturnsEmptyAndDoesNotHang)
-{
-    driver::SweepOptions opts;
-    opts.threads = 3;
-    driver::Sweep sweep(opts);
-    const auto out = sweep.map(
-        0, [](const driver::TaskContext &) { return 1; });
-    EXPECT_TRUE(out.empty());
-    const util::TextTable t = sweep.table(
-        {"a", "b"}, 0,
-        [](const driver::TaskContext &) -> std::vector<std::string> {
-            return {"x", "y"};
-        });
-    EXPECT_EQ(t.rowCount(), 0u);
-}
-
-TEST(SweepTest, LowestIndexExceptionWinsDeterministically)
-{
-    driver::SweepOptions opts;
-    opts.threads = 6;
-    driver::Sweep sweep(opts);
+    driver::Pool pool(6);
     for (int round = 0; round < 5; ++round) {
         try {
-            sweep.forEach(40, [](const driver::TaskContext &ctx) {
-                if (ctx.index % 2 == 1)
-                    throw std::runtime_error(
-                        "task " + std::to_string(ctx.index));
+            driver::runIndexed(pool, 40, [](std::size_t i) {
+                if (i % 2 == 1)
+                    throw std::runtime_error("task " + std::to_string(i));
             });
             FAIL() << "expected an exception";
         } catch (const std::runtime_error &e) {
@@ -221,34 +148,42 @@ TEST(SweepTest, LowestIndexExceptionWinsDeterministically)
     }
 }
 
-TEST(SweepTest, ExceptionDoesNotPoisonLaterSweeps)
+TEST(RunIndexedTest, ExceptionDoesNotPoisonLaterRuns)
 {
-    driver::SweepOptions opts;
-    opts.threads = 4;
-    driver::Sweep sweep(opts);
-    EXPECT_THROW(
-        sweep.forEach(8,
-                      [](const driver::TaskContext &) {
-                          throw std::logic_error("x");
-                      }),
-        std::logic_error);
-    const auto out = sweep.map(
-        8, [](const driver::TaskContext &ctx) { return ctx.index; });
-    ASSERT_EQ(out.size(), 8u);
+    driver::Pool pool(4);
+    auto fail = [](std::size_t) { throw std::logic_error("x"); };
+    EXPECT_THROW(driver::runIndexed(pool, 8, fail), std::logic_error);
+    std::vector<std::size_t> out(8);
+    auto fill = [&out](std::size_t i) { out[i] = i; };
+    driver::runIndexed(pool, out.size(), fill);
     EXPECT_EQ(out[7], 7u);
 }
 
-TEST(SweepTest, MapItemsPairsItemWithContext)
+TEST(ParallelMapTest, PreservesItemOrder)
+{
+    std::vector<std::size_t> items(64);
+    std::iota(items.begin(), items.end(), std::size_t{0});
+    auto times10 = [](std::size_t item) { return item * 10; };
+    const auto out = driver::parallelMap(items, 8, times10);
+    ASSERT_EQ(out.size(), 64u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], i * 10);
+}
+
+TEST(ParallelMapTest, PairsEachResultWithItsItem)
 {
     const std::vector<int> items{5, 6, 7};
-    driver::SweepOptions opts;
-    opts.threads = 2;
-    driver::Sweep sweep(opts);
-    const auto out = sweep.mapItems(
-        items, [](int item, const driver::TaskContext &ctx) {
-            return item * 100 + static_cast<int>(ctx.index);
-        });
-    EXPECT_EQ(out, (std::vector<int>{500, 601, 702}));
+    auto show = [](int item) { return std::to_string(item); };
+    const auto out = driver::parallelMap(items, 2, show);
+    EXPECT_EQ(out, (std::vector<std::string>{"5", "6", "7"}));
+}
+
+TEST(ParallelMapTest, EmptyInputReturnsEmptyAndDoesNotHang)
+{
+    const std::vector<int> items;
+    auto identity = [](int item) { return item; };
+    const auto out = driver::parallelMap(items, 3, identity);
+    EXPECT_TRUE(out.empty());
 }
 
 /**
@@ -304,15 +239,8 @@ TEST(DriverDeterminismTest, Fig1StyleSweepMatchesSerialByteForByte)
     }
     ASSERT_GE(configs.size(), 8u);
 
-    driver::SweepOptions serial;
-    serial.threads = 1;
-    driver::SweepOptions parallel;
-    parallel.threads = 6;
-
-    const std::string one =
-        renderColoTable(colo::runColocations(configs, serial));
-    const std::string many =
-        renderColoTable(colo::runColocations(configs, parallel));
+    const std::string one = renderColoTable(colo::runColocations(configs, 1));
+    const std::string many = renderColoTable(colo::runColocations(configs, 6));
     EXPECT_FALSE(one.empty());
     EXPECT_EQ(one, many);
 }
@@ -322,20 +250,18 @@ TEST(DriverDeterminismTest, Fig1StyleSweepMatchesSerialByteForByte)
  * structure of the exploration — which kernels, how many points,
  * which knob labels, and each point's (deterministic) inaccuracy —
  * must be thread-count invariant because every kernel is built from
- * the sweep's base seed (exactly what a serial entry.make(seed)
- * loop would do), never from worker identity or task scheduling.
+ * opts.seed (exactly what a serial entry.make(seed) loop would do),
+ * never from worker identity or task scheduling.
  */
 TEST(DriverDeterminismTest, ExploreRegistryStructureIsThreadInvariant)
 {
     dse::ExploreOptions opts;
     opts.repetitions = 1;
+    opts.seed = 42;
 
     auto structure = [&](unsigned threads) {
-        driver::SweepOptions sweep;
-        sweep.threads = threads;
-        sweep.seed = 42;
         std::ostringstream os;
-        for (const auto &res : dse::exploreRegistry(opts, sweep)) {
+        for (const auto &res : dse::exploreRegistry(opts, threads)) {
             os << res.app << ":" << res.points.size();
             for (const auto &pt : res.points)
                 os << "," << pt.knobs.describe() << "="
