@@ -27,6 +27,7 @@
 #include "approx/profile.hh"
 #include "colo/builder.hh"
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -161,7 +162,7 @@ learnedConditioningTable(std::ostream &os)
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "ablation_arbiter");
     const int mixes = quick ? 6 : 25;
     std::cout << "=== Ablation: round-robin vs impact-aware arbiter "
                  "(Section 6.5) ===\n\n";

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -57,8 +58,9 @@ runConfig(services::ServiceKind kind, core::RuntimeKind runtime,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "ablation_extensions", false);
     std::cout << "=== Ablation: Section 6.5 extensions vs stock "
                  "Pliant ===\n\n";
     util::TextTable t({"service", "controller", "p99/QoS",

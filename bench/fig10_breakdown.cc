@@ -12,6 +12,7 @@
 
 #include "approx/profile.hh"
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 
@@ -20,7 +21,7 @@ using namespace pliant;
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig10_breakdown");
     const int mixes_per_arity = quick ? 8 : 40;
     std::cout << "=== Figure 10: Approximation-only vs core "
                  "reclamation breakdown ===\n\n";

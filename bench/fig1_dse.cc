@@ -21,6 +21,7 @@
 #include "approx/profile.hh"
 #include "colo/engine.hh"
 #include "dse/explore.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -121,7 +122,7 @@ main(int argc, char **argv)
 {
     std::cout << "=== Figure 1: Approximation design-space "
                  "exploration ===\n\n";
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig1_dse");
     exploreRealKernels();
     if (!quick)
         staticColocationRows();

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/histogram.hh"
 #include "util/table.hh"
 
@@ -62,8 +63,9 @@ timeline(services::ServiceKind kind, const std::string &app)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "fig4_dynamic", false);
     std::cout << "=== Figure 4: Dynamic behaviour timelines ===\n\n";
     const services::ServiceKind kinds[] = {
         services::ServiceKind::Nginx,

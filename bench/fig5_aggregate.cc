@@ -20,13 +20,15 @@
 
 #include "approx/profile.hh"
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "fig5_aggregate", false);
     std::cout << "=== Figure 5: Precise vs Pliant across 24 apps x 3 "
                  "services ===\n\n";
     const services::ServiceKind kinds[] = {

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/histogram.hh"
 #include "util/table.hh"
 
@@ -59,8 +60,9 @@ multiTimeline(services::ServiceKind kind)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "fig6_multiapp", false);
     std::cout << "=== Figure 6: Multi-application colocations "
                  "(canneal + bayesian) ===\n\n";
     for (auto kind : {services::ServiceKind::Nginx,

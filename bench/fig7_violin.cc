@@ -18,6 +18,7 @@
 
 #include "approx/profile.hh"
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -59,7 +60,7 @@ fiveNum(const std::vector<double> &v, int precision = 2)
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig7_violin");
     const int samples = quick ? 10 : 60;
     std::cout << "=== Figure 7: Violin distributions for 1-, 2-, 3-app "
                  "colocations ===\n";

@@ -12,6 +12,7 @@
 
 #include "approx/profile.hh"
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -86,8 +87,9 @@ sweepService(services::ServiceKind kind)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "fig8_load", false);
     std::cout << "=== Figure 8: Input-load sensitivity (40-100% of "
                  "saturation) ===\n\n";
     for (auto kind : {services::ServiceKind::Nginx,

@@ -8,13 +8,15 @@
 #include <iostream>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::quickFlag(argc, argv, "fig9_interval", false);
     std::cout << "=== Figure 9: Decision-interval sensitivity "
                  "(memcached) ===\n\n";
     const char *apps[] = {"fluidanimate", "canneal", "raytrace",

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -159,7 +160,7 @@ addRow(util::TextTable &t, const std::string &scenario,
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig_admission");
     std::cout << "=== Admission control & batching: the "
                  "shed-vs-approximate frontier ===\n\n";
 

@@ -31,6 +31,7 @@
 
 #include "budget/budget.hh"
 #include "cluster/cluster.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -128,7 +129,7 @@ worstNodeMet(const cluster::ClusterResult &r)
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig_budget");
     std::cout << "=== Cluster-wide budgets: worst-node QoS vs global "
                  "quality loss ===\n\n";
 

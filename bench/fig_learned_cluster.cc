@@ -27,6 +27,7 @@
 #include <iostream>
 
 #include "cluster/cluster.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -70,7 +71,7 @@ makeConfig(cluster::PlacementKind placement, bool vector_model,
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig_learned_cluster");
     std::cout << "=== Learned arbiter at cluster scale: 3 nodes x "
                  "(memcached + nginx) + 6 apps ===\n\n";
 

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "colo/engine.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -48,7 +49,7 @@ scenarioCases()
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    const bool quick = util::quickFlag(argc, argv, "fig_multi_service");
     std::cout << "=== Multi-service scenarios: memcached + nginx on "
                  "one box ===\n\n";
 
@@ -83,7 +84,7 @@ main(int argc, char **argv)
                        "met%", "inaccuracy", "cores"});
     std::size_t cell = 0;
     for (const auto &sc : cases) {
-        for (const auto &mix : mixes) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
             for (auto rt : runtimes) {
                 (void)rt;
                 const colo::ColoResult &r = results[cell++];

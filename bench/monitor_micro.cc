@@ -1,0 +1,95 @@
+/**
+ * @file
+ * Google-benchmark microbenchmarks of the per-sample monitor path:
+ * one P2Quantile::add, and PerformanceMonitor::observe on 32-sample
+ * spans (one tenant tick's worth) with and without the steady-state
+ * sketch. Each reports its time per sample.
+ */
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include <benchmark/benchmark.h>
+
+#include "core/monitor.hh"
+#include "util/rng.hh"
+#include "util/stats.hh"
+
+namespace {
+
+using pliant::core::PerformanceMonitor;
+using pliant::util::P2Quantile;
+
+/** Samples per observe call: one tenant tick's batch. */
+constexpr std::size_t kSpan = 32;
+/** Ticks per decision interval: the window stays under budget. */
+constexpr std::size_t kTicksPerInterval = 100;
+
+/** A fixed lognormal latency stream (mean 100 us, cv 0.8). */
+const std::vector<double> &
+latencies()
+{
+    static const std::vector<double> xs = [] {
+        pliant::util::Rng rng(7);
+        std::vector<double> v(1 << 16);
+        for (double &x : v)
+            x = rng.lognormalMeanCv(100.0, 0.8);
+        return v;
+    }();
+    return xs;
+}
+
+void
+reportPerSample(benchmark::State &state, std::size_t per_iteration)
+{
+    // An inverted rate: time per sample (printed as e.g. "23.4ns").
+    state.counters["per_sample"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * per_iteration),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_P2Add(benchmark::State &state)
+{
+    const std::vector<double> &xs = latencies();
+    P2Quantile sketch(0.99);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        sketch.add(xs[i]);
+        i = (i + 1) & (xs.size() - 1);
+    }
+    benchmark::DoNotOptimize(sketch.value());
+    reportPerSample(state, 1);
+}
+BENCHMARK(BM_P2Add);
+
+/** Arg 0: plain observe; arg 1: observe with steady_state set. */
+void
+BM_ObserveSpan(benchmark::State &state)
+{
+    const std::vector<double> &xs = latencies();
+    const bool steady_state = state.range(0) != 0;
+    PerformanceMonitor mon(4096, 11);
+    std::size_t off = 0;
+    std::size_t ticks = 0;
+    for (auto _ : state) {
+        mon.observe(std::span<const double>(xs.data() + off, kSpan),
+                    steady_state);
+        off = (off + kSpan) & (xs.size() - 1);
+        if (++ticks == kTicksPerInterval) {
+            ticks = 0;
+            state.PauseTiming();
+            benchmark::DoNotOptimize(mon.closeInterval());
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(mon.longRunP99());
+    benchmark::DoNotOptimize(mon.steadySketch().value());
+    reportPerSample(state, kSpan);
+}
+BENCHMARK(BM_ObserveSpan)->ArgName("steady")->Arg(0)->Arg(1);
+
+} // namespace
+
+BENCHMARK_MAIN();

@@ -6,11 +6,13 @@
 #include <iostream>
 
 #include "server/spec.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    pliant::util::quickFlag(argc, argv, "table1_platform", false);
     pliant::server::ServerSpec spec;
     std::cout << "=== Table 1: Platform Specification ===\n\n";
     pliant::util::TextTable table({"Field", "Value"});

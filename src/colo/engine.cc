@@ -608,11 +608,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             if (ten.admission)
                 for (double &sample : ten.tickBuf.sampleUs)
                     sample += ten.admOut.queueDelayUs;
-            ten.monitor->observe(ten.tickBuf.sampleUs);
-            if (tick_start >= warmup) {
-                for (double sample : ten.tickBuf.sampleUs)
-                    ten.steady.add(sample);
-            }
+            ten.monitor->observe(ten.tickBuf.sampleUs, tick_start >= warmup);
             ten.lastLoad = ten.tickBuf.offeredLoad;
             if (metrics)
                 metrics->add(mid.samples, ten.tickBuf.sampleUs.size());
@@ -957,8 +953,8 @@ Engine::finalize()
         out.name = ten.service->name();
         out.qosUs = ten.service->qosUs();
         out.overallP99Us = ten.monitor->longRunP99();
-        out.steadyP99Us = ten.steady.value();
-        out.steadySketch = ten.steady;
+        out.steadySketch = ten.monitor->steadySketch();
+        out.steadyP99Us = out.steadySketch.value();
         out.intervalP99Stats = svcAccum[s].post;
         if (ten.admission) {
             const admission::AdmissionStats life =

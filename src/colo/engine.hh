@@ -587,7 +587,6 @@ class Engine
         ServiceSpec spec;
         std::unique_ptr<services::InteractiveService> service;
         std::unique_ptr<core::PerformanceMonitor> monitor;
-        util::P2Quantile steady{0.99};
         services::ServiceTickResult tickBuf; ///< reused every tick
         double lastLoad = 0.0;
         int qosMetIntervals = 0;

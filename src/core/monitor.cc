@@ -13,27 +13,37 @@ PerformanceMonitor::PerformanceMonitor(std::size_t sample_budget,
 }
 
 void
-PerformanceMonitor::observe(double latency_us)
+PerformanceMonitor::observe(std::span<const double> latencies_us,
+                            bool steady_state)
 {
-    ++offeredCount;
-    ++windowOffered;
-    longRun.add(latency_us);
-    if (window.size() < budget) {
-        window.push_back(latency_us);
-        return;
+    const std::size_t n = latencies_us.size();
+    offeredCount += n;
+    // The window holds min(windowOffered, budget) samples, so the
+    // head of the batch appends into the reserved window and only
+    // the tail past the budget draws reservoir indices — the same
+    // draws, in the same order, as feeding one sample at a time.
+    const std::size_t fill = std::min(n, budget - window.size());
+    window.insert(window.end(), latencies_us.begin(),
+                  latencies_us.begin() + fill);
+    windowOffered += fill;
+    for (std::size_t i = fill; i < n; ++i) {
+        // Reservoir replacement keeps the window a uniform sample of
+        // the interval's traffic.
+        const std::uint64_t j = rng.uniformInt(++windowOffered);
+        if (j < budget)
+            window[static_cast<std::size_t>(j)] = latencies_us[i];
     }
-    // Reservoir replacement keeps the window a uniform sample of the
-    // interval's traffic.
-    const std::uint64_t j = rng.uniformInt(windowOffered);
-    if (j < budget)
-        window[static_cast<std::size_t>(j)] = latency_us;
-}
-
-void
-PerformanceMonitor::observe(const std::vector<double> &latencies_us)
-{
-    for (double l : latencies_us)
-        observe(l);
+    // The two sketches are independent, so one pass feeds both and
+    // their dependency chains overlap.
+    if (steady_state) {
+        for (double l : latencies_us) {
+            longRun.add(l);
+            steady.add(l);
+        }
+    } else {
+        for (double l : latencies_us)
+            longRun.add(l);
+    }
 }
 
 IntervalReport

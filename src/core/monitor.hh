@@ -12,6 +12,8 @@
 #define PLIANT_CORE_MONITOR_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hh"
@@ -44,11 +46,18 @@ class PerformanceMonitor
     explicit PerformanceMonitor(std::size_t sample_budget = 4096,
                                 std::uint64_t seed = 11);
 
-    /** Feed a batch of measured latencies (microseconds). */
-    void observe(const std::vector<double> &latencies_us);
+    /**
+     * Feed a batch of measured latencies (microseconds), in order:
+     * each one is offered to the interval window and added to the
+     * whole-run longRun sketch and, when @p steady_state is set, to
+     * the steady-state sketch as well (a run's post-warmup tail).
+     * Exactly the same state as feeding the samples one at a time.
+     */
+    void observe(std::span<const double> latencies_us,
+                 bool steady_state = false);
 
-    /** Feed a single latency measurement. */
-    void observe(double latency_us);
+    /** Feed a single latency measurement (not steady-state). */
+    void observe(double latency_us) { observe({&latency_us, 1}); }
 
     /**
      * Close the current decision interval: compute the report and
@@ -68,6 +77,9 @@ class PerformanceMonitor
     /** Long-run p99 across the whole run (survives interval resets). */
     double longRunP99() const { return longRun.value(); }
 
+    /** Whole-run sketch of the samples fed with steady_state set. */
+    const util::P2Quantile &steadySketch() const { return steady; }
+
   private:
     std::size_t budget;
     util::Rng rng;
@@ -75,6 +87,7 @@ class PerformanceMonitor
     std::uint64_t offeredCount = 0;
     std::uint64_t windowOffered = 0;
     util::P2Quantile longRun{0.99};
+    util::P2Quantile steady{0.99};
 };
 
 } // namespace core

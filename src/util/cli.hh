@@ -1,6 +1,7 @@
 /**
  * @file
- * Strict parsing of numeric command-line flag values.
+ * Strict parsing of command-line flags: numeric flag values and the
+ * figure benches' optional --quick.
  */
 
 #ifndef PLIANT_UTIL_CLI_HH
@@ -44,6 +45,28 @@ parseFlag(const std::string &flag, const std::string &text,
         std::exit(2);
     }
     return value;
+}
+
+/**
+ * The command line of a figure bench that takes at most --quick:
+ * true when it is exactly `<bench> --quick`. Any other argument (a
+ * typo such as --quik, a flag the bench does not have, or --quick
+ * when @p has_quick is false) prints `usage: <bench> [--quick]` (or
+ * `usage: <bench>`) to stderr and exits with status 2, so a bench
+ * never runs a different sweep than the one asked for.
+ */
+inline bool
+quickFlag(int argc, char **argv, const std::string &bench,
+          bool has_quick = true)
+{
+    const bool quick =
+        has_quick && argc == 2 && std::string(argv[1]) == "--quick";
+    if (argc > 1 && !quick) {
+        const char *flags = has_quick ? " [--quick]" : "";
+        std::cerr << "usage: " << bench << flags << '\n';
+        std::exit(2);
+    }
+    return quick;
 }
 
 } // namespace util

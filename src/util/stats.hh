@@ -255,23 +255,28 @@ class P2Quantile
             return;
         }
 
-        int k;
-        if (x < heights[0]) {
+        if (x < heights[0])
             heights[0] = x;
-            k = 0;
-        } else if (x >= heights[4]) {
+        else if (x >= heights[4])
             heights[4] = x;
-            k = 3;
-        } else {
-            k = 0;
-            while (k < 3 && x >= heights[k + 1])
-                ++k;
-        }
+        // Marker cell k in [0, 3] without a scan: the heights stay
+        // sorted (linear() lands between its neighbours, parabolic()
+        // is only taken strictly between them), so the markers x
+        // reaches form a prefix and counting them equals the scan.
+        const int k = (x >= heights[1]) + (x >= heights[2]) +
+            (x >= heights[3]);
 
-        for (int i = k + 1; i < 5; ++i)
-            ++positions[i];
-        for (int i = 0; i < 5; ++i)
-            desired[i] += increments[i];
+        // Markers above cell k shift right. positions[0] never moves,
+        // nor does desired[0] (its increment is 0); desired[4] gains
+        // exactly 1 — each update is bit-identical to the loop form.
+        positions[1] += (k < 1);
+        positions[2] += (k < 2);
+        positions[3] += (k < 3);
+        positions[4] += 1;
+        desired[1] += increments[1];
+        desired[2] += increments[2];
+        desired[3] += increments[3];
+        desired[4] += 1;
 
         for (int i = 1; i <= 3; ++i) {
             const double d = desired[i] - positions[i];
@@ -312,10 +317,10 @@ class P2Quantile
      * observations) are replayed sample-by-sample instead.
      *
      * The scalar paths that feed one estimator from one stream
-     * (colo::Engine::Tenant::steady, core::PerformanceMonitor's
-     * longRun) are untouched by this: they never merge, and their
-     * add() sequence — hence their golden-pinned values — is
-     * byte-identical to the pre-merge implementation.
+     * (core::PerformanceMonitor's longRun and steady sketches) are
+     * untouched by this: they never merge, and their add() sequence
+     * — hence their golden-pinned values — is byte-identical to the
+     * pre-merge implementation.
      */
     void merge(const P2Quantile &other)
     {
@@ -372,11 +377,12 @@ class P2Quantile
         if (count_ == 0)
             return 0.0;
         if (count_ < 5) {
-            std::vector<double> v(heights, heights + count_);
-            std::sort(v.begin(), v.end());
+            double v[5];
+            std::copy(heights, heights + count_, v);
+            std::sort(v, v + count_);
             const double rank = q * static_cast<double>(count_ - 1);
             const std::size_t lo = static_cast<std::size_t>(rank);
-            const std::size_t hi = std::min(lo + 1, v.size() - 1);
+            const std::size_t hi = std::min(lo + 1, count_ - 1);
             const double frac = rank - static_cast<double>(lo);
             return v[lo] + frac * (v[hi] - v[lo]);
         }

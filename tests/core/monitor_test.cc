@@ -8,11 +8,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/rng.hh"
+#include "util/stats.hh"
 
 namespace {
 
@@ -157,6 +160,112 @@ TEST(MonitorTest, CloseMatchesSortedReferenceSaturated)
         m.observe(rng.lognormalMeanCv(150.0, 0.9));
     ASSERT_EQ(m.windowSize(), 256u);
     expectCloseMatchesSortedReference(m);
+}
+
+/**
+ * One feed pattern for the span-vs-scalar check: per-tick batch
+ * lengths drawn from [0, max_span], the first warmup_ticks fed
+ * without steady_state, and an interval close every ticks_per_interval.
+ */
+struct FeedCase
+{
+    const char *name;
+    std::size_t budget;
+    std::size_t max_span;
+    int ticks;
+    int warmup_ticks;
+    int ticks_per_interval;
+};
+
+void
+expectSameReport(const IntervalReport &got, const IntervalReport &want)
+{
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(bitsOf(got.p99Us), bitsOf(want.p99Us));
+    EXPECT_EQ(bitsOf(got.p50Us), bitsOf(want.p50Us));
+    EXPECT_EQ(bitsOf(got.meanUs), bitsOf(want.meanUs));
+}
+
+TEST(MonitorSpanTest, SpanObserveMatchesPerSampleFeed)
+{
+    // The windows stay below the budget, cross it mid-span, and run
+    // saturated; spans include empty ones and the 32-sample tick.
+    const FeedCase cases[] = {
+        {"below-budget", 4096, 32, 60, 20, 30},
+        {"crosses-mid-span", 100, 32, 90, 30, 30},
+        {"saturated", 16, 64, 200, 50, 40},
+        {"ragged", 300, 97, 300, 120, 25},
+    };
+    constexpr std::uint64_t kSeed = 33;
+    for (const FeedCase &fc : cases) {
+        SCOPED_TRACE(std::string("case=") + fc.name +
+                     " seed=" + std::to_string(kSeed));
+        PerformanceMonitor span_fed(fc.budget, kSeed);
+        PerformanceMonitor scalar_fed(fc.budget, kSeed);
+        pliant::util::P2Quantile steady(0.99);
+        pliant::util::Rng rng(kSeed);
+        std::vector<double> batch;
+        for (int tick = 0; tick < fc.ticks; ++tick) {
+            const bool steady_state = tick >= fc.warmup_ticks;
+            batch.resize(rng.uniformInt(fc.max_span + 1));
+            for (double &l : batch)
+                l = rng.lognormalMeanCv(150.0, 0.9);
+            span_fed.observe(std::span<const double>(batch),
+                             steady_state);
+            for (double l : batch) {
+                scalar_fed.observe(l);
+                if (steady_state)
+                    steady.add(l);
+            }
+
+            ASSERT_EQ(span_fed.offered(), scalar_fed.offered());
+            ASSERT_EQ(span_fed.windowSamples(),
+                      scalar_fed.windowSamples())
+                << "tick " << tick;
+            ASSERT_EQ(bitsOf(span_fed.longRunP99()),
+                      bitsOf(scalar_fed.longRunP99()));
+            ASSERT_EQ(span_fed.steadySketch().count(), steady.count());
+            ASSERT_EQ(bitsOf(span_fed.steadySketch().value()),
+                      bitsOf(steady.value()));
+            if ((tick + 1) % fc.ticks_per_interval == 0)
+                expectSameReport(span_fed.closeInterval(),
+                                 scalar_fed.closeInterval());
+        }
+        // The scalar overload never feeds the steady sketch.
+        EXPECT_EQ(scalar_fed.steadySketch().count(), 0u);
+        EXPECT_LE(span_fed.windowSize(), fc.budget);
+    }
+}
+
+TEST(MonitorSpanTest, SpanWindowMatchesReservoirReference)
+{
+    // The per-sample reservoir rule written out: append while the
+    // window is under budget, otherwise draw j in [0, offered) and
+    // replace slot j when it lands inside the window.
+    constexpr std::size_t kBudget = 64;
+    constexpr std::uint64_t kSeed = 17;
+    PerformanceMonitor m(kBudget, kSeed);
+    pliant::util::Rng draws(kSeed);
+    pliant::util::Rng rng(5);
+    std::vector<double> want;
+    std::uint64_t offered = 0;
+    std::vector<double> batch(32);
+    for (int tick = 0; tick < 40; ++tick) {
+        for (double &l : batch)
+            l = rng.lognormalMeanCv(100.0, 0.8);
+        m.observe(std::span<const double>(batch));
+        for (double l : batch) {
+            ++offered;
+            if (want.size() < kBudget) {
+                want.push_back(l);
+            } else {
+                const std::uint64_t j = draws.uniformInt(offered);
+                if (j < kBudget)
+                    want[static_cast<std::size_t>(j)] = l;
+            }
+        }
+        ASSERT_EQ(m.windowSamples(), want) << "tick " << tick;
+    }
 }
 
 } // namespace

@@ -576,6 +576,284 @@ TEST(P2MergeTest, FixedFoldOrderIsBitwiseDeterministic)
     EXPECT_EQ(once.count(), twice.count());
 }
 
+/**
+ * The P² estimator as it stood before add() lost its marker scan and
+ * loop-form position/desired updates, frozen verbatim (add, merge,
+ * value): the reference the specialized add() must match bit for bit.
+ */
+class FrozenP2
+{
+  public:
+    explicit FrozenP2(double quantile) : q(quantile) {}
+
+    void add(double x)
+    {
+        if (count_ < 5) {
+            heights[count_++] = x;
+            if (count_ == 5) {
+                std::sort(heights, heights + 5);
+                for (int i = 0; i < 5; ++i)
+                    positions[i] = i + 1;
+                desired[0] = 1;
+                desired[1] = 1 + 2 * q;
+                desired[2] = 1 + 4 * q;
+                desired[3] = 3 + 2 * q;
+                desired[4] = 5;
+                increments[0] = 0;
+                increments[1] = q / 2;
+                increments[2] = q;
+                increments[3] = (1 + q) / 2;
+                increments[4] = 1;
+            }
+            return;
+        }
+
+        int k;
+        if (x < heights[0]) {
+            heights[0] = x;
+            k = 0;
+        } else if (x >= heights[4]) {
+            heights[4] = x;
+            k = 3;
+        } else {
+            k = 0;
+            while (k < 3 && x >= heights[k + 1])
+                ++k;
+        }
+
+        for (int i = k + 1; i < 5; ++i)
+            ++positions[i];
+        for (int i = 0; i < 5; ++i)
+            desired[i] += increments[i];
+
+        for (int i = 1; i <= 3; ++i) {
+            const double d = desired[i] - positions[i];
+            const bool up = d >= 1 && positions[i + 1] - positions[i] > 1;
+            const bool down = d <= -1 && positions[i - 1] - positions[i] < -1;
+            if (up || down) {
+                const int sign = d >= 0 ? 1 : -1;
+                const double candidate = parabolic(i, sign);
+                if (heights[i - 1] < candidate &&
+                    candidate < heights[i + 1]) {
+                    heights[i] = candidate;
+                } else {
+                    heights[i] = linear(i, sign);
+                }
+                positions[i] += sign;
+            }
+        }
+        ++count_;
+    }
+
+    void merge(const FrozenP2 &other)
+    {
+        if (other.count_ == 0)
+            return;
+        if (count_ == 0) {
+            *this = other;
+            return;
+        }
+        if (other.count_ < 5) {
+            for (std::size_t i = 0; i < other.count_; ++i)
+                add(other.heights[i]);
+            return;
+        }
+        if (count_ < 5) {
+            FrozenP2 merged = other;
+            for (std::size_t i = 0; i < count_; ++i)
+                merged.add(heights[i]);
+            *this = merged;
+            return;
+        }
+        const double wa = static_cast<double>(count_);
+        const double wb = static_cast<double>(other.count_);
+        heights[0] = std::min(heights[0], other.heights[0]);
+        heights[4] = std::max(heights[4], other.heights[4]);
+        for (int i = 1; i <= 3; ++i)
+            heights[i] =
+                (wa * heights[i] + wb * other.heights[i]) / (wa + wb);
+        count_ += other.count_;
+        const double n = static_cast<double>(count_);
+        desired[0] = 1;
+        desired[1] = 1 + q * (n - 1) / 2;
+        desired[2] = 1 + q * (n - 1);
+        desired[3] = 1 + (1 + q) * (n - 1) / 2;
+        desired[4] = n;
+        positions[0] = 1;
+        for (int i = 1; i < 5; ++i) {
+            double p = std::floor(desired[i] + 0.5);
+            p = std::max(p, positions[i - 1] + 1);
+            p = std::min(p, n - static_cast<double>(4 - i));
+            positions[i] = p;
+        }
+    }
+
+    double value() const
+    {
+        if (count_ == 0)
+            return 0.0;
+        if (count_ < 5) {
+            std::vector<double> v(heights, heights + count_);
+            std::sort(v.begin(), v.end());
+            const double rank = q * static_cast<double>(count_ - 1);
+            const std::size_t lo = static_cast<std::size_t>(rank);
+            const std::size_t hi = std::min(lo + 1, v.size() - 1);
+            const double frac = rank - static_cast<double>(lo);
+            return v[lo] + frac * (v[hi] - v[lo]);
+        }
+        return heights[2];
+    }
+
+    std::size_t count() const { return count_; }
+
+  private:
+    double parabolic(int i, int sign) const
+    {
+        const double d = static_cast<double>(sign);
+        return heights[i] + d / (positions[i + 1] - positions[i - 1]) *
+            ((positions[i] - positions[i - 1] + d) *
+                 (heights[i + 1] - heights[i]) /
+                 (positions[i + 1] - positions[i]) +
+             (positions[i + 1] - positions[i] - d) *
+                 (heights[i] - heights[i - 1]) /
+                 (positions[i] - positions[i - 1]));
+    }
+
+    double linear(int i, int sign) const
+    {
+        return heights[i] + sign * (heights[i + sign] - heights[i]) /
+            (positions[i + sign] - positions[i]);
+    }
+
+    double q;
+    double heights[5] = {};
+    double positions[5] = {};
+    double desired[5] = {};
+    double increments[5] = {};
+    std::size_t count_ = 0;
+};
+
+/** Standard lognormal-ish latency (median 100) by Box-Muller. */
+double
+lognormal(SplitMix64 &sm)
+{
+    const double u1 = 1.0 - unit(sm); // (0, 1]: log() stays finite
+    const double u2 = unit(sm);
+    const double z =
+        std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
+    return 100.0 * std::exp(0.8 * z);
+}
+
+/** One stream of P2 inputs, named for failure messages. */
+struct P2Stream
+{
+    const char *name;
+    std::vector<double> xs;
+};
+
+std::vector<P2Stream>
+p2Streams(SplitMix64 &sm)
+{
+    constexpr std::size_t kN = 20000;
+    std::vector<P2Stream> out;
+    P2Stream logn{"lognormal", {}};
+    P2Stream ties{"ties", {}};
+    P2Stream constant{"constant", std::vector<double>(kN, 42.75)};
+    P2Stream up{"ascending", {}};
+    P2Stream down{"descending", {}};
+    for (std::size_t i = 0; i < kN; ++i) {
+        logn.xs.push_back(lognormal(sm));
+        ties.xs.push_back(10.0 * static_cast<double>(sm.next() % 4));
+        up.xs.push_back(static_cast<double>(i) * 0.5);
+        down.xs.push_back(static_cast<double>(kN - i) * 0.5);
+    }
+    // A plateau, then spread: ties with every marker move positions
+    // without moving value(), so a cell-rule slip only shows later.
+    P2Stream plateau{"plateau-then-lognormal",
+                     std::vector<double>(kN / 4, logn.xs[0])};
+    plateau.xs.insert(plateau.xs.end(), logn.xs.begin(), logn.xs.end());
+    out.push_back(std::move(logn));
+    out.push_back(std::move(plateau));
+    out.push_back(std::move(ties));
+    out.push_back(std::move(constant));
+    out.push_back(std::move(up));
+    out.push_back(std::move(down));
+    // Every length below the 5-sample init, one stream each.
+    for (std::size_t n = 1; n < 5; ++n) {
+        P2Stream shortStream{"short", {}};
+        for (std::size_t i = 0; i < n; ++i)
+            shortStream.xs.push_back(lognormal(sm));
+        out.push_back(std::move(shortStream));
+    }
+    return out;
+}
+
+/** Feeds @p xs to both sketches, comparing value() after every add. */
+void
+expectSameAdds(P2Quantile &got, FrozenP2 &want,
+               const std::vector<double> &xs)
+{
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        got.add(xs[i]);
+        want.add(xs[i]);
+        ASSERT_EQ(bitsOf(got.value()), bitsOf(want.value()))
+            << "after add " << i << " of " << xs[i] << ": got "
+            << got.value() << " want " << want.value();
+        ASSERT_EQ(got.count(), want.count());
+    }
+}
+
+TEST(P2FrozenTest, AddIsBitIdenticalToTheLoopForm)
+{
+    constexpr std::uint64_t kSeed = 0x9e2add5ULL;
+    SplitMix64 sm(kSeed);
+    const std::vector<P2Stream> streams = p2Streams(sm);
+    for (double q : {0.5, 0.9, 0.99}) {
+        for (const P2Stream &stream : streams) {
+            SCOPED_TRACE("seed=" + std::to_string(kSeed) + " q=" +
+                         std::to_string(q) + " stream=" + stream.name +
+                         " n=" + std::to_string(stream.xs.size()));
+            P2Quantile got(q);
+            FrozenP2 want(q);
+            expectSameAdds(got, want, stream.xs);
+        }
+    }
+}
+
+TEST(P2FrozenTest, AddsAfterMergeStayBitIdentical)
+{
+    // merge() rebuilds positions/desired from closed forms, so the
+    // adds that follow start from states a plain stream never
+    // reaches; both raw-stage replays are covered too.
+    constexpr std::uint64_t kSeed = 0x3e76e5ULL;
+    SplitMix64 sm(kSeed);
+    const std::vector<P2Stream> streams = p2Streams(sm);
+    for (double q : {0.5, 0.9, 0.99}) {
+        for (const P2Stream &left : streams) {
+            for (const P2Stream &right : streams) {
+                SCOPED_TRACE("seed=" + std::to_string(kSeed) + " q=" +
+                             std::to_string(q) + " left=" + left.name +
+                             " n=" + std::to_string(left.xs.size()) +
+                             " right=" + right.name + " n=" +
+                             std::to_string(right.xs.size()));
+                const std::size_t half = left.xs.size() / 2;
+                const std::vector<double> head(left.xs.begin(),
+                                               left.xs.begin() + half);
+                const std::vector<double> tail(left.xs.begin() + half,
+                                               left.xs.end());
+                P2Quantile got(q), got_other(q);
+                FrozenP2 want(q), want_other(q);
+                expectSameAdds(got, want, head);
+                expectSameAdds(got_other, want_other, right.xs);
+                got.merge(got_other);
+                want.merge(want_other);
+                ASSERT_EQ(bitsOf(got.value()), bitsOf(want.value()));
+                expectSameAdds(got, want, tail);
+            }
+        }
+    }
+}
+
 TEST(ReservoirTest, KeepsAllWhenUnderCapacity)
 {
     Rng rng(3);
