@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "driver/pool.hh"
+#include "util/dedup.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -30,26 +31,28 @@ validateClusterConfig(const ClusterConfig &cfg)
     if (cfg.apps.empty())
         util::fatal("cluster needs at least one app to place");
     colo::validateAppList(cfg.apps, cfg.initialVariants);
+    std::vector<std::string> names;
+    names.reserve(cfg.nodes.size());
+    for (std::size_t i = 0; i < cfg.nodes.size(); ++i)
+        names.push_back(resolvedNodeName(cfg.nodes[i], i));
+    const std::size_t dup_node = util::firstDuplicate(names);
     for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
-        if (cfg.nodes[i].services.empty())
-            util::fatal("cluster node '",
-                        resolvedNodeName(cfg.nodes[i], i),
-                        "' hosts no interactive service");
         const auto &specs = cfg.nodes[i].services;
-        for (std::size_t a = 0; a < specs.size(); ++a)
-            for (std::size_t b = a + 1; b < specs.size(); ++b)
-                if (specs[a].resolvedName() == specs[b].resolvedName())
-                    util::fatal("duplicate service '",
-                                specs[a].resolvedName(), "' on node '",
-                                resolvedNodeName(cfg.nodes[i], i),
-                                "': give same-kind tenants distinct "
-                                "instance names");
-        for (std::size_t j = i + 1; j < cfg.nodes.size(); ++j)
-            if (resolvedNodeName(cfg.nodes[i], i) ==
-                resolvedNodeName(cfg.nodes[j], j))
-                util::fatal("duplicate node name '",
-                            resolvedNodeName(cfg.nodes[i], i),
-                            "' in cluster config");
+        if (specs.empty())
+            util::fatal("cluster node '", names[i],
+                        "' hosts no interactive service");
+        const std::size_t dup =
+            util::firstDuplicate(specs, &colo::ServiceSpec::resolvedName);
+        if (dup < specs.size())
+            util::fatal("duplicate service '", specs[dup].resolvedName(),
+                        "' on node '", names[i],
+                        "': give same-kind tenants distinct "
+                        "instance names");
+        if (i == dup_node)
+            util::fatal("duplicate node name '", names[i],
+                        "' in cluster config");
+        for (const colo::ServiceSpec &spec : specs)
+            colo::validateScenarioLoads(spec.scenario, spec.resolvedName());
     }
     if (cfg.decisionInterval <= 0)
         util::fatal("decision interval must be positive");
@@ -69,6 +72,9 @@ validateClusterConfig(const ClusterConfig &cfg)
                     " s) must be at least the decision interval (",
                     sim::toSeconds(cfg.decisionInterval),
                     " s): placement acts on closed interval reports");
+    if (!(cfg.slackThreshold >= 0.0 && cfg.slackThreshold <= 1.0))
+        util::fatal("slack threshold must be in [0, 1], got ",
+                    cfg.slackThreshold);
     // Inert when disabled; every field checked when enabled.
     admission::validateAdmissionConfig(cfg.admission);
     budget::validateBudgetConfig(cfg.budget);
@@ -140,9 +146,10 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
             if (!cfg.initialVariants.empty())
                 nc.initialVariants.push_back(cfg.initialVariants[a]);
         }
-        // Surface per-node problems (e.g. fair-core starvation from
-        // an overloaded node) at cluster construction time.
-        colo::validateConfig(nc);
+        // validateClusterConfig covered every node check but the one
+        // placement decides: fair-core starvation on an overloaded
+        // node, surfaced here at cluster construction time.
+        colo::validateCoreSplit(nc.spec, nc.apps.size(), nc.services.size());
         nodeConfigs.push_back(std::move(nc));
     }
 
@@ -201,7 +208,7 @@ Cluster::gatherStatuses() const
         st.done = engines[i]->appsFinished();
         st.services = engines[i]->lastReports();
         st.worstRatio = core::worstRatio(st.services);
-        st.relief = engines[i]->reliefPredictions();
+        engines[i]->reliefPredictions(st.relief);
         for (const auto &relief : st.relief)
             st.reliefRatio =
                 std::max(st.reliefRatio, relief.predictedRatio);

@@ -134,10 +134,24 @@ struct ClusterConfig
 };
 
 /**
- * Validate a ClusterConfig (throws util::FatalError): at least one
- * node, at least one app, every node hosts a service, unique node
- * names, valid epoch, plus the per-app catalog/variant checks shared
- * with the single-node layer.
+ * Validate a ClusterConfig (throws util::FatalError at the first
+ * error). Linear in nodes + tenants + apps: duplicates are found by
+ * util::firstDuplicate, which hashes names instead of comparing
+ * pairs. In order: at least one
+ * node; at least one app; the app list's catalog/variant checks
+ * shared with the single-node layer (the first app that recurs is
+ * named); then per node in index order —
+ * the node hosts a service, its tenants' resolved names are
+ * distinct (the first that recurs is named, with the node), its
+ * resolved name does not recur at a later node, and its scenario
+ * loads are finite and non-negative; then timing, epoch, a slack
+ * threshold in [0, 1], admission and budget fields. A reported
+ * duplicate is always the lowest index whose name recurs later.
+ *
+ * Runs once per object: ClusterConfigBuilder::build() validates the
+ * config it returns, and Cluster's constructor validates the config
+ * it receives, then checks per node only what placement decides
+ * (fair-core starvation) instead of re-validating node configs.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 

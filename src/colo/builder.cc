@@ -173,10 +173,10 @@ ConfigBuilder::build() const
     // configs stay byte-identical to hand-written ones.
     if (!anyVariantPinned)
         built.initialVariants.clear();
-    // validateConfig covers timing (positivity, interval >= tick) as
+    // checkConfig covers timing (positivity, interval >= tick) as
     // of the tick-loop-safety pass, so raw structs and built configs
     // fail with the same messages.
-    validateConfig(built);
+    checkConfig(built);
     return built;
 }
 

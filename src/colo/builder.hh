@@ -5,7 +5,7 @@
  * ConfigBuilder is the experiment-facing way to assemble a
  * ColoConfig: chained calls describe the tenants, apps, and runtime,
  * and build() runs the full up-front validation pass
- * (colo::validateConfig), so a bad config fails at build time with a
+ * (colo::checkConfig), so a bad config fails at build time with a
  * pointed message instead of deep inside the tick loop. Raw
  * ColoConfig structs remain valid input to colo::Engine — the
  * builder is sugar plus early errors, not a new semantic.

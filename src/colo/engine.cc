@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 
 #include "approx/profile.hh"
 #include "core/learned.hh"
 #include "driver/pool.hh"
+#include "util/dedup.hh"
 #include "util/logging.hh"
 
 namespace pliant {
@@ -28,6 +30,22 @@ tenantSalt(std::size_t i)
  * when nothing lies beyond it.
  */
 constexpr sim::Time kWarmup = 5 * sim::kSecond;
+
+/**
+ * cfg's tenant list without copying it: cfg.services, or, when that
+ * list is empty, the legacy single-service fields as one
+ * constant-load tenant written into `legacy` — bit-identical to the
+ * original single-service harness.
+ */
+std::span<const ServiceSpec>
+tenantList(const ColoConfig &cfg, ServiceSpec &legacy)
+{
+    if (!cfg.services.empty())
+        return cfg.services;
+    legacy.kind = cfg.service;
+    legacy.scenario = Scenario::constant(cfg.loadFraction);
+    return {&legacy, 1};
+}
 
 } // namespace
 
@@ -191,12 +209,11 @@ void
 validateAppList(const std::vector<std::string> &apps,
                 const std::vector<int> &initial_variants)
 {
-    for (std::size_t i = 0; i < apps.size(); ++i)
-        for (std::size_t j = i + 1; j < apps.size(); ++j)
-            if (apps[i] == apps[j])
-                util::fatal("duplicate app '", apps[i],
-                            "' in colocation config: each approximate "
-                            "application may appear once");
+    const std::size_t dup = util::firstDuplicate(apps);
+    if (dup < apps.size())
+        util::fatal("duplicate app '", apps[dup],
+                    "' in colocation config: each approximate "
+                    "application may appear once");
     if (!initial_variants.empty() &&
         initial_variants.size() != apps.size())
         util::fatal("initialVariants has ", initial_variants.size(),
@@ -217,30 +234,39 @@ validateAppList(const std::vector<std::string> &apps,
     }
 }
 
-std::vector<ServiceSpec>
-validateConfig(const ColoConfig &cfg)
+void
+validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
+                  std::size_t n_services)
+{
+    const int apps = static_cast<int>(n_apps);
+    const int services = static_cast<int>(n_services);
+    const int fair = Engine::fairShare(spec, apps, services);
+    const int service_cores = spec.usableCores() - apps * fair;
+    if (service_cores < services)
+        util::fatal("config leaves ", service_cores,
+                    " fair cores for ", services,
+                    " interactive service(s): reduce the number of "
+                    "colocated apps or services (usable cores: ",
+                    spec.usableCores(), ")");
+}
+
+void
+checkConfig(const ColoConfig &cfg)
 {
     if (cfg.apps.empty() && cfg.services.empty())
         util::fatal("colocation experiment needs at least one app");
     validateAppList(cfg.apps, cfg.initialVariants);
 
-    // Normalize the tenant list: the legacy single-service fields
-    // become one constant-load tenant, bit-identical to the original
-    // single-service harness.
-    std::vector<ServiceSpec> specs = cfg.services;
-    if (specs.empty()) {
-        ServiceSpec s;
-        s.kind = cfg.service;
-        s.scenario = Scenario::constant(cfg.loadFraction);
-        specs.push_back(s);
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        for (std::size_t j = i + 1; j < specs.size(); ++j)
-            if (specs[i].resolvedName() == specs[j].resolvedName())
-                util::fatal("duplicate service '",
-                            specs[i].resolvedName(),
-                            "' in colocation config: give same-kind "
-                            "tenants distinct instance names");
+    ServiceSpec legacy;
+    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
+    const std::size_t dup =
+        util::firstDuplicate(specs, &ServiceSpec::resolvedName);
+    if (dup < specs.size())
+        util::fatal("duplicate service '", specs[dup].resolvedName(),
+                    "' in colocation config: give same-kind "
+                    "tenants distinct instance names");
+    for (const ServiceSpec &spec : specs)
+        validateScenarioLoads(spec.scenario, spec.resolvedName());
 
     // Timing must be validated here too: a zero tick would spin the
     // loop forever and a non-positive interval would never close a
@@ -257,6 +283,9 @@ validateConfig(const ColoConfig &cfg)
                     sim::toSeconds(cfg.tick), " s)");
     if (cfg.maxDuration <= 0)
         util::fatal("max duration must be positive");
+    if (!(cfg.slackThreshold >= 0.0 && cfg.slackThreshold <= 1.0))
+        util::fatal("slack threshold must be in [0, 1], got ",
+                    cfg.slackThreshold);
 
     // Admission fields are validated only when the front-end is
     // enabled: a disabled config is inert whatever its fields hold,
@@ -264,24 +293,25 @@ validateConfig(const ColoConfig &cfg)
     // one.
     admission::validateAdmissionConfig(cfg.admission);
 
-    const int n_apps = static_cast<int>(cfg.apps.size());
-    const int n_services = static_cast<int>(specs.size());
-    const int fair = Engine::fairShare(cfg.spec, n_apps, n_services);
-    const int service_cores = cfg.spec.usableCores() - n_apps * fair;
-    if (service_cores < n_services)
-        util::fatal("config leaves ", service_cores,
-                    " fair cores for ", n_services,
-                    " interactive service(s): reduce the number of "
-                    "colocated apps or services (usable cores: ",
-                    cfg.spec.usableCores(), ")");
-    return specs;
+    validateCoreSplit(cfg.spec, cfg.apps.size(), specs.size());
+}
+
+std::vector<ServiceSpec>
+validateConfig(const ColoConfig &cfg)
+{
+    checkConfig(cfg);
+    ServiceSpec legacy;
+    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
+    return {specs.begin(), specs.end()};
 }
 
 Engine::Engine(ColoConfig config)
     : cfg(std::move(config)), interference(cfg.spec),
       partition(cfg.spec, 0), clock(cfg.tick)
 {
-    const std::vector<ServiceSpec> specs = validateConfig(cfg);
+    checkConfig(cfg);
+    ServiceSpec legacy;
+    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
 
     const int n_apps = static_cast<int>(cfg.apps.size());
     const int n_services = static_cast<int>(specs.size());
@@ -363,6 +393,10 @@ Engine::Engine(ColoConfig config)
     // Run state: the tick loop lives across advanceUntil() chunks.
     nextDecision = cfg.decisionInterval;
     maxReclaimed.assign(tasks.size(), 0);
+    // A task keeps at least one of its fair cores, so a close's
+    // reclaimed total stays below tasks x appFairCores.
+    reclaimTotalsPost.reserveValues(
+        tasks.size() * static_cast<std::size_t>(appFairCores));
 
     // Hot-loop buffers, allocated once: at 10 ms ticks a 600 s run is
     // 60k iterations, so per-tick vector churn dominated the old
@@ -690,11 +724,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             // only what the runtime's predicted relief floor says
             // local approximation cannot absorb.
             if (cfg.admission.enabled) {
-                const std::vector<core::ServiceRelief> relief =
-                    runtime->reliefPredictions();
+                runtime->reliefPredictions(reliefBuf);
                 for (std::size_t s = 0; s < tenants.size(); ++s) {
                     double floor = -1.0;
-                    for (const auto &r : relief)
+                    for (const auto &r : reliefBuf)
                         if (r.service == reports[s].name) {
                             floor = r.predictedRatio;
                             break;
@@ -704,32 +737,19 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 }
             }
 
-            TimePoint tp;
-            tp.t = now;
-            tp.p99Us = reports[0].interval.p99Us;
-            tp.loadFraction = tenants[0].lastLoad;
-            tp.services.reserve(tenants.size());
-            for (std::size_t s = 0; s < tenants.size(); ++s)
-                tp.services.push_back({reports[s].interval.p99Us,
-                                       tenants[s].lastLoad,
-                                       reports[s].shedFraction,
-                                       reports[s].queueDelayUs});
-            tp.partitionWays = partition.serviceWays();
-            tp.decision = decision;
+            // Budget usage at this close (zero without a slice).
+            double quality_used = 0.0;
+            double shed_used = 0.0;
             if (budgetActive) {
-                tp.budgetQualityUsed = qualityInUse();
+                quality_used = qualityInUse();
                 for (const auto &report : reports)
-                    tp.budgetShedUsed = std::max(
-                        tp.budgetShedUsed, report.shedFraction);
-                tp.budgetQualityCap = qualitySliceCap;
-                tp.budgetShedCap = shedSliceCap;
+                    shed_used = std::max(shed_used, report.shedFraction);
             }
+            const int ways = partition.serviceWays();
             int total_reclaimed = 0;
             for (std::size_t i = 0; i < tasks.size(); ++i) {
-                tp.variantOf.push_back(tasks[i].variantIndex());
                 const int reclaimed =
                     tasks[i].fairCores() - tasks[i].cores();
-                tp.reclaimed.push_back(reclaimed);
                 maxReclaimed[i] = std::max(maxReclaimed[i], reclaimed);
                 total_reclaimed += reclaimed;
             }
@@ -742,7 +762,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             const bool post_warmup = now > kWarmup;
             for (std::size_t s = 0; s < tenants.size(); ++s) {
                 SvcAccum &acc = svcAccum[s];
-                const double p99 = tp.services[s].p99Us;
+                const double p99 = reports[s].interval.p99Us;
                 acc.sumP99All += p99;
                 ++acc.nAll;
                 if (post_warmup) {
@@ -754,19 +774,20 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             maxTotalReclaimed =
                 std::max(maxTotalReclaimed, total_reclaimed);
             if (post_warmup)
-                reclaimTotalsPost.add(total_reclaimed);
-            // Budget fields are zero when no slice is active, exactly
+                reclaimTotalsPost.add(
+                    static_cast<std::size_t>(total_reclaimed));
+            // Budget usage is zero when no slice is active, exactly
             // as in the retained TimePoint, so the sums stay in step
             // with the old unconditional timeline scan.
-            budgetQualitySumAll += tp.budgetQualityUsed;
-            budgetShedSumAll += tp.budgetShedUsed;
+            budgetQualitySumAll += quality_used;
+            budgetShedSumAll += shed_used;
             ++budgetNAll;
             if (post_warmup) {
-                budgetQualitySumPost += tp.budgetQualityUsed;
-                budgetShedSumPost += tp.budgetShedUsed;
+                budgetQualitySumPost += quality_used;
+                budgetShedSumPost += shed_used;
                 ++budgetNPost;
             }
-            maxWaysSeen = std::max(maxWaysSeen, tp.partitionWays);
+            maxWaysSeen = std::max(maxWaysSeen, ways);
 
             // Observability at the close, in tenant order.
             if (metrics) {
@@ -790,8 +811,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 metrics->record(mid.intervalP99Stat,
                                 reports[0].interval.p99Us);
                 if (budgetActive)
-                    metrics->record(mid.budgetQuality,
-                                    tp.budgetQualityUsed);
+                    metrics->record(mid.budgetQuality, quality_used);
                 metrics->record(
                     mid.phaseInterval,
                     std::chrono::duration<double>(
@@ -804,11 +824,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 // so track 0's timestamps stay non-decreasing.
                 tracer->begin(tracePid, 0, "interval", intervalStart);
                 tracer->end(tracePid, 0, "interval", now);
-                if (decision.kind != core::Decision::Kind::None) {
-                    const std::string ev =
-                        "decision:" + core::decisionName(decision.kind);
-                    tracer->instant(tracePid, 1, ev.c_str(), now);
-                }
+                if (decision.kind != core::Decision::Kind::None)
+                    tracer->instant(tracePid, 1,
+                                    core::decisionEventName(decision.kind),
+                                    now);
                 if (cfg.admission.enabled) {
                     for (std::size_t s = 0; s < tenants.size(); ++s) {
                         const bool armed =
@@ -825,10 +844,38 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
             intervalStart = now;
 
-            if (sink)
-                sink->onPoint(tp);
-            if (cfg.retainTimeline)
-                partial.timeline.push_back(std::move(tp));
+            // The series point exists only for its consumers. It is
+            // refilled in place, so its vectors keep their capacity
+            // and a live sink costs no allocation per close.
+            if (sink || cfg.retainTimeline) {
+                TimePoint &tp = closePoint;
+                tp.t = now;
+                tp.p99Us = reports[0].interval.p99Us;
+                tp.loadFraction = tenants[0].lastLoad;
+                tp.services.resize(tenants.size());
+                for (std::size_t s = 0; s < tenants.size(); ++s)
+                    tp.services[s] = {reports[s].interval.p99Us,
+                                      tenants[s].lastLoad,
+                                      reports[s].shedFraction,
+                                      reports[s].queueDelayUs};
+                tp.partitionWays = ways;
+                tp.decision = decision;
+                // The slice caps read -1 until a slice is installed.
+                tp.budgetQualityUsed = quality_used;
+                tp.budgetShedUsed = shed_used;
+                tp.budgetQualityCap = qualitySliceCap;
+                tp.budgetShedCap = shedSliceCap;
+                tp.variantOf.clear();
+                tp.reclaimed.clear();
+                for (const auto &task : tasks) {
+                    tp.variantOf.push_back(task.variantIndex());
+                    tp.reclaimed.push_back(task.fairCores() - task.cores());
+                }
+                if (sink)
+                    sink->onPoint(tp);
+                if (cfg.retainTimeline)
+                    partial.timeline.push_back(tp);
+            }
         }
     }
     return done();
@@ -875,15 +922,17 @@ Engine::attachApp(const approx::TaskState &state)
         std::make_unique<approx::AppProfile>(std::move(prof)));
     tasks.emplace_back(*profiles.back(), appFairCores, state);
     maxReclaimed.push_back(0);
+    reclaimTotalsPost.reserveValues(
+        tasks.size() * static_cast<std::size_t>(appFairCores));
     taskPressure.resize(tasks.size());
     runtime->onTaskAdded(state);
     recordRoster();
 }
 
-std::vector<core::ServiceRelief>
-Engine::reliefPredictions() const
+void
+Engine::reliefPredictions(std::vector<core::ServiceRelief> &out) const
 {
-    return runtime->reliefPredictions();
+    runtime->reliefPredictions(out);
 }
 
 void

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "admission/admission.hh"
@@ -57,10 +58,15 @@ struct ServiceSpec
      */
     std::string name;
 
-    /** The name reports and validation key on. */
-    std::string resolvedName() const
+    /**
+     * The name reports and validation key on: a view of `name`, or
+     * of the kind's static name when `name` is empty. Valid while
+     * this spec is alive and its name unchanged.
+     */
+    std::string_view resolvedName() const
     {
-        return name.empty() ? services::serviceName(kind) : name;
+        return name.empty() ? services::serviceNameView(kind)
+                            : std::string_view(name);
     }
 };
 
@@ -392,21 +398,39 @@ class TimelineSink
 
 /**
  * Validate an app list and its optional parallel initial-variant
- * list against the catalog: duplicates, unknown names, and
- * out-of-range variant indices all throw util::FatalError. Shared
- * by the single-node and cluster validation passes.
+ * list against the catalog: duplicates (the first app that recurs
+ * is named), unknown names, and out-of-range variant indices all
+ * throw util::FatalError. Linear in the list length. Shared by the
+ * single-node and cluster validation passes.
  */
 void validateAppList(const std::vector<std::string> &apps,
                      const std::vector<int> &initialVariants);
 
 /**
- * Validate a ColoConfig and return the normalized tenant list (the
- * legacy single-service fields become one constant-load tenant).
- * Throws util::FatalError on: no apps with no services, duplicate
- * apps, unknown catalog names, initialVariants size or range
- * mismatches, duplicate resolved service names, and fair-core
- * starvation. Engine's constructor and the builders both run this
- * pass, so every error surfaces before the tick loop starts.
+ * Throw util::FatalError unless `n_apps` apps at their fair share
+ * leave at least one core per service on `spec` (fair-core
+ * starvation). The one node check a cluster can only make after
+ * placement has assigned the apps.
+ */
+void validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
+                       std::size_t n_services);
+
+/**
+ * Validate a ColoConfig in place, copying nothing (throws
+ * util::FatalError). In order: no apps with no services; the app
+ * list (validateAppList); duplicate resolved service names (the
+ * first name that recurs is reported); scenario loads
+ * (validateScenarioLoads); timing; a slack threshold outside
+ * [0, 1] or NaN; admission fields; fair-core starvation. The
+ * builders and Engine's constructor run this pass, so every error
+ * surfaces before the tick loop starts.
+ */
+void checkConfig(const ColoConfig &cfg);
+
+/**
+ * checkConfig(), then return a copy of the normalized tenant list
+ * (the legacy single-service fields become one constant-load
+ * tenant).
  */
 std::vector<ServiceSpec> validateConfig(const ColoConfig &cfg);
 
@@ -478,9 +502,10 @@ class Engine
      * The runtime's per-service relief predictions (empty for
      * runtimes without a learned model). The cluster's QoS-aware
      * placement compares these against live pressure to migrate
-     * before approximating further.
+     * before approximating further. Written into `out` (see
+     * core::Runtime::reliefPredictions).
      */
-    std::vector<core::ServiceRelief> reliefPredictions() const;
+    void reliefPredictions(std::vector<core::ServiceRelief> &out) const;
 
     /**
      * Attach a streaming consumer of the per-interval series (null
@@ -654,12 +679,12 @@ class Engine
     /** Running max of per-interval total reclaimed cores. */
     int maxTotalReclaimed = 0;
     /**
-     * Post-warmup per-interval reclaimed totals — kept exactly (one
-     * double per interval, the only O(intervals) state in streaming
-     * mode) because typicalCoresReclaimed is a golden-pinned exact
-     * 60th percentile, not a sketch.
+     * Post-warmup per-interval reclaimed totals, kept exactly (one
+     * count per possible total, sized whenever a task arrives)
+     * because typicalCoresReclaimed is a golden-pinned exact 60th
+     * percentile, not a sketch.
      */
-    util::PercentileWindow reclaimTotalsPost;
+    util::IntPercentileWindow reclaimTotalsPost;
     /** Budget usage sums (same post/all split as SvcAccum). */
     double budgetQualitySumPost = 0.0;
     double budgetShedSumPost = 0.0;
@@ -719,6 +744,15 @@ class Engine
      * allocations (pinned by the zero-alloc tests).
      */
     std::vector<approx::PressureVector> peerPressure;
+    /**
+     * The interval-close point, refilled in place at every close that
+     * has a consumer (a sink, or retainTimeline, which copies it into
+     * partial.timeline), and the runtime's relief predictions,
+     * refilled at every close when admission is on. Both keep their
+     * capacity.
+     */
+    TimePoint closePoint;
+    std::vector<core::ServiceRelief> reliefBuf;
     /** Partially-built result: identity fields + growing timeline. */
     ColoResult partial;
 };

@@ -91,6 +91,51 @@ Scenario::loadAt(sim::Time t) const
     return baseLoad;
 }
 
+namespace {
+
+void
+requireLoad(double load, std::string_view tenant, ScenarioKind kind,
+            const char *field)
+{
+    if (!(std::isfinite(load) && load >= 0.0))
+        util::fatal("service '", tenant, "': ", scenarioName(kind),
+                    " scenario ", field,
+                    " must be finite and non-negative, got ", load);
+}
+
+} // namespace
+
+void
+validateScenarioLoads(const Scenario &scenario, std::string_view tenant)
+{
+    const ScenarioKind kind = scenario.kind;
+    switch (kind) {
+      case ScenarioKind::Constant:
+        requireLoad(scenario.baseLoad, tenant, kind, "load");
+        return;
+      case ScenarioKind::Diurnal:
+        requireLoad(scenario.baseLoad, tenant, kind, "base load");
+        if (!std::isfinite(scenario.amplitude))
+            util::fatal("service '", tenant,
+                        "': diurnal scenario amplitude must be finite, got ",
+                        scenario.amplitude);
+        return;
+      case ScenarioKind::FlashCrowd:
+      case ScenarioKind::Step:
+        requireLoad(scenario.baseLoad, tenant, kind, "base load");
+        requireLoad(scenario.peakLoad, tenant, kind,
+                    kind == ScenarioKind::Step ? "post-step load"
+                                               : "peak load");
+        return;
+      case ScenarioKind::Trace:
+        if (scenario.points.empty())
+            requireLoad(scenario.baseLoad, tenant, kind, "base load");
+        for (const LoadPoint &p : scenario.points)
+            requireLoad(p.load, tenant, kind, "point load");
+        return;
+    }
+}
+
 Scenario
 Scenario::constant(double load)
 {
@@ -144,6 +189,9 @@ Scenario::trace(std::vector<LoadPoint> points)
         util::fatal("trace scenario needs at least one (time, load) "
                     "point");
     for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!std::isfinite(points[i].load))
+            util::fatal("trace scenario point ", i,
+                        " has non-finite load ", points[i].load);
         if (points[i].load < 0.0)
             util::fatal("trace scenario point ", i,
                         " has negative load ", points[i].load);

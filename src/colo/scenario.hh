@@ -25,6 +25,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hh"
@@ -119,6 +120,15 @@ struct Scenario
     /** traceFromCsv() over the named file. */
     static Scenario traceFromCsvFile(const std::string &path);
 };
+
+/**
+ * Reject a scenario whose loads would reach the sampler as nonsense
+ * (throws FatalError naming `tenant`): every load field the kind
+ * reads — baseLoad; peakLoad for FlashCrowd and Step; every knot for
+ * Trace (baseLoad when it has none) — must be finite and
+ * non-negative, and a Diurnal amplitude must be finite.
+ */
+void validateScenarioLoads(const Scenario &scenario, std::string_view tenant);
 
 } // namespace colo
 } // namespace pliant

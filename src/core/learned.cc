@@ -1,6 +1,7 @@
 #include "core/learned.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/logging.hh"
@@ -42,6 +43,9 @@ LearnedRuntime::LearnedRuntime(Actuator &actuator, LearnedParams params,
 {
     if (prm.alpha <= 0 || prm.alpha > 1)
         util::fatal("EWMA alpha must be in (0, 1], got ", prm.alpha);
+    if (!(prm.slackThreshold >= 0 && prm.slackThreshold <= 1))
+        util::fatal("slack threshold must be in [0, 1], got ",
+                    prm.slackThreshold);
     models.resize(static_cast<std::size_t>(act.taskCount()));
     for (int t = 0; t < act.taskCount(); ++t)
         models[static_cast<std::size_t>(t)].worst =
@@ -454,8 +458,8 @@ LearnedRuntime::deescalateVector()
     return Decision{};
 }
 
-std::vector<ServiceRelief>
-LearnedRuntime::reliefPredictions() const
+void
+LearnedRuntime::reliefPredictions(std::vector<ServiceRelief> &out) const
 {
     // For every *hosted* service the models have data on: the lowest
     // learned ratio reachable by deepening any single unfinished
@@ -465,7 +469,11 @@ LearnedRuntime::reliefPredictions() const
     // for services this node does not host are skipped: publishing
     // them would make the placement layer read another node's past
     // pressure as this node's floor.
-    std::vector<ServiceRelief> out;
+    // The first `n` entries are this call's; the ones past them are
+    // reused in place (names assigned into their existing strings),
+    // so a caller's buffer stops allocating once it has held every
+    // hosted service.
+    std::size_t n = 0;
     for (int t = 0; t < act.taskCount(); ++t) {
         if (act.taskFinished(t))
             continue;
@@ -484,18 +492,25 @@ LearnedRuntime::reliefPredictions() const
             }
             if (best == std::numeric_limits<double>::max())
                 continue;
-            auto it = std::find_if(out.begin(), out.end(),
+            const auto end = out.begin() + static_cast<std::ptrdiff_t>(n);
+            auto it = std::find_if(out.begin(), end,
                                    [&](const ServiceRelief &r) {
                                        return r.service == slot.key;
                                    });
-            if (it == out.end())
-                out.push_back({slot.key, best});
-            else
+            if (it != end) {
                 it->predictedRatio =
                     std::min(it->predictedRatio, best);
+            } else if (n < out.size()) {
+                out[n].service = slot.key;
+                out[n].predictedRatio = best;
+                ++n;
+            } else {
+                out.push_back({slot.key, best});
+                ++n;
+            }
         }
     }
-    return out;
+    out.resize(n);
 }
 
 } // namespace core

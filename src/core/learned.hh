@@ -98,7 +98,7 @@ class LearnedRuntime : public Runtime
     void onTaskAdded(const approx::TaskState &state) override;
     void exportModel(int idx,
                      approx::TaskState &state) const override;
-    std::vector<ServiceRelief> reliefPredictions() const override;
+    void reliefPredictions(std::vector<ServiceRelief> &out) const override;
 
     std::string name() const override { return "learned"; }
 

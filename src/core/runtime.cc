@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "util/logging.hh"
@@ -26,33 +27,40 @@ Runtime::onInterval(double p99_us, double qos_us)
     return onInterval(one);
 }
 
-std::string
-decisionName(Decision::Kind kind)
+const char *
+decisionEventName(Decision::Kind kind)
 {
     switch (kind) {
       case Decision::Kind::None:
-        return "none";
+        return "decision:none";
       case Decision::Kind::SwitchToMost:
-        return "switch-to-most";
+        return "decision:switch-to-most";
       case Decision::Kind::ReclaimCore:
-        return "reclaim-core";
+        return "decision:reclaim-core";
       case Decision::Kind::ReturnCore:
-        return "return-core";
+        return "decision:return-core";
       case Decision::Kind::StepDown:
-        return "step-down";
+        return "decision:step-down";
       case Decision::Kind::GrowPartition:
-        return "grow-partition";
+        return "decision:grow-partition";
       case Decision::Kind::ShrinkPartition:
-        return "shrink-partition";
+        return "decision:shrink-partition";
     }
-    return "unknown";
+    return "decision:unknown";
+}
+
+std::string
+decisionName(Decision::Kind kind)
+{
+    // The event name without its "decision:" prefix.
+    return decisionEventName(kind) + std::strlen("decision:");
 }
 
 PliantRuntime::PliantRuntime(Actuator &actuator, RuntimeParams params,
                              std::uint64_t seed)
     : act(actuator), prm(params), rng(seed)
 {
-    if (prm.slackThreshold < 0 || prm.slackThreshold > 1)
+    if (!(prm.slackThreshold >= 0 && prm.slackThreshold <= 1))
         util::fatal("slack threshold must be in [0, 1], got ",
                     prm.slackThreshold);
     // First victim is selected randomly (Section 4.4); subsequent

@@ -94,6 +94,12 @@ struct Decision
 std::string decisionName(Decision::Kind kind);
 
 /**
+ * "decision:" + decisionName(kind) as a static string: the trace
+ * instant name of an actuation, built without allocating.
+ */
+const char *decisionEventName(Decision::Kind kind);
+
+/**
  * What one latency-critical tenant looked like over the closing
  * decision interval: the monitor's report plus the tenant's QoS
  * target. Runtimes receive one of these per colocated service.
@@ -215,13 +221,17 @@ class Runtime
     }
 
     /**
-     * Per-service relief predictions (see ServiceRelief). Empty when
-     * the runtime has no learned model — the placement layer then
-     * falls back to live pressure alone.
+     * Per-service relief predictions (see ServiceRelief), written
+     * into `out` in place of its contents. Overrides reuse the
+     * existing entries (vector and name capacity), so a caller
+     * reusing one buffer every interval stops allocating once it
+     * has grown.
+     * Empty when the runtime has no learned model — the placement
+     * layer then falls back to live pressure alone.
      */
-    virtual std::vector<ServiceRelief> reliefPredictions() const
+    virtual void reliefPredictions(std::vector<ServiceRelief> &out) const
     {
-        return {};
+        out.clear();
     }
 
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "util/logging.hh"
 
@@ -13,10 +14,13 @@ namespace {
 /** Phi^-1(0.99): pins p99/p50 dispersion of the sample lognormal. */
 constexpr double kZ99 = 2.3263478740408408;
 
+/** Most latency samples one tick emits. */
+constexpr std::size_t kMaxSamplesPerTick = 60;
+
 } // namespace
 
-std::string
-serviceName(ServiceKind kind)
+std::string_view
+serviceNameView(ServiceKind kind)
 {
     switch (kind) {
       case ServiceKind::Nginx:
@@ -27,6 +31,12 @@ serviceName(ServiceKind kind)
         return "mongodb";
     }
     return "unknown";
+}
+
+std::string
+serviceName(ServiceKind kind)
+{
+    return std::string(serviceNameView(kind));
 }
 
 ServiceConfig
@@ -170,7 +180,11 @@ InteractiveService::tick(sim::Time dt, double inflation,
     const double mu = std::log(p99) - kZ99 * sampleSigma;
     const double offered_qps = res.offeredLoad * cfg.saturationQps;
     const std::size_t n_samples = static_cast<std::size_t>(std::min(
-        60.0, std::max(8.0, offered_qps * dt_s * 0.01)));
+        static_cast<double>(kMaxSamplesPerTick),
+        std::max(8.0, offered_qps * dt_s * 0.01)));
+    // Full-size on first use, so a later tick with more samples (a
+    // load excursion) never grows a reused buffer.
+    res.sampleUs.reserve(kMaxSamplesPerTick);
     res.sampleUs.resize(n_samples);
     if (fastTable)
         rng.fillLognormalFast(res.sampleUs.data(), n_samples, mu,

@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "approx/variant.hh"
@@ -38,6 +39,10 @@ namespace services {
 /** The three interactive services the paper evaluates. */
 enum class ServiceKind { Nginx, Memcached, MongoDb };
 
+/** Printable name of a service kind (a view of static storage). */
+std::string_view serviceNameView(ServiceKind kind);
+
+/** serviceNameView() as an owned string. */
 std::string serviceName(ServiceKind kind);
 
 /** Static configuration of one interactive service. */

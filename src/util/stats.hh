@@ -223,6 +223,68 @@ class PercentileWindow
 };
 
 /**
+ * Exact percentiles of a window of small non-negative integers, kept
+ * as one count per value: memory grows with the largest value, not
+ * with the number of samples. percentile() interpolates between
+ * closest ranks exactly as sortedPercentile does over the sorted
+ * samples, so it returns the same doubles.
+ *
+ * Used for per-interval core totals, whose bound (the node's cores)
+ * is known up front: after reserveValues(bound), add() never
+ * allocates.
+ */
+class IntPercentileWindow
+{
+  public:
+    /** Count slots for every value in 0..maxValue. */
+    void reserveValues(std::size_t maxValue)
+    {
+        if (maxValue >= counts.size())
+            counts.resize(maxValue + 1, 0);
+    }
+
+    void add(std::size_t x)
+    {
+        reserveValues(x);
+        ++counts[x];
+        ++n;
+    }
+
+    std::size_t count() const { return n; }
+
+    /**
+     * @param p percentile in [0, 100].
+     * @return 0 when the window is empty.
+     */
+    double percentile(double p) const
+    {
+        if (n == 0)
+            return 0.0;
+        const double rank = (p / 100.0) * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, n - 1);
+        const double frac = rank - static_cast<double>(lo);
+        const double vlo = orderStatistic(lo);
+        const double vhi = hi == lo ? vlo : orderStatistic(hi);
+        return vlo + frac * (vhi - vlo);
+    }
+
+  private:
+    /** The k-th smallest sample (0-based), k < count(). */
+    double orderStatistic(std::size_t k) const
+    {
+        std::size_t seen = 0;
+        std::size_t v = 0;
+        while ((seen += counts[v]) <= k)
+            ++v;
+        return static_cast<double>(v);
+    }
+
+    std::vector<std::size_t> counts;
+    std::size_t n = 0;
+};
+
+/**
  * P² (Jain & Chlamtac) streaming quantile estimator: O(1) memory,
  * suitable for monitoring long latency streams without retention.
  */

@@ -3,7 +3,8 @@
  * Tests for the cluster layer:
  *
  *  - builder/config validation (zero-node clusters, service-less
- *    nodes, bad epochs, duplicate node names);
+ *    nodes, bad epochs, duplicate node names and the exact text that
+ *    names the first repeat, bad slack thresholds and loads);
  *  - the regression contract: a single-node Cluster is byte-identical
  *    to a bare colo::Engine run of the same node config;
  *  - thread-count invariance: a 3-node QoS-aware placement run (with
@@ -17,6 +18,7 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -218,6 +220,110 @@ TEST(ClusterValidationTest, RejectsUnknownAndDuplicateApps)
                      .app("canneal")
                      .build(),
                  util::FatalError);
+}
+
+/** The FatalError text `build` throws ("" when it does not throw). */
+template <typename Build>
+std::string
+fatalText(Build build)
+{
+    try {
+        build();
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ClusterValidationTest, DuplicateNodeNameReportsTheFirstRepeated)
+{
+    // Names a, b, b, a: the lowest index whose name recurs later is
+    // 0, so 'a' is reported even though the b pair is adjacent.
+    ClusterConfigBuilder builder;
+    for (const char *name : {"a", "b", "b", "a"})
+        builder.node(name).service(services::ServiceKind::Memcached,
+                                   colo::Scenario::constant(0.5));
+    builder.apps({"canneal"});
+    EXPECT_EQ(fatalText([&] { builder.build(); }),
+              "duplicate node name 'a' in cluster config");
+}
+
+TEST(ClusterValidationTest, UnnamedNodeCollidesWithExplicitName)
+{
+    // The unnamed node at index 1 resolves to "node1", which an
+    // explicitly named later node repeats.
+    ClusterConfigBuilder builder;
+    builder.node().service(services::ServiceKind::Memcached,
+                           colo::Scenario::constant(0.5));
+    builder.node().service(services::ServiceKind::Memcached,
+                           colo::Scenario::constant(0.5));
+    builder.node("node1").service(services::ServiceKind::Nginx,
+                                  colo::Scenario::constant(0.5));
+    builder.apps({"canneal"});
+    EXPECT_EQ(fatalText([&] { builder.build(); }),
+              "duplicate node name 'node1' in cluster config");
+}
+
+TEST(ClusterValidationTest, DuplicateUnnamedTenantsNameTheNode)
+{
+    ClusterConfigBuilder builder;
+    builder.node("edge")
+        .service(services::ServiceKind::Memcached,
+                 colo::Scenario::constant(0.5))
+        .service(services::ServiceKind::Memcached,
+                 colo::Scenario::constant(0.6));
+    builder.apps({"canneal"});
+    EXPECT_EQ(fatalText([&] { builder.build(); }),
+              "duplicate service 'memcached' on node 'edge': give "
+              "same-kind tenants distinct instance names");
+}
+
+TEST(ClusterValidationTest, DuplicateAppReportsTheFirstRepeated)
+{
+    ClusterConfigBuilder builder;
+    builder.nodes(2).serviceOnAll(services::ServiceKind::Memcached,
+                                  colo::Scenario::constant(0.5));
+    builder.apps({"canneal", "bayesian", "bayesian", "canneal"});
+    EXPECT_EQ(fatalText([&] { builder.build(); }),
+              "duplicate app 'canneal' in colocation config: each "
+              "approximate application may appear once");
+}
+
+TEST(ClusterValidationTest, ConstructorRejectsBadSlackAndLoads)
+{
+    // Raw configs skip build(), so Cluster::Cluster must catch these
+    // before run() builds the first engine.
+    const auto raw = [] {
+        ClusterConfig cfg;
+        cfg.nodes.resize(2);
+        for (NodeSpec &node : cfg.nodes)
+            node.services.push_back(
+                {services::ServiceKind::Memcached,
+                 colo::Scenario::constant(0.5), ""});
+        cfg.apps = {"canneal"};
+        return cfg;
+    };
+    EXPECT_NO_THROW(Cluster c(raw()));
+    for (const auto runtime :
+         {core::RuntimeKind::Precise, core::RuntimeKind::Pliant,
+          core::RuntimeKind::Learned})
+        for (const double bad :
+             {std::numeric_limits<double>::quiet_NaN(), -0.5, 2.0}) {
+            ClusterConfig cfg = raw();
+            cfg.runtime = runtime;
+            cfg.slackThreshold = bad;
+            EXPECT_THROW(Cluster c(std::move(cfg)), util::FatalError)
+                << "slack " << bad;
+        }
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), -0.1,
+          std::numeric_limits<double>::infinity()}) {
+        ClusterConfig cfg = raw();
+        cfg.nodes[1].services[0].scenario =
+            colo::Scenario::step(0.5, bad, 10 * kS);
+        EXPECT_THROW(Cluster c(std::move(cfg)), util::FatalError)
+            << "load " << bad;
+    }
 }
 
 TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)

@@ -13,6 +13,7 @@
  */
 
 #include <cctype>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,63 @@ invalidBudgetDraw(util::SplitMix64 &sm)
     return cfg;
 }
 
+/** A random runtime kind: the slack check must not depend on it. */
+core::RuntimeKind
+runtimeDraw(util::SplitMix64 &sm)
+{
+    switch (sm.next() % 3) {
+      case 0:
+        return core::RuntimeKind::Precise;
+      case 1:
+        return core::RuntimeKind::Pliant;
+      default:
+        return core::RuntimeKind::Learned;
+    }
+}
+
+/** A slack threshold outside [0, 1], or NaN. */
+double
+invalidSlackDraw(util::SplitMix64 &sm)
+{
+    switch (sm.next() % 3) {
+      case 0:
+        return std::numeric_limits<double>::quiet_NaN();
+      case 1:
+        return -static_cast<double>(1 + sm.next() % 100) / 100.0;
+      default:
+        return 1.0 + static_cast<double>(1 + sm.next() % 100) / 100.0;
+    }
+}
+
+/**
+ * A scenario with one load field the kind reads driven negative,
+ * NaN or infinite.
+ */
+colo::Scenario
+invalidScenarioDraw(util::SplitMix64 &sm)
+{
+    const double bad[] = {-static_cast<double>(1 + sm.next() % 50) /
+                              100.0,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()};
+    const double load = bad[sm.next() % 3];
+    const bool base = sm.next() % 2 == 0;
+    switch (sm.next() % 4) {
+      case 0:
+        return colo::Scenario::constant(load);
+      case 1:
+        return base ? colo::Scenario::step(load, 0.5, 10 * kS)
+                    : colo::Scenario::step(0.5, load, 10 * kS);
+      case 2:
+        return base ? colo::Scenario::flashCrowd(load, 0.9, 10 * kS,
+                                                 kS, kS, kS)
+                    : colo::Scenario::flashCrowd(0.5, load, 10 * kS,
+                                                 kS, kS, kS);
+      default:
+        return colo::Scenario::diurnal(load, 0.2, 60 * kS);
+    }
+}
+
 TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
 {
     util::SplitMix64 sm(0xC010BADu);
@@ -130,7 +188,7 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
         colo::ConfigBuilder builder;
         builder.service(services::ServiceKind::Memcached,
                         colo::Scenario::constant(loadDraw(sm)));
-        const auto kind = sm.next() % 8;
+        const auto kind = sm.next() % 10;
         switch (kind) {
           case 0: { // duplicate app
             const auto apps = pickApps(sm, 1);
@@ -187,9 +245,21 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
             builder.decisionInterval(sim::kMillisecond);
             break;
           }
-          default: { // out-of-range admission field
+          case 7: { // out-of-range admission field
             builder.apps(pickApps(sm, 1));
             builder.admission(invalidAdmissionDraw(sm));
+            break;
+          }
+          case 8: { // NaN or out-of-range slack threshold
+            builder.apps(pickApps(sm, 1))
+                .runtime(runtimeDraw(sm))
+                .slackThreshold(invalidSlackDraw(sm));
+            break;
+          }
+          default: { // non-finite or negative scenario load
+            builder.service("bad-load", services::ServiceKind::Nginx,
+                            invalidScenarioDraw(sm));
+            builder.apps(pickApps(sm, 1));
             break;
           }
         }
@@ -232,7 +302,7 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
     util::SplitMix64 sm(0xC1BADu);
     for (int iter = 0; iter < 120; ++iter) {
         cluster::ClusterConfigBuilder builder;
-        const auto kind = sm.next() % 10;
+        const auto kind = sm.next() % 12;
         // Most classes need a well-formed base cluster first.
         if (kind != 0 && kind != 1 && kind != 9) {
             builder.nodes(1 + sm.next() % 3);
@@ -309,6 +379,18 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
           case 8: { // out-of-range budget field
             builder.apps(pickApps(sm, 1));
             builder.budget(invalidBudgetDraw(sm));
+            break;
+          }
+          case 10: { // NaN or out-of-range slack threshold
+            builder.apps(pickApps(sm, 1))
+                .runtime(runtimeDraw(sm))
+                .slackThreshold(invalidSlackDraw(sm));
+            break;
+          }
+          case 11: { // non-finite or negative scenario load
+            builder.node("bad-load").service(
+                services::ServiceKind::Nginx, invalidScenarioDraw(sm));
+            builder.apps(pickApps(sm, 1));
             break;
           }
           default: { // budget without a cluster (single node)

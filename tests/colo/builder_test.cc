@@ -7,13 +7,15 @@
  *    describes (so migrating call sites can never move results);
  *  - every class of config error surfaces at build() time: unknown
  *    apps, duplicates, out-of-range initial variants, duplicate
- *    tenant names, fair-core starvation;
+ *    tenant names, fair-core starvation, a NaN or out-of-range slack
+ *    threshold, and non-finite or negative scenario loads;
  *  - ServiceSpec instance names make same-kind shards expressible,
  *    and reports/traces key on the name.
  */
 
 #include "colo/builder.hh"
 
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -160,6 +162,25 @@ TEST(ConfigBuilderValidationTest, RejectsDuplicateTenantNames)
                  util::FatalError);
 }
 
+TEST(ConfigBuilderValidationTest, DuplicateTenantReportsTheFirstRepeated)
+{
+    // Tenants a, b, b, a: the lowest index whose name recurs later
+    // is 0, so 'a' is reported even though the b pair is adjacent.
+    ConfigBuilder builder;
+    for (const char *name : {"a", "b", "b", "a"})
+        builder.service(name, services::ServiceKind::Memcached,
+                        Scenario::constant(0.3));
+    builder.app("canneal");
+    std::string text;
+    try {
+        builder.build();
+    } catch (const util::FatalError &e) {
+        text = e.what();
+    }
+    EXPECT_EQ(text, "duplicate service 'a' in colocation config: give "
+                    "same-kind tenants distinct instance names");
+}
+
 TEST(ConfigBuilderValidationTest, RejectsNonPositiveTiming)
 {
     EXPECT_THROW(ConfigBuilder()
@@ -176,6 +197,128 @@ TEST(ConfigBuilderValidationTest, RejectsNonPositiveTiming)
                      .maxDuration(-1)
                      .build(),
                  util::FatalError);
+}
+
+TEST(ConfigBuilderValidationTest, RejectsBadSlackThresholdForEveryRuntime)
+{
+    for (const auto runtime :
+         {core::RuntimeKind::Precise, core::RuntimeKind::Pliant,
+          core::RuntimeKind::Learned}) {
+        const auto build = [&](double slack) {
+            return ConfigBuilder()
+                .service(services::ServiceKind::Memcached,
+                         Scenario::constant(0.5))
+                .app("canneal")
+                .runtime(runtime)
+                .slackThreshold(slack)
+                .build();
+        };
+        for (const double bad :
+             {std::numeric_limits<double>::quiet_NaN(), -0.01, 1.5,
+              std::numeric_limits<double>::infinity()})
+            EXPECT_THROW(build(bad), util::FatalError)
+                << "runtime " << static_cast<int>(runtime) << ", slack "
+                << bad;
+        EXPECT_NO_THROW(build(0.0));
+        EXPECT_NO_THROW(build(1.0));
+    }
+}
+
+/** The loads every scenario kind must reject. */
+const double kBadLoads[] = {-0.2,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()};
+
+/** Whether a one-tenant config with `scenario` fails at build(). */
+bool
+rejectsScenario(const Scenario &scenario)
+{
+    try {
+        ConfigBuilder()
+            .service(services::ServiceKind::Memcached, scenario)
+            .app("canneal")
+            .build();
+    } catch (const util::FatalError &) {
+        return true;
+    }
+    return false;
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadConstantLoad)
+{
+    for (const double bad : kBadLoads)
+        EXPECT_TRUE(rejectsScenario(Scenario::constant(bad))) << bad;
+    EXPECT_FALSE(rejectsScenario(Scenario::constant(0.0)));
+    // Constant reads only baseLoad; the other fields stay inert.
+    Scenario flat = Scenario::constant(0.5);
+    flat.peakLoad = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(rejectsScenario(flat));
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadDiurnalLoadAndAmplitude)
+{
+    const sim::Time s = sim::kSecond;
+    for (const double bad : kBadLoads)
+        EXPECT_TRUE(rejectsScenario(Scenario::diurnal(bad, 0.2, 60 * s)))
+            << bad;
+    for (const double bad : {kBadLoads[1], kBadLoads[2]})
+        EXPECT_TRUE(rejectsScenario(Scenario::diurnal(0.5, bad, 60 * s)))
+            << bad;
+    EXPECT_FALSE(rejectsScenario(Scenario::diurnal(0.5, -0.2, 60 * s)));
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadFlashCrowdLoads)
+{
+    const sim::Time s = sim::kSecond;
+    for (const double bad : kBadLoads) {
+        EXPECT_TRUE(rejectsScenario(
+            Scenario::flashCrowd(bad, 0.9, 10 * s, s, s, s)))
+            << bad;
+        EXPECT_TRUE(rejectsScenario(
+            Scenario::flashCrowd(0.5, bad, 10 * s, s, s, s)))
+            << bad;
+    }
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadStepLoads)
+{
+    const sim::Time s = sim::kSecond;
+    for (const double bad : kBadLoads) {
+        EXPECT_TRUE(rejectsScenario(Scenario::step(bad, 0.5, 10 * s)))
+            << bad;
+        EXPECT_TRUE(rejectsScenario(Scenario::step(0.5, bad, 10 * s)))
+            << bad;
+    }
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadTraceLoads)
+{
+    const sim::Time s = sim::kSecond;
+    for (const double bad : kBadLoads) {
+        // The factory rejects these itself...
+        EXPECT_THROW(Scenario::trace({{0, 0.5}, {10 * s, bad}}),
+                     util::FatalError)
+            << bad;
+        // ... and knots written past it fail validation.
+        Scenario raw = Scenario::trace({{0, 0.5}, {10 * s, 0.6}});
+        raw.points[1].load = bad;
+        EXPECT_TRUE(rejectsScenario(raw)) << bad;
+        Scenario empty;
+        empty.kind = ScenarioKind::Trace;
+        empty.baseLoad = bad;
+        EXPECT_TRUE(rejectsScenario(empty)) << bad;
+    }
+}
+
+TEST(ScenarioLoadValidationTest, RejectsBadLegacyLoadFraction)
+{
+    for (const double bad : kBadLoads) {
+        const ColoConfig cfg = makeColoConfig(
+            services::ServiceKind::Memcached, {"canneal"},
+            core::RuntimeKind::Pliant, 1, bad);
+        EXPECT_THROW(checkConfig(cfg), util::FatalError) << bad;
+        EXPECT_THROW(Engine engine(cfg), util::FatalError) << bad;
+    }
 }
 
 TEST(ServiceNamingTest, SameKindShardsRunUnderDistinctNames)

@@ -1,8 +1,10 @@
 /**
  * @file
  * A warmed-up colo::Engine tick loop performs zero heap allocations,
- * with the metrics registry off and on. Every per-tick buffer is
- * sized at construction or reaches its steady capacity during
+ * with the metrics registry off and on, and so do its decision-
+ * interval closes when the timeline is not retained — with the
+ * admission front-end on as well. Every per-tick and per-close buffer
+ * is sized at construction or reaches its steady capacity during
  * warmup, so the steady-state loop only reuses memory.
  */
 
@@ -10,9 +12,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "admission/admission.hh"
 #include "colo/builder.hh"
 #include "colo/engine.hh"
 
@@ -270,6 +274,74 @@ TEST(ZeroAllocTest, WarmTickLoopStaysZeroAllocWithMetricsEnabled)
     EXPECT_EQ(after - before, 0U)
         << "metrics-enabled warm tick loop allocated "
         << (after - before) << " times between 10.2s and 10.9s";
+}
+
+/** A live timeline consumer that only counts what it is sent. */
+class CountingSink : public TimelineSink
+{
+  public:
+    void onRoster(const RosterEvent &) override {}
+    void onPoint(const TimePoint &) override { ++points; }
+
+    int points = 0;
+};
+
+TEST(ZeroAllocTest, IntervalClosesWithAdmissionAllocateNothing)
+{
+    // The window 10.2s -> 20.9s spans ten closes (11s .. 20s). Each
+    // close refills the engine's TimePoint (for the live sink) and
+    // relief buffer in place, and the QosShed front-end reads the
+    // runtime's relief floor at every close (non-empty under the
+    // learned runtime). The first tenant's name is longer than any
+    // short-string buffer, so a close that copied it into a fresh
+    // string would allocate. The timeline is not retained, so no
+    // close appends to a per-interval series.
+    for (const auto runtime :
+         {core::RuntimeKind::Pliant, core::RuntimeKind::Learned}) {
+        for (const bool metrics : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "runtime " << static_cast<int>(runtime)
+                         << ", metrics " << metrics);
+            const ColoConfig cfg =
+                ConfigBuilder()
+                    .service("memcached-primary-tenant",
+                             services::ServiceKind::Memcached,
+                             Scenario::constant(0.70))
+                    .service("mc-b", services::ServiceKind::Memcached,
+                             Scenario::constant(0.60))
+                    .service("ng", services::ServiceKind::Nginx,
+                             Scenario::constant(0.55))
+                    .apps({"canneal", "bayesian"})
+                    .runtime(runtime)
+                    .admission(admission::AdmissionKind::QosShed,
+                               admission::BatchingKind::Adaptive)
+                    .retainTimeline(false)
+                    .seed(5)
+                    .observability(metrics)
+                    .build();
+            Engine engine(cfg);
+            CountingSink sink;
+            engine.setTimelineSink(&sink);
+            engine.advanceUntil(sim::Time(10.2 * kS));
+            const int points_before = sink.points;
+            const std::uint64_t before =
+                g_allocations.load(std::memory_order_relaxed);
+            engine.advanceUntil(sim::Time(20.9 * kS));
+            const std::uint64_t allocs =
+                g_allocations.load(std::memory_order_relaxed) - before;
+            ASSERT_FALSE(engine.appsFinished());
+            EXPECT_EQ(sink.points - points_before, 10);
+            EXPECT_EQ(engine.now(), sim::Time(20.9 * kS));
+            if (runtime == core::RuntimeKind::Learned) {
+                std::vector<core::ServiceRelief> relief;
+                engine.reliefPredictions(relief);
+                EXPECT_FALSE(relief.empty());
+            }
+            EXPECT_EQ(allocs, 0U)
+                << "warm loop with ten interval closes allocated "
+                << allocs << " times between 10.2s and 20.9s";
+        }
+    }
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include "core/learned.hh"
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/logging.hh"
@@ -83,6 +86,19 @@ TEST(LearnedRuntimeTest, RejectsBadAlpha)
     p.alpha = 0.0;
     EXPECT_THROW(LearnedRuntime r(env, p, 1),
                  pliant::util::FatalError);
+}
+
+TEST(LearnedRuntimeTest, RejectsNanOrOutOfRangeSlack)
+{
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+        SyntheticActuator env;
+        LearnedParams p;
+        p.slackThreshold = bad;
+        EXPECT_THROW(LearnedRuntime r(env, p, 1),
+                     pliant::util::FatalError)
+            << bad;
+    }
 }
 
 TEST(LearnedRuntimeTest, EscalatesOnViolation)
@@ -341,7 +357,9 @@ TEST(LearnedVectorTest, DormantMigratedSlotsAreNotPublishedAsRelief)
     other[0].qosUs = 100.0;
     other[0].interval.p99Us = 50.0;
     migrated.onInterval(other);
-    for (const auto &relief : migrated.reliefPredictions()) {
+    std::vector<ServiceRelief> reliefs;
+    migrated.reliefPredictions(reliefs);
+    for (const auto &relief : reliefs) {
         EXPECT_NE(relief.service, "svc-a");
         EXPECT_NE(relief.service, "svc-b");
     }
@@ -351,8 +369,14 @@ TEST(LearnedVectorTest, ReliefPredictionsReportLearnedFloors)
 {
     SyntheticActuator env;
     LearnedRuntime rt(env, fastParams(), 1);
+    // One buffer across every call, seeded with stale entries: each
+    // call replaces its contents.
+    std::vector<ServiceRelief> relief = {
+        {"stale-service-with-a-long-name", 0.1}, {"svc-b", 0.2},
+        {"x", 0.3}};
     // No data yet: no predictions.
-    EXPECT_TRUE(rt.reliefPredictions().empty());
+    rt.reliefPredictions(relief);
+    EXPECT_TRUE(relief.empty());
 
     // Train with ratios inside the hold band (no violation, slack
     // below threshold), so the manually stepped variant sticks:
@@ -363,7 +387,10 @@ TEST(LearnedVectorTest, ReliefPredictionsReportLearnedFloors)
         for (int i = 0; i < 4; ++i)
             rt.onInterval(twoTenants(0.98 - 0.04 * v, 0.92));
     }
-    const auto relief = rt.reliefPredictions();
+    relief.assign({{"stale-service-with-a-long-name", 0.1},
+                   {"svc-b", 0.2},
+                   {"x", 0.3}});
+    rt.reliefPredictions(relief);
     ASSERT_EQ(relief.size(), 2u);
     EXPECT_EQ(relief[0].service, "svc-a");
     // Best learned ratio over variants >= the current one (v=3).
@@ -373,7 +400,8 @@ TEST(LearnedVectorTest, ReliefPredictionsReportLearnedFloors)
 
     // A finished task publishes nothing.
     env.finished = true;
-    EXPECT_TRUE(rt.reliefPredictions().empty());
+    rt.reliefPredictions(relief);
+    EXPECT_TRUE(relief.empty());
 }
 
 /** The learner works across different environment difficulty levels. */

@@ -6,6 +6,9 @@
 
 #include "core/runtime.hh"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/actuator.hh"
@@ -371,6 +374,24 @@ TEST(PliantRuntimeTest, InvalidSlackThresholdIsFatal)
     RuntimeParams prm;
     prm.slackThreshold = 1.5;
     EXPECT_THROW(PliantRuntime(act, prm, 1), pliant::util::FatalError);
+}
+
+TEST(PliantRuntimeTest, NanSlackThresholdIsFatal)
+{
+    MockActuator act(1);
+    RuntimeParams prm;
+    prm.slackThreshold = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(PliantRuntime(act, prm, 1), pliant::util::FatalError);
+}
+
+TEST(DecisionNameTest, EventNamesArePrefixedDecisionNames)
+{
+    for (int k = 0; k < 7; ++k) {
+        const auto kind = static_cast<Decision::Kind>(k);
+        EXPECT_EQ(std::string(decisionEventName(kind)),
+                  "decision:" + decisionName(kind));
+        EXPECT_NE(decisionName(kind), "unknown") << k;
+    }
 }
 
 /** Build a per-service report vector from (p99, qos) pairs. */

@@ -19,6 +19,7 @@
 namespace {
 
 using pliant::util::FiveNumber;
+using pliant::util::IntPercentileWindow;
 using pliant::util::P2Quantile;
 using pliant::util::PercentileWindow;
 using pliant::util::Reservoir;
@@ -250,6 +251,62 @@ TEST(PercentileWindowTest, ClearResetsCache)
     w.add(7.0);
     EXPECT_DOUBLE_EQ(w.p50(), 7.0);
     EXPECT_DOUBLE_EQ(w.p99(), 7.0);
+}
+
+TEST(IntPercentileWindowTest, EmptyReturnsZero)
+{
+    IntPercentileWindow w;
+    EXPECT_EQ(w.count(), 0U);
+    EXPECT_EQ(w.percentile(99.0), 0.0);
+}
+
+TEST(IntPercentileWindowTest, SingleSample)
+{
+    IntPercentileWindow w;
+    w.add(42);
+    EXPECT_DOUBLE_EQ(w.percentile(0.0), 42.0);
+    EXPECT_DOUBLE_EQ(w.percentile(50.0), 42.0);
+    EXPECT_DOUBLE_EQ(w.percentile(100.0), 42.0);
+}
+
+TEST(IntPercentileWindowTest, LinearInterpolation)
+{
+    IntPercentileWindow w;
+    for (std::size_t x : {40U, 10U, 30U, 20U})
+        w.add(x);
+    EXPECT_DOUBLE_EQ(w.percentile(0.0), 10.0);
+    EXPECT_DOUBLE_EQ(w.percentile(100.0), 40.0);
+    EXPECT_DOUBLE_EQ(w.percentile(50.0), 25.0);
+}
+
+TEST(IntPercentileWindowTest, MatchesSortedPercentileBitForBit)
+{
+    // Random windows of small totals (many ties, values past the
+    // reserved bound too), queried after every add at a spread of
+    // percentiles, the engine's 60th among them.
+    SplitMix64 sm(0x5EEDu);
+    for (int iter = 0; iter < 50; ++iter) {
+        const std::size_t range = 1 + sm.next() % 40;
+        IntPercentileWindow w;
+        w.reserveValues(range / 2);
+        std::vector<double> mirror;
+        const std::size_t n = 1 + sm.next() % 120;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t x = sm.next() % range;
+            w.add(x);
+            mirror.push_back(static_cast<double>(x));
+            std::vector<double> sorted = mirror;
+            std::sort(sorted.begin(), sorted.end());
+            ASSERT_EQ(w.count(), sorted.size());
+            for (const double p : {0.0, 25.0, 50.0, 60.0, 99.0, 100.0}) {
+                const double want = sortedPercentile(sorted, p);
+                const double got = w.percentile(p);
+                ASSERT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+                    << "iteration " << iter << ", n " << mirror.size()
+                    << ", p " << p << ": " << got << " vs " << want;
+            }
+        }
+    }
 }
 
 TEST(SortedPercentileTest, MatchesWindowOnSortedInput)
