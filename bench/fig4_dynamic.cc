@@ -25,6 +25,8 @@ timeline(services::ServiceKind kind, const std::string &app)
     cfg.runtime = core::RuntimeKind::Pliant;
     cfg.seed = 23;
     colo::Engine exp(cfg);
+    colo::TimelineRecorder recorder;
+    exp.setTimelineSink(&recorder);
     const colo::ColoResult r = exp.run();
 
     const int most =
@@ -36,7 +38,7 @@ timeline(services::ServiceKind kind, const std::string &app)
     util::TextTable t({"t(s)", "p99", "p99/QoS", "variant",
                        "cores reclaimed", "decision"});
     std::vector<double> series;
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : recorder.points) {
         series.push_back(tp.p99Us);
         t.addRow({util::fmt(sim::toSeconds(tp.t), 0),
                   util::fmt(tp.p99Us / 1000.0, 2) + "ms",

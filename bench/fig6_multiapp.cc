@@ -25,6 +25,8 @@ multiTimeline(services::ServiceKind kind)
     cfg.runtime = core::RuntimeKind::Pliant;
     cfg.seed = 29;
     colo::Engine exp(cfg);
+    colo::TimelineRecorder recorder;
+    exp.setTimelineSink(&recorder);
     const colo::ColoResult r = exp.run();
 
     std::cout << "[" << r.service
@@ -34,7 +36,7 @@ multiTimeline(services::ServiceKind kind)
                        "canneal cores", "bayesian var",
                        "bayesian cores", "decision"});
     std::vector<double> series;
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : recorder.points) {
         series.push_back(tp.p99Us);
         t.addRow({util::fmt(sim::toSeconds(tp.t), 0),
                   util::fmt(tp.p99Us / r.qosUs, 2) + "x",

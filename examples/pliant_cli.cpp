@@ -357,6 +357,8 @@ main(int argc, char **argv)
             metrics_summary = true;
         } else if (arg == "--csv") {
             csv_mode = next();
+            if (csv_mode != "timeline" && csv_mode != "summary")
+                usage(argv[0]);
         } else if (arg == "--list-apps") {
             for (const auto &name : approx::catalogNames())
                 std::cout << name << '\n';
@@ -507,16 +509,23 @@ main(int argc, char **argv)
             tracer = std::make_unique<obs::TraceWriter>(*trace_os);
             exp.setTrace(tracer.get());
         }
+        // The timeline streams to stdout as intervals close. Its sink
+        // writes the header on construction, so it comes after every
+        // step that can fail before the run.
+        std::unique_ptr<colo::CsvTimelineSink> timeline;
+        if (csv_mode == "timeline") {
+            timeline = std::make_unique<colo::CsvTimelineSink>(
+                colo::CsvTimelineSink::forConfig(std::cout, cfg));
+            exp.setTimelineSink(timeline.get());
+        }
         const colo::ColoResult r = exp.run();
         if (tracer)
             tracer->finish();
         if (!metrics_out.empty())
             exportMetrics(r.metrics, metrics_out, false);
 
-        if (csv_mode == "timeline") {
-            colo::writeTimelineCsv(std::cout, r);
+        if (csv_mode == "timeline")
             return 0;
-        }
         if (csv_mode == "summary") {
             colo::writeSummaryCsv(std::cout, r);
             return 0;

@@ -136,7 +136,6 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         nc.enableCachePartitioning = cfg.enableCachePartitioning;
         nc.admission = cfg.admission;
         nc.fastSampling = cfg.fastSampling;
-        nc.retainTimeline = cfg.retainTimeline;
         nc.observability = cfg.observability;
         nc.seed = nodeSeed(cfg.seed, i);
         for (std::size_t a = 0; a < cfg.apps.size(); ++a) {
@@ -193,6 +192,16 @@ Cluster::setTraceWriter(obs::TraceWriter *writer)
     for (std::size_t i = 0; i < nodeNames.size(); ++i)
         tracer->processName(static_cast<int>(i) + 1,
                             "node:" + nodeNames[i]);
+}
+
+void
+Cluster::setTimelineSink(std::size_t node, colo::TimelineSink *sink)
+{
+    if (node >= nodeCount())
+        util::fatal("setTimelineSink: node ", node, " of a ",
+                    nodeCount(), "-node cluster");
+    nodeSinks.resize(nodeCount(), nullptr);
+    nodeSinks[node] = sink;
 }
 
 Cluster::~Cluster() = default;
@@ -305,6 +314,8 @@ Cluster::run()
     if (tracer)
         for (std::size_t i = 0; i < engines.size(); ++i)
             engines[i]->setTrace(tracer, static_cast<int>(i) + 1);
+    for (std::size_t i = 0; i < nodeSinks.size(); ++i)
+        engines[i]->setTimelineSink(nodeSinks[i]);
 
     ClusterResult out;
     out.placement = policy->name();
@@ -726,13 +737,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::fastSampling(bool enable)
 {
     cfg.fastSampling = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::retainTimeline(bool enable)
-{
-    cfg.retainTimeline = enable;
     return *this;
 }
 

@@ -121,16 +121,6 @@ struct ClusterConfig
      * for golden-pinned runs.
      */
     bool fastSampling = false;
-
-    /**
-     * Keep every node's per-tick TimePoint series (see
-     * colo::ColoConfig::retainTimeline). Clusters default OFF —
-     * at 1000 nodes the retained series is the binding memory
-     * constraint — and every summary/rollup is identical either way
-     * because nodes accumulate them online. Turn on for per-tick CSV
-     * export or timeline-level debugging.
-     */
-    bool retainTimeline = false;
 };
 
 /**
@@ -317,9 +307,6 @@ class ClusterConfigBuilder
     /** Table-driven samplers on every node (NOT byte-identical). */
     ClusterConfigBuilder &fastSampling(bool enable = true);
 
-    /** Retain per-tick series on every node (default off). */
-    ClusterConfigBuilder &retainTimeline(bool enable = true);
-
     /** Observability knobs, cluster layer + every node (default off). */
     ClusterConfigBuilder &observability(obs::ObsConfig cfg);
 
@@ -389,6 +376,17 @@ class Cluster
      */
     void setTraceWriter(obs::TraceWriter *writer);
 
+    /**
+     * Attach a consumer of node `node`'s per-interval series
+     * (non-owning; null detaches). Call before run(), which attaches
+     * it when it builds the node's engine, before the initial budget
+     * slices are installed: the sink sees the node's whole run and
+     * every budget cap in force from t=0. Migrants arrive as roster
+     * events, so a colo::CsvTimelineSink here should list every
+     * cluster app as a column.
+     */
+    void setTimelineSink(std::size_t node, colo::TimelineSink *sink);
+
   private:
     std::vector<NodeStatus> gatherStatuses() const;
     void applyMigration(const MigrationDecision &decision,
@@ -408,6 +406,8 @@ class Cluster
     std::vector<colo::ColoConfig> nodeConfigs;
     std::vector<std::string> nodeNames;
     std::vector<std::unique_ptr<colo::Engine>> engines;
+    /** Per-node timeline sinks (non-owning; empty = none attached). */
+    std::vector<colo::TimelineSink *> nodeSinks;
     bool ran = false;
 
     /** Cluster-layer metric handles (registered at construction). */

@@ -126,13 +126,6 @@ ConfigBuilder::fastSampling(bool enable)
 }
 
 ConfigBuilder &
-ConfigBuilder::retainTimeline(bool enable)
-{
-    cfg.retainTimeline = enable;
-    return *this;
-}
-
-ConfigBuilder &
 ConfigBuilder::admission(pliant::admission::AdmissionConfig admission_cfg)
 {
     cfg.admission = std::move(admission_cfg);

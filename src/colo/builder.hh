@@ -82,13 +82,6 @@ class ConfigBuilder
     ConfigBuilder &fastSampling(bool enable = true);
 
     /**
-     * Keep the per-tick TimePoint series in ColoResult (default on).
-     * Summaries are accumulated online either way, so turning this
-     * off changes memory, not numbers; writeTimelineCsv needs it on.
-     */
-    ConfigBuilder &retainTimeline(bool enable = true);
-
-    /**
      * Enable the admission front-end with the given (possibly
      * customized) config; build() validates its fields. (Types are
      * spelled via pliant:: because the method name `admission`

@@ -417,7 +417,6 @@ Engine::Engine(ColoConfig config)
     partial.runtime = runtime->name();
     partial.qosUs = tenants[0].service->qosUs();
     partial.admissionEnabled = cfg.admission.enabled;
-    partial.rosterChanges.push_back({0, cfg.apps});
 
     // Observability: register the full fixed metric roster whether or
     // not admission/budget are in play, so every enabled run exports
@@ -478,28 +477,21 @@ Engine::setTrace(obs::TraceWriter *writer, int pid)
 void
 Engine::recordRoster()
 {
+    if (!sink)
+        return;
     RosterEvent ev;
     ev.t = clock.now();
     ev.apps.reserve(profiles.size());
     for (const auto &prof : profiles)
         ev.apps.push_back(prof->name);
-    partial.rosterChanges.push_back(std::move(ev));
-    if (sink)
-        sink->onRoster(partial.rosterChanges.back());
+    sink->onRoster(ev);
 }
 
 void
 Engine::setTimelineSink(TimelineSink *new_sink)
 {
     sink = new_sink;
-    if (!sink)
-        return;
-    // Replay history so a sink attached after construction (or after
-    // early roster churn) still sees every roster event that shaped
-    // the run. Points are not replayed: attach the sink before
-    // advancing the clock to observe the full series.
-    for (const RosterEvent &ev : partial.rosterChanges)
-        sink->onRoster(ev);
+    recordRoster();
 }
 
 Engine::~Engine() = default;
@@ -755,10 +747,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
 
             // Online rollups: every summary finalize() reports is
-            // accumulated here, in interval order, with the same
-            // plain chronological sums the old retained-timeline scan
-            // used, so the summaries are byte-identical whether or
-            // not the per-tick series itself is kept.
+            // accumulated here, in interval order, as plain
+            // chronological sums.
             const bool post_warmup = now > kWarmup;
             for (std::size_t s = 0; s < tenants.size(); ++s) {
                 SvcAccum &acc = svcAccum[s];
@@ -777,8 +767,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 reclaimTotalsPost.add(
                     static_cast<std::size_t>(total_reclaimed));
             // Budget usage is zero when no slice is active, exactly
-            // as in the retained TimePoint, so the sums stay in step
-            // with the old unconditional timeline scan.
+            // as in the sink's TimePoint; the sums run unconditionally.
             budgetQualitySumAll += quality_used;
             budgetShedSumAll += shed_used;
             ++budgetNAll;
@@ -844,10 +833,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
             intervalStart = now;
 
-            // The series point exists only for its consumers. It is
-            // refilled in place, so its vectors keep their capacity
-            // and a live sink costs no allocation per close.
-            if (sink || cfg.retainTimeline) {
+            // The series point exists only for a sink. It is refilled
+            // in place, so its vectors keep their capacity and a live
+            // sink costs no allocation per close.
+            if (sink) {
                 TimePoint &tp = closePoint;
                 tp.t = now;
                 tp.p99Us = reports[0].interval.p99Us;
@@ -871,10 +860,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                     tp.variantOf.push_back(task.variantIndex());
                     tp.reclaimed.push_back(task.fairCores() - task.cores());
                 }
-                if (sink)
-                    sink->onPoint(tp);
-                if (cfg.retainTimeline)
-                    partial.timeline.push_back(tp);
+                sink->onPoint(tp);
             }
         }
     }
@@ -989,11 +975,9 @@ Engine::finalize()
     const std::vector<int> &max_reclaimed = maxReclaimed;
 
     // Every summary below reads the online accumulators filled at
-    // interval close, never the retained timeline, so streaming runs
-    // (retainTimeline = false) report exactly the same numbers: the
-    // accumulators use the same plain chronological sums the old
-    // timeline scans did, with the same whole-run fallback when no
-    // interval lands past the warmup window.
+    // interval close: plain chronological sums over the intervals,
+    // with a whole-run fallback when no interval lands past the
+    // warmup window.
 
     // Per-service summaries; [0] mirrors into the scalar fields.
     for (std::size_t s = 0; s < tenants.size(); ++s) {

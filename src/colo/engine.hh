@@ -164,20 +164,6 @@ struct ColoConfig
     bool fastSampling = false;
 
     /**
-     * Keep the full per-interval TimePoint series in
-     * ColoResult::timeline. Every scalar rollup is accumulated
-     * online during the run in either mode (same values, same
-     * arithmetic order — byte-identical results), so retention is
-     * purely about whether the series itself is available afterwards
-     * (timeline CSV replay, per-point tests). Single-node and figure
-     * paths default on; the cluster layer defaults its nodes off
-     * (ClusterConfig::retainTimeline), which is what lets 1000-node
-     * sweeps fit in memory. Roster events are always retained — they
-     * are O(migrations), not O(intervals).
-     */
-    bool retainTimeline = true;
-
-    /**
      * Observability knobs (src/obs/): a metrics registry recording
      * deterministic simulation counters plus wall-time profiling,
      * and span tracing via Engine::setTrace(). Default-off, and off
@@ -359,34 +345,24 @@ struct ColoResult
     int maxPartitionWays = 0;
 
     std::vector<AppOutcome> apps;
-    std::vector<TimePoint> timeline;
-
-    /**
-     * App-list snapshots: [0] is the initial roster (t = 0); one
-     * more entry per migration in or out. A TimePoint at time t is
-     * positional over the latest roster with `event.t < t` (points
-     * are recorded before the barrier that migrates).
-     */
-    std::vector<RosterEvent> rosterChanges;
 };
 
 /**
- * Streaming consumer of the engine's per-interval series: attach one
- * via Engine::setTimelineSink() to receive every TimePoint (and every
- * roster change) as it is produced, instead of replaying a retained
- * ColoResult::timeline afterwards — the incremental-CSV path that
- * makes per-tick retention optional.
+ * Consumer of the engine's per-interval series, the only way to see
+ * it: attach one via Engine::setTimelineSink() (or
+ * cluster::Cluster::setTimelineSink() for a cluster node) to receive
+ * every TimePoint and every roster change as it is produced. The
+ * result keeps only the online rollups.
  *
- * Delivery contract (matches the retained-replay semantics exactly):
- * onRoster() fires for each app-roster snapshot, onPoint() for each
- * closed decision interval, in simulated-time order. A roster event
- * at time t arrives AFTER the point at time t (points are recorded
- * before the epoch barrier that migrates), so a point is positional
- * over the latest roster with `event.t < point.t`. Attaching a sink
- * replays the roster events recorded so far (normally just the
- * initial roster from the constructor), so attach-then-run sees the
- * full stream. Callbacks run on the engine's tick thread; the sink
- * must not touch the engine reentrantly.
+ * Delivery contract: onRoster() fires once on attach with the apps
+ * live at that instant, then once per migration in or out; onPoint()
+ * fires for each closed decision interval, in simulated-time order.
+ * A roster event at time t arrives AFTER the point at time t (points
+ * are recorded before the epoch barrier that migrates), so a point
+ * is positional over the latest roster received. Attach before the
+ * first advanceUntil() to see the full series. Callbacks run on the
+ * engine's tick thread; the sink must not touch the engine
+ * reentrantly.
  */
 class TimelineSink
 {
@@ -394,6 +370,17 @@ class TimelineSink
     virtual ~TimelineSink() = default;
     virtual void onRoster(const RosterEvent &ev) = 0;
     virtual void onPoint(const TimePoint &tp) = 0;
+};
+
+/** A TimelineSink that keeps everything it receives. */
+class TimelineRecorder : public TimelineSink
+{
+  public:
+    void onRoster(const RosterEvent &ev) override { rosters.push_back(ev); }
+    void onPoint(const TimePoint &tp) override { points.push_back(tp); }
+
+    std::vector<RosterEvent> rosters;
+    std::vector<TimePoint> points;
 };
 
 /**
@@ -508,12 +495,11 @@ class Engine
     void reliefPredictions(std::vector<core::ServiceRelief> &out) const;
 
     /**
-     * Attach a streaming consumer of the per-interval series (null
-     * detaches). Non-owning; the sink must outlive the run. Already-
-     * recorded roster events are replayed immediately so a sink
-     * attached between construction and the first advanceUntil()
-     * observes the complete stream. Independent of
-     * cfg.retainTimeline: a sink streams either way.
+     * Attach a consumer of the per-interval series (null detaches).
+     * Non-owning; the sink must outlive the run. It immediately
+     * receives one roster event with the apps live now, so a sink
+     * attached before the first advanceUntil() sees the complete
+     * stream.
      */
     void setTimelineSink(TimelineSink *sink);
 
@@ -629,14 +615,14 @@ class Engine
     };
 
     bool allFinished() const;
+    /** Send the live app roster to the sink, if one is attached. */
     void recordRoster();
 
     /**
      * Online rollup state for one interactive tenant, updated at
      * every interval close. Plain chronological sums (not Welford)
-     * for the mean fields, in exactly the order the old
-     * finalize()-time timeline scan added them, so streaming and
-     * retained runs produce bit-identical results.
+     * for the mean fields, added in interval order (the golden
+     * numbers pin that order).
      */
     struct SvcAccum
     {
@@ -745,15 +731,14 @@ class Engine
      */
     std::vector<approx::PressureVector> peerPressure;
     /**
-     * The interval-close point, refilled in place at every close that
-     * has a consumer (a sink, or retainTimeline, which copies it into
-     * partial.timeline), and the runtime's relief predictions,
+     * The interval-close point, refilled in place at every close
+     * while a sink is attached, and the runtime's relief predictions,
      * refilled at every close when admission is on. Both keep their
      * capacity.
      */
     TimePoint closePoint;
     std::vector<core::ServiceRelief> reliefBuf;
-    /** Partially-built result: identity fields + growing timeline. */
+    /** Partially-built result: the identity fields. */
     ColoResult partial;
 };
 

@@ -1,8 +1,10 @@
 #include "colo/trace.hh"
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "services/interactive.hh"
 #include "util/table.hh"
 
 namespace pliant {
@@ -43,6 +45,19 @@ CsvTimelineSink::CsvTimelineSink(std::ostream &os,
     csv.writeRow(header);
 }
 
+CsvTimelineSink
+CsvTimelineSink::forConfig(std::ostream &os, const ColoConfig &cfg)
+{
+    const std::vector<ServiceSpec> tenants = validateConfig(cfg);
+    std::vector<std::string> names;
+    names.reserve(tenants.size());
+    for (const ServiceSpec &spec : tenants)
+        names.emplace_back(spec.resolvedName());
+    return CsvTimelineSink(os, cfg.apps, std::move(names),
+                           services::defaultConfig(tenants[0].kind).qosUs,
+                           cfg.admission.enabled, false);
+}
+
 void
 CsvTimelineSink::onRoster(const RosterEvent &ev)
 {
@@ -54,9 +69,8 @@ CsvTimelineSink::onPoint(const TimePoint &tp)
 {
     // Positional variant/reclaimed slots are attributed through the
     // roster most recently received; the delivery contract (a point
-    // at time t arrives before a roster event at t) makes this match
-    // the retained-replay rule "only strictly earlier roster changes
-    // apply".
+    // at time t arrives before a roster event at t) means only
+    // strictly earlier roster changes apply.
     const auto column_of = [&](const std::string &name) {
         for (std::size_t c = 0; c < columns.size(); ++c)
             if (columns[c] == name)
@@ -102,60 +116,6 @@ CsvTimelineSink::onPoint(const TimePoint &tp)
         row.push_back(util::fmt(tp.budgetShedCap, 4));
     }
     csv.writeRow(row);
-}
-
-void
-writeTimelineCsv(std::ostream &os, const ColoResult &result)
-{
-    // The per-app columns cover every app that was ever live on this
-    // node, in first-appearance order. Without migrations this is
-    // exactly result.apps and the output is unchanged; with them,
-    // each row's positional variant/reclaimed slots are attributed
-    // through the roster active at that row's time, and apps not
-    // present at that instant print "-". A replay knows the full
-    // roster history up front, so unlike a live sink it never drops
-    // a late-arriving app's columns.
-    std::vector<std::string> columns;
-    const auto column_of = [&](const std::string &name) {
-        for (std::size_t c = 0; c < columns.size(); ++c)
-            if (columns[c] == name)
-                return c;
-        columns.push_back(name);
-        return columns.size() - 1;
-    };
-    std::vector<RosterEvent> rosters = result.rosterChanges;
-    if (rosters.empty()) {
-        // Results predating roster tracking: the final app list was
-        // the only roster.
-        RosterEvent ev;
-        for (const auto &app : result.apps)
-            ev.apps.push_back(app.name);
-        rosters.push_back(std::move(ev));
-    }
-    for (const auto &ev : rosters)
-        for (const auto &name : ev.apps)
-            column_of(name);
-
-    std::vector<std::string> service_names;
-    service_names.reserve(result.services.size());
-    for (const auto &svc : result.services)
-        service_names.push_back(svc.name);
-
-    CsvTimelineSink sink(os, columns, service_names, result.qosUs,
-                         result.admissionEnabled,
-                         result.budgetEnabled);
-    std::size_t roster = 0;
-    sink.onRoster(rosters[0]);
-    for (const auto &tp : result.timeline) {
-        // Points are recorded before the epoch barrier that
-        // migrates, so only strictly earlier roster changes apply.
-        while (roster + 1 < rosters.size() &&
-               rosters[roster + 1].t < tp.t) {
-            ++roster;
-            sink.onRoster(rosters[roster]);
-        }
-        sink.onPoint(tp);
-    }
 }
 
 void

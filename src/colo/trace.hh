@@ -1,11 +1,10 @@
 /**
  * @file
- * Trace export: serialize a ColoResult's timeline and summary to CSV
+ * Trace export: a run's per-interval timeline and its summary as CSV,
  * so external plotting tools can regenerate the paper's figures from
- * the same data the text benches print. The timeline writer is built
- * on CsvTimelineSink, a TimelineSink that can also be attached to a
- * live Engine so rows stream to disk during the run instead of being
- * replayed from a retained vector (ColoConfig::retainTimeline).
+ * the same data the text benches print. The timeline writer is
+ * CsvTimelineSink, a TimelineSink attached to a live Engine (or a
+ * cluster node) that writes each row as its interval closes.
  */
 
 #ifndef PLIANT_COLO_TRACE_HH
@@ -22,20 +21,28 @@ namespace pliant {
 namespace colo {
 
 /**
- * TimelineSink that emits one CSV row per interval close, in exactly
- * the format writeTimelineCsv produces. The header is written at
- * construction (so even a zero-interval run yields a well-formed
- * file), which fixes the column set up front: pass every app name
- * that may ever run on the node in `app_columns` (first-appearance
- * order). Roster events keep per-row variant/reclaimed attribution
- * correct across migrations; an app attached at runtime that is not
- * in `app_columns` simply never gets a column (its slots print
- * nowhere), since a CSV header cannot be widened retroactively.
+ * TimelineSink that writes the per-interval timeline as CSV, one row
+ * per interval close. Columns: t_s, p99_us, p99_over_qos, load,
+ * decision, partition_ways, then per app: <name>_variant,
+ * <name>_reclaimed, and per additional service: <name>_p99_us,
+ * <name>_load. The base p99/load columns always refer to the primary
+ * (first) service. With `admission_enabled`, per service:
+ * <name>_shed, <name>_qdelay_us; with `budget_enabled`:
+ * budget_quality_used, budget_shed_used, node_quality_slice,
+ * node_shed_slice.
  *
- * Attach via Engine::setTimelineSink() before advancing the clock to
- * capture the full series; writeTimelineCsv drives this same class
- * from a retained timeline, so live and replayed output are
- * byte-identical for the same column set.
+ * The header is written at construction (so even a zero-interval run
+ * yields a well-formed file), which fixes the column set up front:
+ * pass every app name that may ever run on the node in `app_columns`
+ * (first-appearance order). Roster events attribute each row's
+ * positional variant/reclaimed slots by name, so an app not live at
+ * that row prints "-"; an app attached at runtime that is not in
+ * `app_columns` never gets a column, since a CSV header cannot be
+ * widened retroactively.
+ *
+ * Attach via Engine::setTimelineSink() (or
+ * cluster::Cluster::setTimelineSink()) before advancing the clock to
+ * capture the full series.
  */
 class CsvTimelineSink : public TimelineSink
 {
@@ -45,6 +52,15 @@ class CsvTimelineSink : public TimelineSink
                     std::vector<std::string> service_names,
                     double qos_us, bool admission_enabled,
                     bool budget_enabled);
+
+    /**
+     * The sink for a single-node run of `cfg`: columns = cfg.apps,
+     * the validated tenant names, the primary service's QoS target,
+     * admission columns when cfg.admission.enabled, no budget
+     * columns. Throws util::FatalError on an invalid config.
+     */
+    static CsvTimelineSink forConfig(std::ostream &os,
+                                     const ColoConfig &cfg);
 
     void onRoster(const RosterEvent &ev) override;
     void onPoint(const TimePoint &tp) override;
@@ -57,21 +73,6 @@ class CsvTimelineSink : public TimelineSink
     bool admissionEnabled;
     bool budgetEnabled;
 };
-
-/**
- * Write the per-interval timeline as CSV. Columns:
- * t_s, p99_us, p99_over_qos, load, decision, partition_ways,
- * then per app: <name>_variant, <name>_reclaimed, and — for
- * multi-service runs — per additional service: <name>_p99_us,
- * <name>_load. The base p99/load columns always refer to the
- * primary (first) service, so single-service traces are unchanged.
- * Runs with the admission front-end enabled additionally get, per
- * service: <name>_shed, <name>_qdelay_us — the columns are keyed on
- * ColoResult::admissionEnabled so disabled runs stay byte-identical.
- * Requires a retained timeline (ColoConfig::retainTimeline); runs
- * that stream instead should attach a CsvTimelineSink to the engine.
- */
-void writeTimelineCsv(std::ostream &os, const ColoResult &result);
 
 /**
  * Write the experiment summary as CSV (with header): one row per

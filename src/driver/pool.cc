@@ -156,8 +156,14 @@ Pool::workerLoop()
 
         {
             std::lock_guard<std::mutex> lock(mtx);
-            if (err && !firstError)
-                firstError = err;
+            // Give up this worker's reference to the exception before
+            // unlocking: once wait() rethrows it the caller may be
+            // reading it, and a release after the unlock would be an
+            // unordered (and, in libstdc++, uninstrumented) refcount
+            // drop that can free it under the reader.
+            if (!firstError)
+                firstError = std::move(err);
+            err = nullptr;
             ++executed;
             jobWallSumS += jobWallS;
             if (jobWallS > jobWallMaxS)

@@ -19,9 +19,9 @@
  * timestamp order, so per-track timestamps are non-decreasing and
  * B/E pairs nest — `scripts/check_trace.py` enforces both.
  *
- * The writer is mutex-serialized like colo::TimelineSink's CSV
- * cousin, so engines running concurrently under driver::Pool can
- * share one writer. If the underlying stream fails, the writer
+ * The writer is mutex-serialized (unlike colo::CsvTimelineSink,
+ * which serves one engine), so engines running concurrently under
+ * driver::Pool can share one writer. If the underlying stream fails, the writer
  * drops further events and routes a single backpressure warning
  * through util::logging.
  */

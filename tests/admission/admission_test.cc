@@ -303,25 +303,34 @@ frontierConfig()
     return cfg;
 }
 
+/** Run `cfg`, recording its per-interval series into `recorder`. */
+colo::ColoResult
+runRecorded(const colo::ColoConfig &cfg, colo::TimelineRecorder &recorder)
+{
+    colo::Engine engine(cfg);
+    engine.setTimelineSink(&recorder);
+    return engine.run();
+}
+
 void
 expectIdenticalResults(const colo::ColoResult &a,
-                       const colo::ColoResult &b)
+                       const colo::ColoResult &b,
+                       const std::vector<colo::TimePoint> &ta,
+                       const std::vector<colo::TimePoint> &tb)
 {
     EXPECT_EQ(a.overallP99Us, b.overallP99Us);
     EXPECT_EQ(a.steadyP99Us, b.steadyP99Us);
     EXPECT_EQ(a.meanIntervalP99Us, b.meanIntervalP99Us);
     EXPECT_EQ(a.qosMetFraction, b.qosMetFraction);
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-        EXPECT_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
-        EXPECT_EQ(a.timeline[i].loadFraction,
-                  b.timeline[i].loadFraction);
-        ASSERT_EQ(a.timeline[i].services.size(),
-                  b.timeline[i].services.size());
-        for (std::size_t s = 0; s < a.timeline[i].services.size(); ++s)
-            EXPECT_EQ(a.timeline[i].services[s].p99Us,
-                      b.timeline[i].services[s].p99Us);
+    ASSERT_FALSE(ta.empty());
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+        EXPECT_EQ(ta[i].p99Us, tb[i].p99Us);
+        EXPECT_EQ(ta[i].loadFraction, tb[i].loadFraction);
+        ASSERT_EQ(ta[i].services.size(), tb[i].services.size());
+        for (std::size_t s = 0; s < ta[i].services.size(); ++s)
+            EXPECT_EQ(ta[i].services[s].p99Us, tb[i].services[s].p99Us);
     }
     ASSERT_EQ(a.apps.size(), b.apps.size());
     for (std::size_t i = 0; i < a.apps.size(); ++i) {
@@ -345,11 +354,12 @@ TEST(AdmissionEngineTest, DisabledAdmissionIsByteIdenticalToDefault)
     loaded.admission.arrivalJitter = 0.2;
     ASSERT_FALSE(loaded.admission.enabled);
 
-    const colo::ColoResult a = colo::Engine(plain).run();
-    const colo::ColoResult b = colo::Engine(loaded).run();
+    colo::TimelineRecorder ta, tb;
+    const colo::ColoResult a = runRecorded(plain, ta);
+    const colo::ColoResult b = runRecorded(loaded, tb);
     EXPECT_FALSE(a.admissionEnabled);
     EXPECT_FALSE(b.admissionEnabled);
-    expectIdenticalResults(a, b);
+    expectIdenticalResults(a, b, ta.points, tb.points);
     // And the neutral counter values survive into the outcomes.
     for (const auto &svc : a.services) {
         EXPECT_EQ(svc.shedFraction, 0.0);
@@ -371,14 +381,15 @@ TEST(AdmissionEngineTest, CountersFlowIntoOutcomesAndTimeline)
     colo::ColoConfig cfg = frontierConfig();
     cfg.admission.enabled = true;
     cfg.admission.policy = AdmissionKind::QosShed;
-    const colo::ColoResult r = colo::Engine(cfg).run();
+    colo::TimelineRecorder recorder;
+    const colo::ColoResult r = runRecorded(cfg, recorder);
 
     EXPECT_TRUE(r.admissionEnabled);
     // The crowd forces deliberate shedding on memcached...
     EXPECT_GT(r.services[0].shedFraction, 0.0);
     // ... and some timeline interval records it, with queue delay.
     bool any_shed = false, any_delay = false;
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : recorder.points) {
         for (const auto &svc : tp.services) {
             any_shed |= svc.shedFraction > 0.0;
             any_delay |= svc.queueDelayUs > 0.0;
@@ -395,12 +406,18 @@ TEST(AdmissionEngineTest, CsvColumnsAppearOnlyWhenAdmissionRan)
     on.admission.enabled = true;
     on.admission.policy = AdmissionKind::DropTail;
 
-    const colo::ColoResult r_off = colo::Engine(off).run();
-    const colo::ColoResult r_on = colo::Engine(on).run();
-
+    // Timelines stream through live sinks sized from each config.
     std::ostringstream t_off, t_on, s_off, s_on;
-    colo::writeTimelineCsv(t_off, r_off);
-    colo::writeTimelineCsv(t_on, r_on);
+    colo::Engine e_off(off), e_on(on);
+    colo::CsvTimelineSink sink_off =
+        colo::CsvTimelineSink::forConfig(t_off, off);
+    colo::CsvTimelineSink sink_on =
+        colo::CsvTimelineSink::forConfig(t_on, on);
+    e_off.setTimelineSink(&sink_off);
+    e_on.setTimelineSink(&sink_on);
+    const colo::ColoResult r_off = e_off.run();
+    const colo::ColoResult r_on = e_on.run();
+
     colo::writeSummaryCsv(s_off, r_off);
     colo::writeSummaryCsv(s_on, r_on);
 

@@ -21,6 +21,7 @@
 #include "colo/trace.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -218,15 +219,23 @@ TEST(BudgetCsvTest, BudgetColumnsAppearOnlyWhenEnabled)
 {
     const ClusterResult off =
         Cluster(figBudgetConfig(std::nullopt, 0.0, 0.0)).run();
-    const ClusterResult on =
-        Cluster(figBudgetConfig(budget::BudgetPolicy::Proportional,
-                                0.12, 1.5))
-            .run();
 
-    std::ostringstream off_summary, on_summary, on_timeline;
+    // The budgeted cluster streams node 0's timeline through a live
+    // sink with the budget columns on.
+    const ClusterConfig on_cfg = figBudgetConfig(
+        budget::BudgetPolicy::Proportional, 0.12, 1.5);
+    std::ostringstream on_timeline;
+    colo::CsvTimelineSink sink(
+        on_timeline, on_cfg.apps, {"memcached", "nginx"},
+        services::defaultConfig(services::ServiceKind::Memcached).qosUs,
+        /*admission_enabled=*/true, /*budget_enabled=*/true);
+    Cluster on_cluster(on_cfg);
+    on_cluster.setTimelineSink(0, &sink);
+    const ClusterResult on = on_cluster.run();
+
+    std::ostringstream off_summary, on_summary;
     colo::writeSummaryCsv(off_summary, off.nodes[0].result);
     colo::writeSummaryCsv(on_summary, on.nodes[0].result);
-    colo::writeTimelineCsv(on_timeline, on.nodes[0].result);
 
     EXPECT_EQ(off_summary.str().find("budget_quality_used"),
               std::string::npos);
@@ -236,8 +245,29 @@ TEST(BudgetCsvTest, BudgetColumnsAppearOnlyWhenEnabled)
               std::string::npos);
     EXPECT_NE(on_summary.str().find("node_quality_slice"),
               std::string::npos);
-    EXPECT_NE(on_timeline.str().find("node_shed_slice"),
-              std::string::npos);
+
+    // The header ends in the four budget columns, and the initial
+    // slices are installed before the first tick, so even the first
+    // row carries real caps (an uncapped lever prints -1).
+    std::istringstream is(on_timeline.str());
+    std::string header, first_row;
+    ASSERT_TRUE(std::getline(is, header));
+    ASSERT_TRUE(std::getline(is, first_row));
+    const std::string budget_cols =
+        ",budget_quality_used,budget_shed_used,node_quality_slice,"
+        "node_shed_slice";
+    ASSERT_GE(header.size(), budget_cols.size());
+    EXPECT_EQ(header.substr(header.size() - budget_cols.size()),
+              budget_cols);
+    const std::size_t slices = first_row.find_last_of(
+        ',', first_row.find_last_of(',') - 1);
+    double quality_slice = 0.0, shed_slice = 0.0;
+    ASSERT_EQ(std::sscanf(first_row.c_str() + slices, ",%lf,%lf",
+                          &quality_slice, &shed_slice),
+              2)
+        << first_row;
+    EXPECT_GT(quality_slice, 0.0) << first_row;
+    EXPECT_GT(shed_slice, 0.0) << first_row;
 }
 
 /**
@@ -343,9 +373,11 @@ TEST(BudgetMigrationTest, SlicesTrackThePostMoveRosterAtFirstTick)
                    .epoch(5 * kS)
                    .maxDuration(20 * kS)
                    .seed(71)
-                   .retainTimeline(true)
                    .build());
     const std::vector<std::size_t> initial = cl.initialAssignment();
+    std::vector<colo::TimelineRecorder> series(cl.nodeCount());
+    for (std::size_t n = 0; n < series.size(); ++n)
+        cl.setTimelineSink(n, &series[n]);
     const ClusterResult r = cl.run();
     ASSERT_FALSE(r.migrations.empty());
     const MigrationEvent &mig = r.migrations.front();
@@ -379,7 +411,7 @@ TEST(BudgetMigrationTest, SlicesTrackThePostMoveRosterAtFirstTick)
     // First interval recorded after the move on each node must carry
     // caps derived from the POST-move demands.
     for (std::size_t n = 0; n < r.nodes.size(); ++n) {
-        const auto &timeline = r.nodes[n].result.timeline;
+        const auto &timeline = series[n].points;
         ASSERT_FALSE(timeline.empty());
         const colo::TimePoint *first_after = nullptr;
         const colo::TimePoint *last_before = nullptr;

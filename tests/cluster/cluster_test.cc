@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "colo/trace.hh"
+#include "driver/pool.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -66,22 +67,25 @@ expectIdenticalColo(const colo::ColoResult &a, const colo::ColoResult &b)
                   b.apps[i].relativeExecTime);
         EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
     }
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-        EXPECT_EQ(a.timeline[i].t, b.timeline[i].t);
-        EXPECT_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
-        EXPECT_EQ(a.timeline[i].loadFraction,
-                  b.timeline[i].loadFraction);
-        EXPECT_EQ(a.timeline[i].variantOf, b.timeline[i].variantOf);
-        EXPECT_EQ(a.timeline[i].reclaimed, b.timeline[i].reclaimed);
-        ASSERT_EQ(a.timeline[i].services.size(),
-                  b.timeline[i].services.size());
-        for (std::size_t s = 0; s < a.timeline[i].services.size();
-             ++s) {
-            EXPECT_EQ(a.timeline[i].services[s].p99Us,
-                      b.timeline[i].services[s].p99Us);
-            EXPECT_EQ(a.timeline[i].services[s].loadFraction,
-                      b.timeline[i].services[s].loadFraction);
+}
+
+/** Exact equality of two recorded per-interval series. */
+void
+expectIdenticalPoints(const std::vector<colo::TimePoint> &a,
+                      const std::vector<colo::TimePoint> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].t, b[i].t);
+        EXPECT_EQ(a[i].p99Us, b[i].p99Us);
+        EXPECT_EQ(a[i].loadFraction, b[i].loadFraction);
+        EXPECT_EQ(a[i].variantOf, b[i].variantOf);
+        EXPECT_EQ(a[i].reclaimed, b[i].reclaimed);
+        ASSERT_EQ(a[i].services.size(), b[i].services.size());
+        for (std::size_t s = 0; s < a[i].services.size(); ++s) {
+            EXPECT_EQ(a[i].services[s].p99Us, b[i].services[s].p99Us);
+            EXPECT_EQ(a[i].services[s].loadFraction,
+                      b[i].services[s].loadFraction);
         }
     }
 }
@@ -112,6 +116,59 @@ expectIdenticalCluster(const ClusterResult &a, const ClusterResult &b)
         EXPECT_EQ(a.nodes[i].seed, b.nodes[i].seed);
         expectIdenticalColo(a.nodes[i].result, b.nodes[i].result);
     }
+}
+
+/** A cluster run plus every node's recorded per-interval series. */
+struct RecordedCluster
+{
+    ClusterResult result;
+    std::vector<colo::TimelineRecorder> nodes;
+};
+
+/** Run `cfg` with a TimelineRecorder on every node. */
+RecordedCluster
+runRecorded(ClusterConfig cfg)
+{
+    Cluster cl(std::move(cfg));
+    RecordedCluster out;
+    out.nodes.resize(cl.nodeCount());
+    for (std::size_t i = 0; i < out.nodes.size(); ++i)
+        cl.setTimelineSink(i, &out.nodes[i]);
+    out.result = cl.run();
+    return out;
+}
+
+/**
+ * runClusters() with every node recorded: each cluster runs its nodes
+ * serially inside its batch worker, as runClusters runs it.
+ */
+std::vector<RecordedCluster>
+runRecorded(const std::vector<ClusterConfig> &configs, unsigned threads)
+{
+    return driver::parallelMap(configs, threads, [](const ClusterConfig &cfg) {
+        ClusterConfig serial = cfg;
+        serial.threads = 1;
+        return runRecorded(std::move(serial));
+    });
+}
+
+/** Exact equality of two recorded cluster runs, series included. */
+void
+expectIdenticalCluster(const RecordedCluster &a, const RecordedCluster &b)
+{
+    expectIdenticalCluster(a.result, b.result);
+    ASSERT_EQ(a.nodes.size(), b.nodes.size());
+    for (std::size_t i = 0; i < a.nodes.size(); ++i)
+        expectIdenticalPoints(a.nodes[i].points, b.nodes[i].points);
+}
+
+/** Run `node_cfg` on a bare engine, recording its series. */
+colo::ColoResult
+runBare(const colo::ColoConfig &node_cfg, colo::TimelineRecorder &recorder)
+{
+    colo::Engine bare(node_cfg);
+    bare.setTimelineSink(&recorder);
+    return bare.run();
 }
 
 /**
@@ -147,10 +204,6 @@ acceptanceConfig(PlacementKind placement, core::RuntimeKind runtime,
         .maxDuration(120 * kS)
         .seed(71)
         .threads(threads)
-        // Acceptance runs keep the per-tick series so the
-        // determinism checks compare full timelines, not just
-        // rollups, and the CSV roster test can replay them.
-        .retainTimeline(true)
         .build();
 }
 
@@ -342,9 +395,6 @@ TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
             .epoch(5 * kS)
             .maxDuration(120 * kS)
             .seed(71)
-            // Retain so the element-wise timeline comparison against
-            // the bare engine stays a non-vacuous check.
-            .retainTimeline(true)
             .build();
 
     Cluster cl(cfg);
@@ -352,28 +402,28 @@ TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
     const colo::ColoConfig node_cfg = cl.nodeConfig(0);
     EXPECT_EQ(node_cfg.seed, Cluster::nodeSeed(71, 0));
 
-    colo::Engine bare(node_cfg);
-    const colo::ColoResult direct = bare.run();
+    colo::TimelineRecorder bare_series, node_series;
+    const colo::ColoResult direct = runBare(node_cfg, bare_series);
 
+    cl.setTimelineSink(0, &node_series);
     const ClusterResult r = cl.run();
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_TRUE(r.migrations.empty());
     expectIdenticalColo(r.nodes[0].result, direct);
+    // The element-wise series comparison is non-vacuous.
+    EXPECT_FALSE(bare_series.points.empty());
+    expectIdenticalPoints(node_series.points, bare_series.points);
 }
 
 TEST(ClusterDeterminismTest, QosAwareSweepIdenticalAt1And6Threads)
 {
-    const auto one = Cluster(acceptanceConfig(
-                                 PlacementKind::QosAware,
-                                 core::RuntimeKind::Precise, 1))
-                         .run();
-    const auto many = Cluster(acceptanceConfig(
-                                  PlacementKind::QosAware,
-                                  core::RuntimeKind::Precise, 6))
-                          .run();
+    const auto one = runRecorded(acceptanceConfig(
+        PlacementKind::QosAware, core::RuntimeKind::Precise, 1));
+    const auto many = runRecorded(acceptanceConfig(
+        PlacementKind::QosAware, core::RuntimeKind::Precise, 6));
     // The run must actually exercise the migration path for this to
     // pin anything interesting.
-    EXPECT_FALSE(one.migrations.empty());
+    EXPECT_FALSE(one.result.migrations.empty());
     expectIdenticalCluster(one, many);
 }
 
@@ -383,35 +433,41 @@ TEST(ClusterDeterminismTest, LearnedRunWithMigrationIdenticalAt1And6Threads)
     // state across the migration this cluster performs; both the
     // model transfer and the relief predictions feeding the QoS-aware
     // policy must stay byte-identical at any worker thread count.
-    const auto one = Cluster(acceptanceConfig(
-                                 PlacementKind::QosAware,
-                                 core::RuntimeKind::Learned, 1))
-                         .run();
-    const auto many = Cluster(acceptanceConfig(
-                                  PlacementKind::QosAware,
-                                  core::RuntimeKind::Learned, 6))
-                          .run();
+    const auto one = runRecorded(acceptanceConfig(
+        PlacementKind::QosAware, core::RuntimeKind::Learned, 1));
+    const auto many = runRecorded(acceptanceConfig(
+        PlacementKind::QosAware, core::RuntimeKind::Learned, 6));
     // The run must exercise the migration (and thus the learned
     // model checkpoint/restore path) for this to pin anything.
-    EXPECT_FALSE(one.migrations.empty());
+    EXPECT_FALSE(one.result.migrations.empty());
     expectIdenticalCluster(one, many);
 }
 
 TEST(ClusterDeterminismTest, LearnedSweepBatchIdenticalAt1And6Threads)
 {
-    // The same learned cluster, batched through runClusters at two
-    // thread counts, next to its scalar-conditioned ablation twin.
+    // The same learned cluster, batched at two thread counts with
+    // every node recorded, next to its scalar-conditioned ablation
+    // twin.
     ClusterConfig vec = acceptanceConfig(PlacementKind::QosAware,
                                          core::RuntimeKind::Learned, 1);
     ClusterConfig scalar = vec;
     scalar.learnedVector = false;
     const std::vector<ClusterConfig> configs = {vec, scalar};
 
-    const auto one = runClusters(configs, 1);
-    const auto many = runClusters(configs, 6);
+    const auto one = runRecorded(configs, 1);
+    const auto many = runRecorded(configs, 6);
     ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        // Every node's series must be recorded for this to pin it.
+        for (const auto &node : one[i].nodes)
+            EXPECT_FALSE(node.points.empty());
         expectIdenticalCluster(one[i], many[i]);
+    }
+    // runClusters is the same parallel map without the recorders.
+    const auto batch = runClusters(configs, 6);
+    ASSERT_EQ(batch.size(), one.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectIdenticalCluster(batch[i], one[i].result);
 }
 
 TEST(ClusterDeterminismTest, BatchSweepIdenticalAt1And6Threads)
@@ -423,11 +479,20 @@ TEST(ClusterDeterminismTest, BatchSweepIdenticalAt1And6Threads)
         configs.push_back(acceptanceConfig(
             placement, core::RuntimeKind::Pliant, 1));
 
-    const auto one = runClusters(configs, 1);
-    const auto many = runClusters(configs, 6);
+    const auto one = runRecorded(configs, 1);
+    const auto many = runRecorded(configs, 6);
     ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        // Every node's series must be recorded for this to pin it.
+        for (const auto &node : one[i].nodes)
+            EXPECT_FALSE(node.points.empty());
         expectIdenticalCluster(one[i], many[i]);
+    }
+    // runClusters is the same parallel map without the recorders.
+    const auto batch = runClusters(configs, 6);
+    ASSERT_EQ(batch.size(), one.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectIdenticalCluster(batch[i], one[i].result);
 }
 
 TEST(ClusterDeterminismTest, AdmissionRunIdenticalAt1And6Threads)
@@ -442,13 +507,13 @@ TEST(ClusterDeterminismTest, AdmissionRunIdenticalAt1And6Threads)
     ClusterConfig many_cfg = one_cfg;
     many_cfg.threads = 6;
 
-    const auto one = Cluster(one_cfg).run();
-    const auto many = Cluster(many_cfg).run();
+    const auto one = runRecorded(one_cfg);
+    const auto many = runRecorded(many_cfg);
     // The crowd must actually engage both subsystems for this to pin
     // anything: requests shed on some node, and a migration.
-    EXPECT_FALSE(one.migrations.empty());
+    EXPECT_FALSE(one.result.migrations.empty());
     double max_shed = 0.0;
-    for (const auto &node : one.nodes)
+    for (const auto &node : one.result.nodes)
         for (const auto &svc : node.result.services)
             max_shed = std::max(max_shed, svc.shedFraction);
     EXPECT_GT(max_shed, 0.0);
@@ -472,19 +537,20 @@ TEST(ClusterRegressionTest, SingleNodeClusterWithAdmissionEqualsBareEngine)
             .epoch(5 * kS)
             .maxDuration(120 * kS)
             .seed(71)
-            .retainTimeline(true)
             .build();
 
     Cluster cl(cfg);
     const colo::ColoConfig node_cfg = cl.nodeConfig(0);
     EXPECT_TRUE(node_cfg.admission.enabled);
 
-    colo::Engine bare(node_cfg);
-    const colo::ColoResult direct = bare.run();
+    colo::TimelineRecorder bare_series, node_series;
+    const colo::ColoResult direct = runBare(node_cfg, bare_series);
 
+    cl.setTimelineSink(0, &node_series);
     const ClusterResult r = cl.run();
     ASSERT_EQ(r.nodes.size(), 1u);
     expectIdenticalColo(r.nodes[0].result, direct);
+    expectIdenticalPoints(node_series.points, bare_series.points);
     // The admission rollups are part of the contract too.
     ASSERT_EQ(r.nodes[0].result.services.size(),
               direct.services.size());
@@ -578,29 +644,27 @@ TEST(ClusterIdleNodeTest, AppLessNodesKeepServingAndReporting)
     // One app on three nodes: two nodes host no app, but their
     // services keep running (and reporting QoS) for the whole
     // cluster experiment.
-    const ClusterResult r =
-        Cluster(ClusterConfigBuilder()
-                    .nodes(3)
-                    .serviceOnAll(services::ServiceKind::Memcached,
-                                  colo::Scenario::constant(0.6))
-                    .apps({"bayesian"})
-                    .placement(PlacementKind::LeastLoaded)
-                    .maxDuration(60 * kS)
-                    .seed(5)
-                    // Clusters default to streaming rollups; this
-                    // test inspects the per-tick series itself.
-                    .retainTimeline(true)
-                    .build())
-            .run();
+    const RecordedCluster rec =
+        runRecorded(ClusterConfigBuilder()
+                        .nodes(3)
+                        .serviceOnAll(services::ServiceKind::Memcached,
+                                      colo::Scenario::constant(0.6))
+                        .apps({"bayesian"})
+                        .placement(PlacementKind::LeastLoaded)
+                        .maxDuration(60 * kS)
+                        .seed(5)
+                        .build());
+    const ClusterResult &r = rec.result;
     ASSERT_EQ(r.nodes.size(), 3u);
     EXPECT_EQ(r.appsTotal, 1);
     int hosting = 0;
-    for (const auto &node : r.nodes) {
+    for (std::size_t n = 0; n < r.nodes.size(); ++n) {
+        const NodeResult &node = r.nodes[n];
         if (!node.result.apps.empty())
             ++hosting;
         // Every node — app-less ones included — simulated its
         // service and produced interval reports.
-        EXPECT_FALSE(node.result.timeline.empty()) << node.name;
+        EXPECT_FALSE(rec.nodes[n].points.empty()) << node.name;
         EXPECT_GT(node.result.services[0].meanIntervalP99Us, 0.0)
             << node.name;
     }
@@ -665,33 +729,81 @@ TEST(ClusterValidationTest, RejectsNonPositiveTiming)
 
 TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
 {
-    const ClusterResult r =
-        Cluster(acceptanceConfig(PlacementKind::QosAware,
-                                 core::RuntimeKind::Precise, 1))
-            .run();
-    ASSERT_FALSE(r.migrations.empty());
-    const auto &mig = r.migrations.front();
-    const colo::ColoResult &dst = r.nodes[mig.to].result;
+    const ClusterConfig cfg = acceptanceConfig(
+        PlacementKind::QosAware, core::RuntimeKind::Precise, 1);
+    const RecordedCluster rec = runRecorded(cfg);
+    ASSERT_FALSE(rec.result.migrations.empty());
+    const auto &mig = rec.result.migrations.front();
+    const colo::ColoResult &dst = rec.result.nodes[mig.to].result;
 
-    // The destination's roster log records the arrival...
-    ASSERT_GE(dst.rosterChanges.size(), 2u);
-    const auto &arrival = dst.rosterChanges.back();
-    EXPECT_EQ(arrival.t, mig.t);
-    EXPECT_NE(std::find(arrival.apps.begin(), arrival.apps.end(),
-                        mig.app),
-              arrival.apps.end());
+    // The destination's sink receives the arrival as a roster event
+    // after the initial roster...
+    const auto &rosters = rec.nodes[mig.to].rosters;
+    ASSERT_GE(rosters.size(), 2u);
+    EXPECT_EQ(rosters.front().t, 0);
+    const auto arrival = std::find_if(
+        rosters.begin(), rosters.end(), [&](const colo::RosterEvent &ev) {
+            return std::find(ev.apps.begin(), ev.apps.end(), mig.app) !=
+                   ev.apps.end();
+        });
+    ASSERT_NE(arrival, rosters.end());
+    EXPECT_EQ(arrival->t, mig.t);
 
-    // ... and the CSV keys the migrant's column by name, with "-"
-    // before it arrived.
+    // ... and a live CSV sink on that node, with every cluster app as
+    // a column, keys the migrant's column by name: "-" before it
+    // arrived, its variant once it runs there.
     std::ostringstream os;
-    colo::writeTimelineCsv(os, dst);
+    std::vector<std::string> service_names;
+    for (const auto &svc : dst.services)
+        service_names.push_back(svc.name);
+    colo::CsvTimelineSink sink(os, cfg.apps, service_names, dst.qosUs,
+                               dst.admissionEnabled, dst.budgetEnabled);
+    Cluster cl(cfg);
+    cl.setTimelineSink(mig.to, &sink);
+    cl.run();
+
+    const auto fields = [](const std::string &line) {
+        std::vector<std::string> out;
+        std::istringstream is(line);
+        std::string field;
+        while (std::getline(is, field, ','))
+            out.push_back(field);
+        return out;
+    };
     std::istringstream is(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_NE(header.find(mig.app + "_variant"), std::string::npos);
-    std::string first_row;
-    ASSERT_TRUE(std::getline(is, first_row));
-    EXPECT_NE(first_row.find("-"), std::string::npos);
+    std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    const std::vector<std::string> header = fields(line);
+    const auto col = std::find(header.begin(), header.end(),
+                               mig.app + "_variant");
+    ASSERT_NE(col, header.end());
+    const std::size_t c = static_cast<std::size_t>(col - header.begin());
+    std::vector<std::vector<std::string>> rows;
+    while (std::getline(is, line))
+        rows.push_back(fields(line));
+    const auto &points = rec.nodes[mig.to].points;
+    ASSERT_EQ(rows.size(), points.size());
+    std::size_t first_after = 0;
+    while (first_after < points.size() && points[first_after].t <= mig.t)
+        ++first_after;
+    ASSERT_GT(first_after, 0u);
+    ASSERT_LT(first_after, rows.size());
+    EXPECT_EQ(rows.front()[c], "-");
+    EXPECT_EQ(rows[first_after - 1][c], "-");
+    EXPECT_NE(rows[first_after][c], "-");
+}
+
+TEST(ClusterValidationTest, TimelineSinkNeedsAnExistingNode)
+{
+    Cluster cl(ClusterConfigBuilder()
+                   .nodes(2)
+                   .serviceOnAll(services::ServiceKind::Memcached,
+                                 colo::Scenario::constant(0.5))
+                   .apps({"canneal"})
+                   .build());
+    colo::TimelineRecorder recorder;
+    EXPECT_NO_THROW(cl.setTimelineSink(1, &recorder));
+    EXPECT_THROW(cl.setTimelineSink(2, &recorder), util::FatalError);
 }
 
 TEST(ClusterSeedTest, NodeSeedsArePinned)

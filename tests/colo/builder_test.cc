@@ -53,13 +53,17 @@ TEST(ConfigBuilderTest, BuildsTheEquivalentHandWrittenConfig)
     manual.maxDuration = 120 * s;
 
     Engine a(built), b(manual);
+    TimelineRecorder ta, tb;
+    a.setTimelineSink(&ta);
+    b.setTimelineSink(&tb);
     const ColoResult ra = a.run(), rb = b.run();
     EXPECT_EQ(ra.overallP99Us, rb.overallP99Us);
     EXPECT_EQ(ra.steadyP99Us, rb.steadyP99Us);
     EXPECT_EQ(ra.qosMetFraction, rb.qosMetFraction);
-    ASSERT_EQ(ra.timeline.size(), rb.timeline.size());
-    for (std::size_t i = 0; i < ra.timeline.size(); ++i)
-        EXPECT_EQ(ra.timeline[i].p99Us, rb.timeline[i].p99Us);
+    ASSERT_FALSE(ta.points.empty());
+    ASSERT_EQ(ta.points.size(), tb.points.size());
+    for (std::size_t i = 0; i < ta.points.size(); ++i)
+        EXPECT_EQ(ta.points[i].p99Us, tb.points[i].p99Us);
     ASSERT_EQ(ra.apps.size(), rb.apps.size());
     for (std::size_t i = 0; i < ra.apps.size(); ++i)
         EXPECT_EQ(ra.apps[i].inaccuracy, rb.apps[i].inaccuracy);
@@ -336,6 +340,9 @@ TEST(ServiceNamingTest, SameKindShardsRunUnderDistinctNames)
             .seed(13)
             .build();
     Engine engine(cfg);
+    std::ostringstream timeline;
+    CsvTimelineSink sink = CsvTimelineSink::forConfig(timeline, cfg);
+    engine.setTimelineSink(&sink);
     const ColoResult r = engine.run();
 
     ASSERT_EQ(r.services.size(), 2u);
@@ -350,8 +357,6 @@ TEST(ServiceNamingTest, SameKindShardsRunUnderDistinctNames)
               r.services[1].meanIntervalP99Us);
 
     // Traces and summaries key on the instance names.
-    std::ostringstream timeline;
-    writeTimelineCsv(timeline, r);
     EXPECT_NE(timeline.str().find("mc-b_p99_us"), std::string::npos);
     std::ostringstream summary;
     writeSummaryCsv(summary, r);

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/pool.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -33,37 +34,68 @@ constexpr double kRelTol = 1e-9;
 #define EXPECT_PINNED(actual, golden) \
     EXPECT_NEAR(actual, golden, std::abs(golden) * kRelTol)
 
+/** A run's result plus its recorded per-interval series. */
+struct Recorded
+{
+    ColoResult result;
+    std::vector<TimePoint> points;
+};
+
+/** Run `cfg` with a TimelineRecorder attached. */
+Recorded
+runRecorded(const ColoConfig &cfg)
+{
+    Engine engine(cfg);
+    TimelineRecorder recorder;
+    engine.setTimelineSink(&recorder);
+    Recorded out;
+    out.result = engine.run();
+    out.points = std::move(recorder.points);
+    return out;
+}
+
+/** runColocations() with every run recorded. */
+std::vector<Recorded>
+runRecorded(const std::vector<ColoConfig> &configs, unsigned threads)
+{
+    return driver::parallelMap(configs, threads, [](const ColoConfig &cfg) {
+        return runRecorded(cfg);
+    });
+}
+
 TEST(EngineRegressionTest, PliantSingleAppMatchesPreRefactorNumbers)
 {
-    const ColoResult r = runColocation(
+    const Recorded rec = runRecorded(makeColoConfig(
         services::ServiceKind::Memcached, {"canneal"},
-        core::RuntimeKind::Pliant, 33);
+        core::RuntimeKind::Pliant, 33));
+    const ColoResult &r = rec.result;
     EXPECT_PINNED(r.overallP99Us, 851.65302665005822);
     EXPECT_PINNED(r.steadyP99Us, 247.62057575172005);
     EXPECT_PINNED(r.meanIntervalP99Us, 166.11821731330028);
     EXPECT_PINNED(r.qosMetFraction, 0.80000000000000004);
-    EXPECT_EQ(r.timeline.size(), 25u);
+    EXPECT_EQ(rec.points.size(), 25u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 1);
     EXPECT_EQ(r.typicalCoresReclaimed, 1);
     ASSERT_EQ(r.apps.size(), 1u);
     EXPECT_PINNED(r.apps[0].inaccuracy, 0.047484937659885089);
     EXPECT_PINNED(r.apps[0].relativeExecTime, 0.64949999999999997);
     EXPECT_EQ(r.apps[0].switches, 1);
-    EXPECT_PINNED(r.timeline.back().p99Us, 141.09470936694575);
-    EXPECT_PINNED(r.timeline.back().loadFraction,
+    EXPECT_PINNED(rec.points.back().p99Us, 141.09470936694575);
+    EXPECT_PINNED(rec.points.back().loadFraction,
                   0.80775416712913262);
 }
 
 TEST(EngineRegressionTest, PliantTwoAppMatchesPreRefactorNumbers)
 {
-    const ColoResult r = runColocation(
+    const Recorded rec = runRecorded(makeColoConfig(
         services::ServiceKind::Nginx, {"canneal", "bayesian"},
-        core::RuntimeKind::Pliant, 7);
+        core::RuntimeKind::Pliant, 7));
+    const ColoResult &r = rec.result;
     EXPECT_PINNED(r.overallP99Us, 71431.775438696568);
     EXPECT_PINNED(r.steadyP99Us, 37851.119005662069);
     EXPECT_PINNED(r.meanIntervalP99Us, 10963.174573611705);
     EXPECT_PINNED(r.qosMetFraction, 0.76923076923076927);
-    EXPECT_EQ(r.timeline.size(), 26u);
+    EXPECT_EQ(rec.points.size(), 26u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 2);
     ASSERT_EQ(r.apps.size(), 2u);
     EXPECT_PINNED(r.apps[0].inaccuracy, 0.044872631632100361);
@@ -77,13 +109,14 @@ TEST(EngineRegressionTest, LearnedRuntimeMatchesPreRefactorNumbers)
     // normalized p99/QoS ratios; with one service that is a pure
     // rescaling, so every decision — and thus every number — must be
     // unchanged.
-    const ColoResult r = runColocation(
+    const Recorded rec = runRecorded(makeColoConfig(
         services::ServiceKind::MongoDb, {"snp"},
-        core::RuntimeKind::Learned, 5);
+        core::RuntimeKind::Learned, 5));
+    const ColoResult &r = rec.result;
     EXPECT_PINNED(r.overallP99Us, 115045.78570774179);
     EXPECT_PINNED(r.steadyP99Us, 88699.240896317351);
     EXPECT_PINNED(r.qosMetFraction, 0.80645161290322576);
-    EXPECT_EQ(r.timeline.size(), 31u);
+    EXPECT_EQ(rec.points.size(), 31u);
     ASSERT_EQ(r.apps.size(), 1u);
     EXPECT_PINNED(r.apps[0].inaccuracy, 0.019704575919043815);
     EXPECT_EQ(r.apps[0].switches, 5);
@@ -91,14 +124,15 @@ TEST(EngineRegressionTest, LearnedRuntimeMatchesPreRefactorNumbers)
 
 TEST(EngineRegressionTest, PreciseBaselineMatchesPreRefactorNumbers)
 {
-    const ColoResult r = runColocation(
+    const Recorded rec = runRecorded(makeColoConfig(
         services::ServiceKind::Memcached, {"canneal"},
-        core::RuntimeKind::Precise, 11);
+        core::RuntimeKind::Precise, 11));
+    const ColoResult &r = rec.result;
     EXPECT_PINNED(r.overallP99Us, 1604.9142869211935);
     EXPECT_PINNED(r.steadyP99Us, 1688.660206917443);
     EXPECT_PINNED(r.meanIntervalP99Us, 1279.8011361988601);
     EXPECT_DOUBLE_EQ(r.qosMetFraction, 0.0);
-    EXPECT_EQ(r.timeline.size(), 40u);
+    EXPECT_EQ(rec.points.size(), 40u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 0);
 }
 
@@ -115,20 +149,20 @@ TEST(EngineRegressionTest, ExplicitConstantTenantEqualsLegacyConfig)
     modern.services = {{services::ServiceKind::Memcached,
                         Scenario::constant(legacy.loadFraction)}};
 
-    Engine a(legacy), b(modern);
-    const ColoResult ra = a.run(), rb = b.run();
-    EXPECT_EQ(ra.overallP99Us, rb.overallP99Us);
-    EXPECT_EQ(ra.steadyP99Us, rb.steadyP99Us);
-    ASSERT_EQ(ra.timeline.size(), rb.timeline.size());
-    for (std::size_t i = 0; i < ra.timeline.size(); ++i)
-        EXPECT_EQ(ra.timeline[i].p99Us, rb.timeline[i].p99Us);
-    EXPECT_EQ(ra.apps[0].inaccuracy, rb.apps[0].inaccuracy);
+    const Recorded a = runRecorded(legacy), b = runRecorded(modern);
+    EXPECT_EQ(a.result.overallP99Us, b.result.overallP99Us);
+    EXPECT_EQ(a.result.steadyP99Us, b.result.steadyP99Us);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t i = 0; i < a.points.size(); ++i)
+        EXPECT_EQ(a.points[i].p99Us, b.points[i].p99Us);
+    EXPECT_EQ(a.result.apps[0].inaccuracy, b.result.apps[0].inaccuracy);
 }
 
-/** Exact structural equality of two results (byte-identical runs). */
+/** Exact structural equality of two recorded (byte-identical) runs. */
 void
-expectIdentical(const ColoResult &a, const ColoResult &b)
+expectIdentical(const Recorded &ra, const Recorded &rb)
 {
+    const ColoResult &a = ra.result, &b = rb.result;
     EXPECT_EQ(a.service, b.service);
     EXPECT_EQ(a.runtime, b.runtime);
     EXPECT_EQ(a.overallP99Us, b.overallP99Us);
@@ -154,22 +188,20 @@ expectIdentical(const ColoResult &a, const ColoResult &b)
                   b.apps[i].relativeExecTime);
         EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
     }
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-        EXPECT_EQ(a.timeline[i].t, b.timeline[i].t);
-        EXPECT_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
-        EXPECT_EQ(a.timeline[i].loadFraction,
-                  b.timeline[i].loadFraction);
-        ASSERT_EQ(a.timeline[i].services.size(),
-                  b.timeline[i].services.size());
-        for (std::size_t s = 0; s < a.timeline[i].services.size(); ++s) {
-            EXPECT_EQ(a.timeline[i].services[s].p99Us,
-                      b.timeline[i].services[s].p99Us);
-            EXPECT_EQ(a.timeline[i].services[s].loadFraction,
-                      b.timeline[i].services[s].loadFraction);
+    const std::vector<TimePoint> &pa = ra.points, &pb = rb.points;
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_EQ(pa[i].t, pb[i].t);
+        EXPECT_EQ(pa[i].p99Us, pb[i].p99Us);
+        EXPECT_EQ(pa[i].loadFraction, pb[i].loadFraction);
+        ASSERT_EQ(pa[i].services.size(), pb[i].services.size());
+        for (std::size_t s = 0; s < pa[i].services.size(); ++s) {
+            EXPECT_EQ(pa[i].services[s].p99Us, pb[i].services[s].p99Us);
+            EXPECT_EQ(pa[i].services[s].loadFraction,
+                      pb[i].services[s].loadFraction);
         }
-        EXPECT_EQ(a.timeline[i].variantOf, b.timeline[i].variantOf);
-        EXPECT_EQ(a.timeline[i].reclaimed, b.timeline[i].reclaimed);
+        EXPECT_EQ(pa[i].variantOf, pb[i].variantOf);
+        EXPECT_EQ(pa[i].reclaimed, pb[i].reclaimed);
     }
 }
 
@@ -198,17 +230,22 @@ TEST(EngineMultiServiceTest, FlashCrowdSweepIdenticalAt1And6Threads)
 {
     const auto configs = acceptanceConfigs();
 
-    const auto one = runColocations(configs, 1);
-    const auto many = runColocations(configs, 6);
+    const auto one = runRecorded(configs, 1);
+    const auto many = runRecorded(configs, 6);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         expectIdentical(one[i], many[i]);
+    // runColocations is the same parallel map without the recorder.
+    const auto batch = runColocations(configs, 6);
+    ASSERT_EQ(batch.size(), one.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectIdentical({batch[i], one[i].points}, one[i]);
 }
 
 TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
 {
-    const auto results = runColocations(acceptanceConfigs());
-    for (const auto &r : results) {
+    for (const auto &rec : runRecorded(acceptanceConfigs(), 0)) {
+        const ColoResult &r = rec.result;
         ASSERT_EQ(r.services.size(), 2u);
         EXPECT_EQ(r.services[0].name, "memcached");
         EXPECT_EQ(r.services[1].name, "nginx");
@@ -218,7 +255,7 @@ TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
         EXPECT_EQ(r.qosMetFraction, r.services[0].qosMetFraction);
         EXPECT_EQ(r.steadyP99Us, r.services[0].steadyP99Us);
         // Timeline carries one slice per service.
-        for (const auto &tp : r.timeline) {
+        for (const auto &tp : rec.points) {
             ASSERT_EQ(tp.services.size(), 2u);
             EXPECT_EQ(tp.p99Us, tp.services[0].p99Us);
             EXPECT_GT(tp.services[1].p99Us, 0.0);
@@ -250,11 +287,9 @@ TEST(EngineMultiServiceTest, ScenarioLoadShowsUpInTheTimeline)
           Scenario::step(0.45, 0.90, 20 * s)}},
         {"bayesian"}, core::RuntimeKind::Pliant, 3);
     cfg.maxDuration = 40 * s;
-    Engine engine(cfg);
-    const ColoResult r = engine.run();
     double before = 0.0, after = 0.0;
     int n_before = 0, n_after = 0;
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : runRecorded(cfg).points) {
         if (tp.t <= 20 * s) {
             before += tp.loadFraction;
             ++n_before;
@@ -282,15 +317,15 @@ TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
     cfg.enableCachePartitioning = true;
     cfg.maxDuration = 120 * s;
 
-    const auto one = runColocations({cfg}, 1);
-    const auto many = runColocations({cfg}, 6);
+    const auto one = runRecorded({cfg}, 1);
+    const auto many = runRecorded({cfg}, 6);
     expectIdentical(one[0], many[0]);
 
-    const ColoResult &r = one[0];
+    const ColoResult &r = one[0].result;
     ASSERT_EQ(r.services.size(), 2u);
     // The LLC-sensitive primary drives the partition lever.
     EXPECT_GT(r.maxPartitionWays, 0);
-    for (const auto &tp : r.timeline)
+    for (const auto &tp : one[0].points)
         EXPECT_LE(tp.partitionWays, cfg.spec.llcWays);
 }
 

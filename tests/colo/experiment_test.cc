@@ -15,6 +15,15 @@ namespace {
 using namespace pliant;
 using namespace pliant::colo;
 
+/** Run `cfg`, recording its per-interval series into `recorder`. */
+ColoResult
+runRecorded(const ColoConfig &cfg, TimelineRecorder &recorder)
+{
+    Engine engine(cfg);
+    engine.setTimelineSink(&recorder);
+    return engine.run();
+}
+
 TEST(FairShareTest, SplitsUsableCores)
 {
     server::ServerSpec spec; // 16 usable
@@ -32,28 +41,30 @@ TEST(ExperimentTest, RequiresAtLeastOneApp)
 
 TEST(ExperimentTest, RunsToTaskCompletion)
 {
-    const ColoResult r = runColocation(
-        services::ServiceKind::Memcached, {"raytrace"},
-        core::RuntimeKind::Pliant, 1);
+    TimelineRecorder recorder;
+    const ColoResult r = runRecorded(
+        makeColoConfig(services::ServiceKind::Memcached, {"raytrace"},
+                       core::RuntimeKind::Pliant, 1),
+        recorder);
     ASSERT_EQ(r.apps.size(), 1u);
     EXPECT_TRUE(r.apps[0].finished);
     EXPECT_GT(r.apps[0].relativeExecTime, 0.0);
-    EXPECT_FALSE(r.timeline.empty());
+    EXPECT_FALSE(recorder.points.empty());
 }
 
 TEST(ExperimentTest, DeterministicForSeed)
 {
-    const ColoResult a = runColocation(
+    const ColoConfig cfg = makeColoConfig(
         services::ServiceKind::Nginx, {"canneal"},
         core::RuntimeKind::Pliant, 42);
-    const ColoResult b = runColocation(
-        services::ServiceKind::Nginx, {"canneal"},
-        core::RuntimeKind::Pliant, 42);
+    TimelineRecorder ta, tb;
+    const ColoResult a = runRecorded(cfg, ta);
+    const ColoResult b = runRecorded(cfg, tb);
     EXPECT_DOUBLE_EQ(a.overallP99Us, b.overallP99Us);
     EXPECT_DOUBLE_EQ(a.apps[0].inaccuracy, b.apps[0].inaccuracy);
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
+    ASSERT_EQ(ta.points.size(), tb.points.size());
+    for (std::size_t i = 0; i < ta.points.size(); ++i)
+        EXPECT_DOUBLE_EQ(ta.points[i].p99Us, tb.points[i].p99Us);
 }
 
 TEST(ExperimentTest, DifferentSeedsDiffer)
@@ -69,11 +80,13 @@ TEST(ExperimentTest, DifferentSeedsDiffer)
 
 TEST(ExperimentTest, PreciseBaselineNeverActuates)
 {
-    const ColoResult r = runColocation(
-        services::ServiceKind::Memcached, {"canneal"},
-        core::RuntimeKind::Precise, 3);
+    TimelineRecorder recorder;
+    const ColoResult r = runRecorded(
+        makeColoConfig(services::ServiceKind::Memcached, {"canneal"},
+                       core::RuntimeKind::Precise, 3),
+        recorder);
     EXPECT_EQ(r.runtime, "precise");
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : recorder.points) {
         EXPECT_EQ(tp.variantOf[0], 0);
         EXPECT_EQ(tp.reclaimed[0], 0);
     }
@@ -93,14 +106,17 @@ TEST(ExperimentTest, PliantCarriesDynrecOverhead)
 
 TEST(ExperimentTest, TimelineInvariants)
 {
-    const ColoResult r = runColocation(
-        services::ServiceKind::Nginx, {"canneal", "bayesian"},
-        core::RuntimeKind::Pliant, 7);
+    TimelineRecorder recorder;
+    runRecorded(makeColoConfig(services::ServiceKind::Nginx,
+                               {"canneal", "bayesian"},
+                               core::RuntimeKind::Pliant, 7),
+                recorder);
+    ASSERT_FALSE(recorder.points.empty());
     const int most_canneal =
         approx::findProfile("canneal").mostApproxIndex();
     const int most_bayes =
         approx::findProfile("bayesian").mostApproxIndex();
-    for (const auto &tp : r.timeline) {
+    for (const auto &tp : recorder.points) {
         ASSERT_EQ(tp.variantOf.size(), 2u);
         EXPECT_GE(tp.variantOf[0], 0);
         EXPECT_LE(tp.variantOf[0], most_canneal);
@@ -162,9 +178,9 @@ TEST(ExperimentTest, MaxDurationCapsRunaway)
     cfg.service = services::ServiceKind::Memcached;
     cfg.apps = {"plsa"};
     cfg.maxDuration = 3 * sim::kSecond;
-    Engine exp(cfg);
-    const ColoResult r = exp.run();
-    EXPECT_LE(r.timeline.size(), 3u);
+    TimelineRecorder recorder;
+    const ColoResult r = runRecorded(cfg, recorder);
+    EXPECT_LE(recorder.points.size(), 3u);
     EXPECT_FALSE(r.apps[0].finished);
 }
 
@@ -175,15 +191,15 @@ TEST(ExperimentTest, DecisionIntervalControlsTimelineDensity)
     cfg.apps = {"raytrace"};
     cfg.decisionInterval = 2 * sim::kSecond;
     cfg.seed = 8;
-    Engine exp(cfg);
-    const ColoResult coarse = exp.run();
+    TimelineRecorder coarse;
+    runRecorded(cfg, coarse);
 
     ColoConfig cfg2 = cfg;
     cfg2.decisionInterval = sim::kSecond;
-    Engine exp2(cfg2);
-    const ColoResult fine = exp2.run();
+    TimelineRecorder fine;
+    runRecorded(cfg2, fine);
     // Same wall time, double the decision points (within rounding).
-    EXPECT_GT(fine.timeline.size(), coarse.timeline.size());
+    EXPECT_GT(fine.points.size(), coarse.points.size());
 }
 
 TEST(ExperimentTest, ImpactAwareArbiterRuns)

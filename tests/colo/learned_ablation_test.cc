@@ -39,9 +39,10 @@ constexpr double kRelTol = 1e-9;
 #define EXPECT_PINNED(actual, golden) \
     EXPECT_NEAR(actual, golden, std::abs(golden) * kRelTol)
 
+/** One learned-runtime run, its series recorded into `recorder`. */
 ColoResult
 runLearned(const std::string &app, double mc_load, double ng_load,
-           std::uint64_t seed, bool vector)
+           std::uint64_t seed, bool vector, TimelineRecorder &recorder)
 {
     ColoConfig cfg =
         ConfigBuilder()
@@ -56,6 +57,7 @@ runLearned(const std::string &app, double mc_load, double ng_load,
             .seed(seed)
             .build();
     Engine engine(cfg);
+    engine.setTimelineSink(&recorder);
     return engine.run();
 }
 
@@ -69,24 +71,28 @@ worstMeanRatio(const ColoResult &r)
 }
 
 bool
-variantTrajectoriesDiffer(const ColoResult &a, const ColoResult &b)
+variantTrajectoriesDiffer(const std::vector<TimePoint> &a,
+                          const std::vector<TimePoint> &b)
 {
-    if (a.timeline.size() != b.timeline.size())
+    if (a.size() != b.size())
         return true;
-    for (std::size_t i = 0; i < a.timeline.size(); ++i)
-        if (a.timeline[i].variantOf != b.timeline[i].variantOf)
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].variantOf != b[i].variantOf)
             return true;
     return false;
 }
 
 TEST(LearnedAblationTest, VectorBeatsWorstRatioBaselineOnMaxRatio)
 {
-    const ColoResult vec = runLearned("bayesian", 0.68, 0.62, 15, true);
+    TimelineRecorder vec_series, sca_series;
+    const ColoResult vec =
+        runLearned("bayesian", 0.68, 0.62, 15, true, vec_series);
     const ColoResult sca =
-        runLearned("bayesian", 0.68, 0.62, 15, false);
+        runLearned("bayesian", 0.68, 0.62, 15, false, sca_series);
 
     // The arbiters actually chose different variants...
-    EXPECT_TRUE(variantTrajectoriesDiffer(vec, sca));
+    EXPECT_TRUE(variantTrajectoriesDiffer(vec_series.points,
+                                          sca_series.points));
 
     // ... and the vector-conditioned choices dominate: strictly lower
     // worst-service ratio, strictly lower quality loss, no-worse QoS.
@@ -103,10 +109,14 @@ TEST(LearnedAblationTest, VectorBeatsWorstRatioBaselineOnMaxRatio)
 
 TEST(LearnedAblationTest, VectorRecoversPrecisionAfterTransients)
 {
-    const ColoResult vec = runLearned("canneal", 0.66, 0.58, 2, true);
-    const ColoResult sca = runLearned("canneal", 0.66, 0.58, 2, false);
+    TimelineRecorder vec_series, sca_series;
+    const ColoResult vec =
+        runLearned("canneal", 0.66, 0.58, 2, true, vec_series);
+    const ColoResult sca =
+        runLearned("canneal", 0.66, 0.58, 2, false, sca_series);
 
-    EXPECT_TRUE(variantTrajectoriesDiffer(vec, sca));
+    EXPECT_TRUE(variantTrajectoriesDiffer(vec_series.points,
+                                          sca_series.points));
 
     // Both meet QoS on every interval; only the vector model gives
     // the transiently sacrificed quality back (~10x lower final
@@ -126,7 +136,8 @@ TEST(LearnedAblationTest, ScalarFlagIsByteInvisibleWithOneService)
 {
     // The ablation flag must not move a single-service run at all:
     // the scalar path is the fallback the vector model reduces to.
-    const auto run = [](bool vector) {
+    TimelineRecorder a_series, b_series;
+    const auto run = [](bool vector, TimelineRecorder &recorder) {
         ColoConfig cfg =
             ConfigBuilder()
                 .service(services::ServiceKind::MongoDb,
@@ -138,13 +149,17 @@ TEST(LearnedAblationTest, ScalarFlagIsByteInvisibleWithOneService)
                 .seed(5)
                 .build();
         Engine engine(cfg);
+        engine.setTimelineSink(&recorder);
         return engine.run();
     };
-    const ColoResult a = run(true), b = run(false);
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-        EXPECT_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
-        EXPECT_EQ(a.timeline[i].variantOf, b.timeline[i].variantOf);
+    const ColoResult a = run(true, a_series), b = run(false, b_series);
+    const std::vector<TimePoint> &ta = a_series.points;
+    const std::vector<TimePoint> &tb = b_series.points;
+    ASSERT_FALSE(ta.empty());
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+        EXPECT_EQ(ta[i].p99Us, tb[i].p99Us);
+        EXPECT_EQ(ta[i].variantOf, tb[i].variantOf);
     }
     EXPECT_EQ(a.apps[0].inaccuracy, b.apps[0].inaccuracy);
     EXPECT_EQ(a.overallP99Us, b.overallP99Us);

@@ -17,9 +17,9 @@ namespace {
 using namespace pliant;
 using namespace pliant::colo;
 
-ColoResult
-sampleRun(core::RuntimeKind kind = core::RuntimeKind::Pliant,
-          bool partitioning = false)
+ColoConfig
+sampleConfig(core::RuntimeKind kind = core::RuntimeKind::Pliant,
+             bool partitioning = false)
 {
     ColoConfig cfg;
     cfg.service = services::ServiceKind::Memcached;
@@ -27,16 +27,33 @@ sampleRun(core::RuntimeKind kind = core::RuntimeKind::Pliant,
     cfg.runtime = kind;
     cfg.enableCachePartitioning = partitioning;
     cfg.seed = 33;
-    Engine exp(cfg);
+    return cfg;
+}
+
+ColoResult
+sampleRun(core::RuntimeKind kind = core::RuntimeKind::Pliant,
+          bool partitioning = false)
+{
+    Engine exp(sampleConfig(kind, partitioning));
     return exp.run();
+}
+
+/** Timeline CSV text of one run of `cfg`, streamed by a live sink. */
+std::string
+timelineCsv(const ColoConfig &cfg)
+{
+    Engine engine(cfg);
+    std::ostringstream os;
+    CsvTimelineSink sink = CsvTimelineSink::forConfig(os, cfg);
+    engine.setTimelineSink(&sink);
+    engine.run();
+    return os.str();
 }
 
 TEST(TraceTest, TimelineCsvHasHeaderAndRows)
 {
-    const ColoResult r = sampleRun();
-    std::ostringstream os;
-    writeTimelineCsv(os, r);
-    std::istringstream is(os.str());
+    const ColoConfig cfg = sampleConfig();
+    std::istringstream is(timelineCsv(cfg));
     std::string header;
     std::getline(is, header);
     EXPECT_NE(header.find("t_s"), std::string::npos);
@@ -46,7 +63,34 @@ TEST(TraceTest, TimelineCsvHasHeaderAndRows)
     while (std::getline(is, line))
         if (!line.empty())
             ++rows;
-    EXPECT_EQ(rows, r.timeline.size());
+
+    // One row per point the same run delivers to a recorder.
+    Engine engine(cfg);
+    TimelineRecorder recorder;
+    engine.setTimelineSink(&recorder);
+    engine.run();
+    EXPECT_EQ(rows, recorder.points.size());
+    EXPECT_GT(rows, 0u);
+}
+
+TEST(TraceTest, AttachingASinkSendsTheLiveRoster)
+{
+    // A sink attached mid-run gets one roster event (now, live apps)
+    // and then only the points that close after it.
+    const sim::Time s = sim::kSecond;
+    ColoConfig cfg = sampleConfig();
+    cfg.apps = {"canneal", "bayesian"};
+    Engine engine(cfg);
+    engine.advanceUntil(3 * s);
+    TimelineRecorder recorder;
+    engine.setTimelineSink(&recorder);
+    ASSERT_EQ(recorder.rosters.size(), 1u);
+    EXPECT_EQ(recorder.rosters[0].t, 3 * s);
+    EXPECT_EQ(recorder.rosters[0].apps, cfg.apps);
+    engine.advanceUntil(6 * s);
+    ASSERT_EQ(recorder.points.size(), 3u);
+    EXPECT_EQ(recorder.points.front().t, 4 * s);
+    EXPECT_EQ(recorder.rosters.size(), 1u);
 }
 
 TEST(TraceTest, SummaryCsvRoundTripsKeyFields)
@@ -66,11 +110,7 @@ TEST(TraceTest, MultiAppColumnsPerApp)
     cfg.service = services::ServiceKind::Nginx;
     cfg.apps = {"canneal", "bayesian"};
     cfg.seed = 34;
-    Engine exp(cfg);
-    const ColoResult r = exp.run();
-    std::ostringstream os;
-    writeTimelineCsv(os, r);
-    std::istringstream is(os.str());
+    std::istringstream is(timelineCsv(cfg));
     std::string header;
     std::getline(is, header);
     EXPECT_NE(header.find("canneal_variant"), std::string::npos);
@@ -104,75 +144,80 @@ TEST(TraceTest, SummaryCsvForAppLessNodeHasNoNan)
     EXPECT_NE(out.find(",-,-"), std::string::npos) << out;
 }
 
-TEST(TraceTest, StreamingRunMatchesRetainedSummaryBytes)
+// The two runs below pin the full timeline CSV text byte for byte:
+// every column family the sink writes (per app, per extra service,
+// admission) and the exact formatting of each value.
+
+TEST(TraceTest, TimelineCsvBytesArePinned)
 {
-    // The streaming contract: retainTimeline only changes what is
-    // kept in memory, never a reported number — the same config run
-    // both ways produces byte-identical summary CSVs.
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"canneal", "bayesian"};
-    cfg.seed = 36;
-
-    ColoConfig streaming_cfg = cfg;
-    streaming_cfg.retainTimeline = false;
-
-    Engine retained_run(cfg);
-    const ColoResult retained = retained_run.run();
-    Engine streaming_run(streaming_cfg);
-    const ColoResult streaming = streaming_run.run();
-
-    EXPECT_FALSE(retained.timeline.empty());
-    EXPECT_TRUE(streaming.timeline.empty());
-    EXPECT_EQ(streaming.steadyP99Us, retained.steadyP99Us);
-    EXPECT_EQ(streaming.meanIntervalP99Us,
-              retained.meanIntervalP99Us);
-    EXPECT_EQ(streaming.qosMetFraction, retained.qosMetFraction);
-    EXPECT_EQ(streaming.maxCoresReclaimedTotal,
-              retained.maxCoresReclaimedTotal);
-    EXPECT_EQ(streaming.typicalCoresReclaimed,
-              retained.typicalCoresReclaimed);
-
-    std::ostringstream a, b;
-    writeSummaryCsv(a, retained);
-    writeSummaryCsv(b, streaming);
-    EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(TraceTest, LiveSinkMatchesRetainedReplayBytes)
-{
-    // A CsvTimelineSink attached to a live engine must emit exactly
-    // the rows writeTimelineCsv replays from a retained run of the
-    // same config.
     ColoConfig cfg;
     cfg.service = services::ServiceKind::Memcached;
     cfg.apps = {"canneal"};
     cfg.seed = 37;
+    cfg.maxDuration = 12 * sim::kSecond;
+    EXPECT_EQ(timelineCsv(cfg),
+        "t_s,p99_us,p99_over_qos,load,decision,partition_ways,"
+        "canneal_variant,canneal_reclaimed\n"
+        "1.000,1616.2,8.0812,0.8142,switch-to-most,0,4,0\n"
+        "2.000,1239.7,6.1984,0.7855,reclaim-core,0,4,1\n"
+        "3.000,139.0,0.6952,0.7693,none,0,4,1\n"
+        "4.000,153.1,0.7655,0.8006,return-core,0,4,0\n"
+        "5.000,367.6,1.8378,0.7732,reclaim-core,0,4,1\n"
+        "6.000,127.5,0.6374,0.7958,none,0,4,1\n"
+        "7.000,129.3,0.6467,0.7635,none,0,4,1\n"
+        "8.000,133.7,0.6686,0.7720,none,0,4,1\n"
+        "9.000,132.9,0.6647,0.7503,return-core,0,4,0\n"
+        "10.000,206.5,1.0327,0.7639,reclaim-core,0,4,1\n"
+        "11.000,139.1,0.6953,0.7963,none,0,4,1\n"
+        "12.000,134.3,0.6716,0.7726,none,0,4,1\n");
+}
 
-    Engine retained_run(cfg);
-    const ColoResult retained = retained_run.run();
-    std::ostringstream replayed;
-    writeTimelineCsv(replayed, retained);
-
-    ColoConfig streaming_cfg = cfg;
-    streaming_cfg.retainTimeline = false;
-    Engine streaming_run(streaming_cfg);
-    std::ostringstream live;
-    std::vector<std::string> columns;
-    for (const auto &app : retained.apps)
-        columns.push_back(app.name);
-    std::vector<std::string> service_names;
-    for (const auto &svc : retained.services)
-        service_names.push_back(svc.name);
-    CsvTimelineSink sink(live, columns, service_names,
-                         retained.qosUs, retained.admissionEnabled,
-                         retained.budgetEnabled);
-    streaming_run.setTimelineSink(&sink);
-    const ColoResult streaming = streaming_run.run();
-
-    EXPECT_TRUE(streaming.timeline.empty());
-    EXPECT_EQ(live.str(), replayed.str());
-    EXPECT_FALSE(live.str().empty());
+TEST(TraceTest, AdmissionTimelineCsvBytesArePinned)
+{
+    // Two tenants (per-service columns) behind a QosShed front-end
+    // (per-service shed and queue-delay columns), with a crowd early
+    // enough in the 12 s run to make the admission columns move.
+    const sim::Time s = sim::kSecond;
+    ServiceSpec mc, ngx;
+    mc.kind = services::ServiceKind::Memcached;
+    mc.scenario =
+        Scenario::flashCrowd(0.45, 1.15, 3 * s, 1 * s, 5 * s, 2 * s);
+    ngx.kind = services::ServiceKind::Nginx;
+    ngx.scenario = Scenario::constant(0.45);
+    ColoConfig cfg = makeMultiServiceConfig(
+        {mc, ngx}, {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 38);
+    cfg.admission.enabled = true;
+    cfg.admission.policy = admission::AdmissionKind::QosShed;
+    cfg.maxDuration = 12 * s;
+    EXPECT_EQ(timelineCsv(cfg),
+        "t_s,p99_us,p99_over_qos,load,decision,partition_ways,"
+        "canneal_variant,canneal_reclaimed,bayesian_variant,"
+        "bayesian_reclaimed,nginx_p99_us,nginx_load,memcached_shed,"
+        "memcached_qdelay_us,nginx_shed,nginx_qdelay_us\n"
+        "1.000,117.8,0.5888,0.4690,none,0,0,0,0,0,7171.0,0.4581,"
+        "0.0000,0.0,0.0000,0.0\n"
+        "2.000,108.9,0.5444,0.4457,none,0,0,0,0,0,6706.9,0.4144,"
+        "0.0000,0.0,0.0000,0.0\n"
+        "3.000,109.7,0.5487,0.4898,none,0,0,0,0,0,6151.3,0.4495,"
+        "0.0000,0.0,0.0000,0.0\n"
+        "4.000,844.2,4.2212,0.5904,switch-to-most,0,4,0,0,0,6368.8,"
+        "0.4267,0.2786,537.7,0.0000,0.0\n"
+        "5.000,656.1,3.2807,0.5971,switch-to-most,0,4,0,8,0,6850.5,"
+        "0.4511,0.4725,128.2,0.0000,0.0\n"
+        "6.000,175.9,0.8793,0.6211,none,0,4,0,8,0,6482.8,0.4140,"
+        "0.4520,0.7,0.0000,0.0\n"
+        "7.000,178.4,0.8921,0.6525,step-down,0,3,0,8,0,6580.1,0.4660,"
+        "0.4469,0.0,0.0000,0.0\n"
+        "8.000,163.3,0.8163,0.6347,none,0,3,0,8,0,6296.1,0.4677,"
+        "0.4582,0.0,0.0000,0.0\n"
+        "9.000,176.2,0.8811,0.6296,step-down,0,3,0,7,0,6345.6,0.4524,"
+        "0.4554,0.0,0.0000,0.0\n"
+        "10.000,163.6,0.8181,0.6178,none,0,3,0,7,0,6260.4,0.4479,"
+        "0.3654,0.0,0.0000,0.0\n"
+        "11.000,142.3,0.7114,0.4465,step-down,0,2,0,7,0,6138.5,"
+        "0.4254,0.0784,0.0,0.0000,0.0\n"
+        "12.000,127.3,0.6365,0.4697,none,0,2,0,7,0,5784.0,0.4362,"
+        "0.0000,0.0,0.0000,0.0\n");
 }
 
 TEST(PartitionIntegrationTest, PartitioningPrecedesCoreReclamation)
@@ -252,10 +297,11 @@ TEST(TraceTest, MultiServiceTimelineAddsPerServiceColumns)
         {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 36);
     cfg.maxDuration = 60 * s;
     Engine exp(cfg);
+    std::ostringstream os;
+    CsvTimelineSink sink = CsvTimelineSink::forConfig(os, cfg);
+    exp.setTimelineSink(&sink);
     const ColoResult r = exp.run();
 
-    std::ostringstream os;
-    writeTimelineCsv(os, r);
     std::istringstream is(os.str());
     std::string header;
     std::getline(is, header);

@@ -294,8 +294,7 @@ TEST(ZeroAllocTest, IntervalClosesWithAdmissionAllocateNothing)
     // runtime's relief floor at every close (non-empty under the
     // learned runtime). The first tenant's name is longer than any
     // short-string buffer, so a close that copied it into a fresh
-    // string would allocate. The timeline is not retained, so no
-    // close appends to a per-interval series.
+    // string would allocate.
     for (const auto runtime :
          {core::RuntimeKind::Pliant, core::RuntimeKind::Learned}) {
         for (const bool metrics : {false, true}) {
@@ -315,7 +314,6 @@ TEST(ZeroAllocTest, IntervalClosesWithAdmissionAllocateNothing)
                     .runtime(runtime)
                     .admission(admission::AdmissionKind::QosShed,
                                admission::BatchingKind::Adaptive)
-                    .retainTimeline(false)
                     .seed(5)
                     .observability(metrics)
                     .build();

@@ -73,17 +73,22 @@ TEST(PoolTest, WaitRethrowsJobException)
 
 TEST(PoolTest, OversizedCaptureJobsPropagateExceptions)
 {
+    // Repeated so a race-detector build reliably hits the window
+    // between the worker handing the exception over and the caller
+    // reading it.
     driver::Pool pool(2);
     std::array<char, 100> blob{};
     blob[0] = 'x';
-    pool.submit([blob] {
-        throw std::runtime_error(std::string("boxed ") + blob[0]);
-    });
-    try {
-        pool.wait();
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "boxed x");
+    for (int round = 0; round < 200; ++round) {
+        pool.submit([blob] {
+            throw std::runtime_error(std::string("boxed ") + blob[0]);
+        });
+        try {
+            pool.wait();
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boxed x");
+        }
     }
 }
 

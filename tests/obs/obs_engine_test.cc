@@ -13,6 +13,7 @@
  *    with non-decreasing per-track simulated timestamps.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -137,8 +138,15 @@ TEST(ObsEngineTest, EnablingMetricsDoesNotPerturbTheSimulation)
     colo::ColoConfig off = engineConfig();
     colo::ColoConfig on = engineConfig();
     on.observability.metrics = true;
-    const colo::ColoResult a = colo::Engine(off).run();
-    const colo::ColoResult b = colo::Engine(on).run();
+    // Each run streams its timeline CSV through a live sink.
+    std::ostringstream ta, tb;
+    colo::Engine ea(off), eb(on);
+    colo::CsvTimelineSink sink_a = colo::CsvTimelineSink::forConfig(ta, off);
+    colo::CsvTimelineSink sink_b = colo::CsvTimelineSink::forConfig(tb, on);
+    ea.setTimelineSink(&sink_a);
+    eb.setTimelineSink(&sink_b);
+    const colo::ColoResult a = ea.run();
+    const colo::ColoResult b = eb.run();
     EXPECT_FALSE(a.obsEnabled);
     EXPECT_TRUE(b.obsEnabled);
 
@@ -149,10 +157,9 @@ TEST(ObsEngineTest, EnablingMetricsDoesNotPerturbTheSimulation)
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
     // ...down to the byte level of the timeline CSV (which carries
     // no obs columns).
-    std::ostringstream ta, tb;
-    colo::writeTimelineCsv(ta, a);
-    colo::writeTimelineCsv(tb, b);
-    EXPECT_EQ(ta.str(), tb.str());
+    const std::string csv = ta.str();
+    EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 1);
+    EXPECT_EQ(csv, tb.str());
 
     // Sanity: the run actually produced work for the registry.
     EXPECT_GT(b.metrics.find("engine.ticks")->count, 0U);
