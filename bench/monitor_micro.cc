@@ -1,9 +1,10 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the per-sample monitor path:
- * one P2Quantile::add, and PerformanceMonitor::observe on 32-sample
- * spans (one tenant tick's worth) with and without the steady-state
- * sketch. Each reports its time per sample.
+ * Google-benchmark microbenchmarks of the monitor: on the per-sample
+ * path, one P2Quantile::add and PerformanceMonitor::observe on
+ * 32-sample spans (one tenant tick's worth) with and without the
+ * steady-state sketch, each reported per sample; at the interval
+ * close, PerformanceMonitor::closeInterval on a filled window.
  */
 
 #include <cstddef>
@@ -89,6 +90,33 @@ BM_ObserveSpan(benchmark::State &state)
     reportPerSample(state, kSpan);
 }
 BENCHMARK(BM_ObserveSpan)->ArgName("steady")->Arg(0)->Arg(1);
+
+/**
+ * Arg: window size. Times only closeInterval (mean, p50 and p99 of
+ * the window); refilling the window between closes is untimed. Each
+ * close reads a different slice of the latency stream.
+ */
+void
+BM_CloseInterval(benchmark::State &state)
+{
+    const std::vector<double> &xs = latencies();
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    PerformanceMonitor mon(n, 13);
+    std::size_t off = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        mon.observe(std::span<const double>(xs.data() + off, n), false);
+        off = (off + n) % (xs.size() - n);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(mon.closeInterval());
+    }
+}
+BENCHMARK(BM_CloseInterval)
+    ->ArgName("window")
+    ->Arg(60)
+    ->Arg(480)
+    ->Arg(3600)
+    ->Arg(4096);
 
 } // namespace
 

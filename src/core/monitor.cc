@@ -57,8 +57,10 @@ PerformanceMonitor::closeInterval()
             sum += l;
         // The window dies with the interval, so select the two
         // percentiles in place (the sum above is taken before the
-        // reorder). Values are bit-identical to sorting the window
-        // and reading it with sortedPercentile.
+        // reorder): a min/max pass, a bucket histogram and one
+        // compaction leave nth_element only the buckets that hold the
+        // p50 and p99 ranks. Values are bit-identical to sorting the
+        // window and interpolating between closest ranks.
         static constexpr double kPercentiles[] = {50.0, 99.0};
         double q[2];
         util::selectPercentiles(window, kPercentiles, q);

@@ -7,6 +7,7 @@
 #define PLIANT_UTIL_STATS_HH
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -87,39 +88,40 @@ class RunningStats
 };
 
 /**
- * Percentile of an already-sorted sample via linear interpolation
- * between closest ranks. @param p percentile in [0, 100]. Returns 0
- * on an empty sample. Shared by PercentileWindow and FiveNumber;
- * selectPercentiles below returns the same doubles without sorting.
- */
-inline double
-sortedPercentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    if (sorted.size() == 1)
-        return sorted.front();
-    const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-/**
- * Exact percentiles of an unsorted, NaN-free sample by selection:
- * out[k] is bit-identical to sorting @p sample and calling
- * sortedPercentile(sorted, ps[k]) (values that compare equal are
+ * Exact percentiles of an unsorted, NaN-free sample by
+ * histogram-prefiltered selection. With rank = (ps[k] / 100) * (n - 1),
+ * lo = size_t(rank), hi = min(lo + 1, n - 1) and frac = rank - lo,
+ * out[k] = vlo + frac * (vhi - vlo) over the lo-th and hi-th order
+ * statistics: bit-identical to sorting @p sample and interpolating
+ * between closest ranks (values that compare equal are
  * interchangeable; only -0.0 vs +0.0 could tell them apart). Used by
- * the monitor's interval close, whose window dies with the interval.
+ * the monitor's interval close, whose window dies with the interval,
+ * and by FiveNumber.
  *
- * Per percentile: std::nth_element places the lo-th order statistic,
- * the hi-th is the minimum of the partition above it, and the two
- * interpolate exactly as in sortedPercentile. Each selection only
- * partitions the range the previous one left above it, so the
- * monitor's ascending {50, 99} pair partitions about 1.5n elements
- * instead of sorting n log n. Any order is correct; a descending one
- * only costs more.
+ * Three linear passes narrow the sample to the few values that can be
+ * those order statistics:
+ *  1. Take the minimum mn and maximum mx, in four independent lanes.
+ *  2. Count values per bucket size_t((v - mn) * scale), with scale =
+ *     (buckets - 1) / (mx - mn). IEEE subtraction, multiplication by a
+ *     positive constant and truncation are each monotone, so v <= w
+ *     gives bucket(v) <= bucket(w): every value of a bucket is below
+ *     every value of a higher bucket, and the prefix counts name the
+ *     bucket that holds each requested rank. Rounding keeps mx's index
+ *     at most buckets - 1.
+ *  3. Move the values of only those buckets to the front, branchless:
+ *     an unconditional swap and a conditional increment keep the
+ *     sample a permutation of itself.
+ * Then, on that prefix and with each rank remapped into it,
+ * std::nth_element places the lo-th order statistic and the hi-th is
+ * the minimum of the part above it. Each selection only partitions the
+ * range the previous one left above it, so an ascending list is
+ * cheapest; any order is correct.
+ *
+ * buckets = clamp(bit_ceil(n) / 4, 4, 1024), counted on the stack; the
+ * call never allocates. A degenerate range (all values equal, an
+ * infinite min or max, or a span too small for a finite scale) forms
+ * no product: the sample is one bucket and the selection runs on all
+ * of it.
  *
  * @param sample reordered in place (partitioned, not sorted).
  * @param ps percentiles in [0, 100].
@@ -130,104 +132,140 @@ selectPercentiles(std::vector<double> &sample, std::span<const double> ps,
                   std::span<double> out)
 {
     const std::size_t n = sample.size();
+    if (n <= 1) {
+        for (std::size_t k = 0; k < ps.size(); ++k)
+            out[k] = n ? sample.front() : 0.0;
+        return;
+    }
+    double *const a = sample.data();
+
+    // 1. Four independent min/max chains; the tail joins lane 0.
+    double mn0 = a[0], mn1 = a[0], mn2 = a[0], mn3 = a[0];
+    double mx0 = a[0], mx1 = a[0], mx2 = a[0], mx3 = a[0];
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        mn0 = std::min(mn0, a[i]);
+        mn1 = std::min(mn1, a[i + 1]);
+        mn2 = std::min(mn2, a[i + 2]);
+        mn3 = std::min(mn3, a[i + 3]);
+        mx0 = std::max(mx0, a[i]);
+        mx1 = std::max(mx1, a[i + 1]);
+        mx2 = std::max(mx2, a[i + 2]);
+        mx3 = std::max(mx3, a[i + 3]);
+    }
+    for (; i < n; ++i) {
+        mn0 = std::min(mn0, a[i]);
+        mx0 = std::max(mx0, a[i]);
+    }
+    const double mn = std::min(std::min(mn0, mn1), std::min(mn2, mn3));
+    const double mx = std::max(std::max(mx0, mx1), std::max(mx2, mx3));
+
+    constexpr std::size_t kMaxBuckets = 1024;
+    std::size_t buckets =
+        std::clamp<std::size_t>(std::bit_ceil(n) / 4, 4, kMaxBuckets);
+    double scale = static_cast<double>(buckets - 1) / (mx - mn);
+    // Degenerate: a zero span (all values equal) or one below ~1e-305
+    // makes the scale infinite, an infinite min or max makes it 0 or
+    // NaN. Then the sample is one bucket and no product is formed.
+    if (!(scale > 0.0 && scale <= std::numeric_limits<double>::max())) {
+        buckets = 1;
+        scale = 0.0;
+    }
+    // Via int64_t: the index is below 1024, and x86-64 converts a
+    // double to a signed integer in one instruction.
+    const auto bucketOf = [mn, scale](double v) {
+        return static_cast<std::size_t>(
+            static_cast<std::int64_t>((v - mn) * scale));
+    };
+
+    // 2. first[b]: rank of bucket b's smallest value; first[buckets]
+    // is n.
+    std::size_t first[kMaxBuckets + 1];
+    std::fill_n(first, buckets, std::size_t{0});
+    if (scale > 0.0) {
+        for (std::size_t j = 0; j < n; ++j)
+            ++first[bucketOf(a[j])];
+    } else {
+        first[0] = n;
+    }
+    std::size_t below = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const std::size_t count = first[b];
+        first[b] = below;
+        below += count;
+    }
+    first[buckets] = n;
+    const auto bucketOfRank = [&first, buckets](std::size_t r) {
+        return static_cast<std::size_t>(
+            std::upper_bound(first, first + buckets + 1, r) - first - 1);
+    };
+
+    struct Rank
+    {
+        std::size_t lo, hi;
+        double frac;
+    };
+    const auto rankOf = [n](double p) {
+        const double rank = (p / 100.0) * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        return Rank{lo, std::min(lo + 1, n - 1),
+                    rank - static_cast<double>(lo)};
+    };
+
+    bool keep[kMaxBuckets];
+    std::fill_n(keep, buckets, false);
+    for (const double p : ps) {
+        const Rank r = rankOf(p);
+        keep[bucketOfRank(r.lo)] = true;
+        keep[bucketOfRank(r.hi)] = true;
+    }
+    // 3. The kept buckets' values to a[0, m), the rest behind them.
+    std::size_t m = n;
+    if (scale > 0.0) {
+        m = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double v = a[j];
+            const bool take = keep[bucketOf(v)];
+            a[j] = a[m];
+            a[m] = v;
+            m += take;
+        }
+    }
+    // Where kept bucket b's values start in a[0, m).
+    const auto keptBelow = [&first, &keep](std::size_t b) {
+        std::size_t kept = 0;
+        for (std::size_t c = 0; c < b; ++c)
+            kept += keep[c] ? first[c + 1] - first[c] : 0;
+        return kept;
+    };
+
+    // Invariant: a[0, from) <= a[from, m), and a[from-1] is the
+    // (from-1)-th order statistic of the prefix.
     const auto base = sample.begin();
-    // Invariant: sample[0, from) <= sample[from, n), and sample[from-1]
-    // is the (from-1)-th order statistic.
+    const auto end = base + m;
     std::size_t from = 0;
     for (std::size_t k = 0; k < ps.size(); ++k) {
-        if (n <= 1) {
-            out[k] = n ? sample.front() : 0.0;
-            continue;
-        }
-        const double rank = (ps[k] / 100.0) * static_cast<double>(n - 1);
-        const std::size_t lo = static_cast<std::size_t>(rank);
-        const std::size_t hi = std::min(lo + 1, n - 1);
-        const double frac = rank - static_cast<double>(lo);
+        const Rank r = rankOf(ps[k]);
+        const std::size_t b = bucketOfRank(r.lo);
+        const std::size_t lo = r.lo - first[b] + keptBelow(b);
         if (lo >= from)
-            std::nth_element(base + from, base + lo, sample.end());
+            std::nth_element(base + from, base + lo, end);
         else if (lo + 1 < from)
             std::nth_element(base, base + lo, base + from);
         from = lo + 1;
-        const double vlo = sample[lo];
+        const double vlo = a[lo];
         const double vhi =
-            hi == lo ? vlo : *std::min_element(base + hi, sample.end());
-        out[k] = vlo + frac * (vhi - vlo);
+            r.hi == r.lo ? vlo : *std::min_element(base + lo + 1, end);
+        out[k] = vlo + r.frac * (vhi - vlo);
     }
 }
-
-/**
- * Exact percentile computation over a retained sample vector.
- *
- * Used where windows are small (one decision interval of latency
- * samples); for unbounded streams use P2Quantile below.
- *
- * Percentile queries sort a cached copy once per window generation:
- * any number of percentile()/p99()/p50() calls between adds reuse
- * the same sorted array, and the next add() invalidates it.
- */
-class PercentileWindow
-{
-  public:
-    void add(double x)
-    {
-        samples.push_back(x);
-        sortedValid = false;
-    }
-
-    void clear()
-    {
-        samples.clear();
-        sorted.clear();
-        sortedValid = false;
-    }
-
-    std::size_t count() const { return samples.size(); }
-
-    /**
-     * Percentile via linear interpolation between closest ranks.
-     * @param p percentile in [0, 100].
-     * @return 0 when the window is empty.
-     */
-    double percentile(double p) const
-    {
-        if (samples.empty())
-            return 0.0;
-        if (!sortedValid) {
-            sorted = samples;
-            std::sort(sorted.begin(), sorted.end());
-            sortedValid = true;
-        }
-        return sortedPercentile(sorted, p);
-    }
-
-    double p99() const { return percentile(99.0); }
-    double p50() const { return percentile(50.0); }
-
-    double mean() const
-    {
-        if (samples.empty())
-            return 0.0;
-        double s = 0.0;
-        for (double x : samples)
-            s += x;
-        return s / static_cast<double>(samples.size());
-    }
-
-    const std::vector<double> &data() const { return samples; }
-
-  private:
-    std::vector<double> samples;
-    /** Sort cache, rebuilt lazily after the window grows. */
-    mutable std::vector<double> sorted;
-    mutable bool sortedValid = false;
-};
 
 /**
  * Exact percentiles of a window of small non-negative integers, kept
  * as one count per value: memory grows with the largest value, not
  * with the number of samples. percentile() interpolates between
- * closest ranks exactly as sortedPercentile does over the sorted
- * samples, so it returns the same doubles.
+ * closest ranks exactly as selectPercentiles does over the samples,
+ * so it returns the same doubles.
  *
  * Used for per-interval core totals, whose bound (the node's cores)
  * is known up front: after reserveValues(bound), add() never
@@ -513,7 +551,9 @@ class Reservoir
 
 /**
  * Five-number summary (min, q1, median, q3, max) of a sample —
- * the data behind a violin/box plot.
+ * the data behind a violin/box plot. Each field is the 0th, 25th,
+ * 50th, 75th or 100th percentile from selectPercentiles, so min and
+ * max are the sample's extremes whenever it is finite.
  */
 struct FiveNumber
 {
@@ -521,16 +561,11 @@ struct FiveNumber
 
     static FiveNumber of(std::vector<double> v)
     {
-        FiveNumber f;
-        if (v.empty())
-            return f;
-        std::sort(v.begin(), v.end());
-        f.min = v.front();
-        f.q1 = sortedPercentile(v, 25.0);
-        f.median = sortedPercentile(v, 50.0);
-        f.q3 = sortedPercentile(v, 75.0);
-        f.max = v.back();
-        return f;
+        static constexpr double kPercentiles[] = {0.0, 25.0, 50.0, 75.0,
+                                                  100.0};
+        double q[5];
+        selectPercentiles(v, kPercentiles, q);
+        return {q[0], q[1], q[2], q[3], q[4]};
     }
 };
 

@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/exact_percentile.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 
 namespace {
 
@@ -49,9 +49,9 @@ expectCloseMatchesSortedReference(PerformanceMonitor &m)
     const IntervalReport r = m.closeInterval();
     ASSERT_EQ(r.samples, window.size());
     EXPECT_EQ(bitsOf(r.p99Us),
-              bitsOf(pliant::util::sortedPercentile(sorted, 99.0)));
+              bitsOf(pliant::test::sortedPercentile(sorted, 99.0)));
     EXPECT_EQ(bitsOf(r.p50Us),
-              bitsOf(pliant::util::sortedPercentile(sorted, 50.0)));
+              bitsOf(pliant::test::sortedPercentile(sorted, 50.0)));
     EXPECT_EQ(bitsOf(r.meanUs),
               bitsOf(sum / static_cast<double>(window.size())));
     EXPECT_EQ(m.windowSize(), 0u);

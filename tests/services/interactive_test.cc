@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/exact_percentile.hh"
 #include "util/stats.hh"
 
 namespace {
@@ -55,7 +56,7 @@ TEST_P(SoloQosTest, MeetsQosWithoutInterference)
 {
     const ServiceConfig cfg = defaultConfig(GetParam());
     InteractiveService svc(cfg, steadyLoad(0.78), 21);
-    pliant::util::PercentileWindow window;
+    pliant::test::PercentileWindow window;
     for (int i = 0; i < 1000; ++i) {
         const auto r = svc.tick(10 * sim::kMillisecond, 1.0);
         for (double s : r.sampleUs)
@@ -82,7 +83,7 @@ TEST_P(InflatedQosTest, HighInflationViolatesQos)
 {
     const ServiceConfig cfg = defaultConfig(GetParam());
     InteractiveService svc(cfg, steadyLoad(0.78), 22);
-    pliant::util::PercentileWindow window;
+    pliant::test::PercentileWindow window;
     for (int i = 0; i < 1000; ++i) {
         const auto r = svc.tick(10 * sim::kMillisecond, 1.35);
         for (double s : r.sampleUs)
@@ -155,7 +156,7 @@ TEST(InteractiveServiceTest, SamplesMatchAnalyticTail)
 {
     const ServiceConfig cfg = defaultConfig(ServiceKind::Nginx);
     InteractiveService svc(cfg, steadyLoad(0.7), 5);
-    pliant::util::PercentileWindow window;
+    pliant::test::PercentileWindow window;
     pliant::util::RunningStats analytic;
     for (int i = 0; i < 2000; ++i) {
         const auto r = svc.tick(10 * sim::kMillisecond, 1.0);

@@ -9,24 +9,26 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/exact_percentile.hh"
 #include "util/rng.hh"
 
 namespace {
 
+using pliant::test::PercentileWindow;
+using pliant::test::sortedPercentile;
 using pliant::util::FiveNumber;
 using pliant::util::IntPercentileWindow;
 using pliant::util::P2Quantile;
-using pliant::util::PercentileWindow;
 using pliant::util::Reservoir;
 using pliant::util::Rng;
 using pliant::util::RunningStats;
 using pliant::util::selectPercentiles;
-using pliant::util::sortedPercentile;
 using pliant::util::SplitMix64;
 
 TEST(RunningStatsTest, EmptyIsZero)
@@ -226,15 +228,15 @@ TEST(PercentileWindowTest, CachedSortSurvivesInterleavedQueries)
             std::sort(sorted.begin(), sorted.end());
             EXPECT_DOUBLE_EQ(
                 cached.p99(),
-                pliant::util::sortedPercentile(sorted, 99.0));
+                sortedPercentile(sorted, 99.0));
             EXPECT_DOUBLE_EQ(
                 cached.p50(),
-                pliant::util::sortedPercentile(sorted, 50.0));
+                sortedPercentile(sorted, 50.0));
             // Second read of the same generation hits the cache and
             // must return the identical value.
             EXPECT_DOUBLE_EQ(
                 cached.p99(),
-                pliant::util::sortedPercentile(sorted, 99.0));
+                sortedPercentile(sorted, 99.0));
         }
     }
 }
@@ -312,11 +314,11 @@ TEST(IntPercentileWindowTest, MatchesSortedPercentileBitForBit)
 TEST(SortedPercentileTest, MatchesWindowOnSortedInput)
 {
     std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile(v, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile(v, 50.0), 25.0);
-    EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile(v, 100.0), 40.0);
-    EXPECT_EQ(pliant::util::sortedPercentile({}, 99.0), 0.0);
-    EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile({5.0}, 37.0), 5.0);
+    EXPECT_DOUBLE_EQ(sortedPercentile(v, 0.0), 10.0);
+    EXPECT_DOUBLE_EQ(sortedPercentile(v, 50.0), 25.0);
+    EXPECT_DOUBLE_EQ(sortedPercentile(v, 100.0), 40.0);
+    EXPECT_EQ(sortedPercentile({}, 99.0), 0.0);
+    EXPECT_DOUBLE_EQ(sortedPercentile({5.0}, 37.0), 5.0);
 }
 
 /** Exact bit pattern, so -0.0 and +0.0 would not pass as equal. */
@@ -376,12 +378,13 @@ makeSample(SplitMix64 &sm, std::size_t n, Shape shape)
 
 /**
  * Checks selectPercentiles against sort + sortedPercentile for one
- * sample and one percentile list, bit for bit, and that the sample
- * comes back as a permutation of itself.
+ * sample and one percentile list, bit for bit (with == when
+ * @p bitExact is false, for samples mixing -0.0 and +0.0), and that
+ * the sample comes back as a permutation of itself.
  */
 void
 expectMatchesSort(const std::vector<double> &sample,
-                  const std::vector<double> &ps)
+                  const std::vector<double> &ps, bool bitExact = true)
 {
     std::vector<double> sorted = sample;
     std::sort(sorted.begin(), sorted.end());
@@ -390,8 +393,11 @@ expectMatchesSort(const std::vector<double> &sample,
     selectPercentiles(work, ps, out);
     for (std::size_t k = 0; k < ps.size(); ++k) {
         const double want = sortedPercentile(sorted, ps[k]);
-        EXPECT_EQ(bitsOf(out[k]), bitsOf(want))
-            << "p=" << ps[k] << " got " << out[k] << " want " << want;
+        if (bitExact)
+            EXPECT_EQ(bitsOf(out[k]), bitsOf(want))
+                << "p=" << ps[k] << " got " << out[k] << " want " << want;
+        else
+            EXPECT_EQ(out[k], want) << "p=" << ps[k];
     }
     std::sort(work.begin(), work.end());
     EXPECT_TRUE(work == sorted) << "sample is not a permutation";
@@ -462,6 +468,141 @@ TEST(SelectPercentilesTest, EmptySampleReadsZero)
     selectPercentiles(empty, ps, out);
     for (double x : out)
         EXPECT_EQ(x, 0.0);
+}
+
+const std::vector<double> kEdgePs = {0, 1, 25, 50, 75, 99, 99.9, 100};
+
+TEST(SelectPercentilesTest, OneOutlierLeavesOneFullBucket)
+{
+    // Every value but one lands in the lowest (or highest) bucket, so
+    // the prefix the selections run on is nearly the whole sample.
+    for (std::size_t n : {2u, 3u, 60u, 601u, 4096u}) {
+        for (double outlier : {1e6, -1e6}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " outlier=" + std::to_string(outlier));
+            std::vector<double> v(n, 42.75);
+            v[n / 3] = outlier;
+            expectMatchesSort(v, kEdgePs);
+            expectMatchesSort(v, {50.0, 99.0});
+        }
+    }
+}
+
+TEST(SelectPercentilesTest, HugeAndOverflowingSpansStayExact)
+{
+    // 1e-300..1e300 gives a tiny scale; -1e308..1e308 overflows
+    // mx - mn to inf, which must fall back to one bucket.
+    SplitMix64 sm(0x5ba11ULL);
+    for (std::size_t n : {5u, 64u, 4096u}) {
+        std::vector<double> wide(n), overflow(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            wide[i] = std::pow(10.0, -300.0 + 600.0 * unit(sm));
+            overflow[i] = (2.0 * unit(sm) - 1.0) * 1e308;
+        }
+        wide[0] = 1e-300;
+        wide[1] = 1e300;
+        overflow[0] = -1e308;
+        overflow[1] = 1e308;
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectMatchesSort(wide, kEdgePs);
+        expectMatchesSort(overflow, kEdgePs);
+        expectMatchesSort(overflow, {50.0, 99.0});
+    }
+}
+
+TEST(SelectPercentilesTest, UlpSpacedValuesNearDenormalsStayExact)
+{
+    // A span of a few ulps near the denormal range makes the scale
+    // infinite (one bucket); a span of ~1e-305 keeps it finite while
+    // the differences v - mn are denormal.
+    SplitMix64 sm(0xdeb0ULL);
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double dmin = std::numeric_limits<double>::min();
+    for (std::size_t n : {3u, 100u, 4096u}) {
+        std::vector<double> denorm(n), nearMin(n), finiteScale(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            denorm[i] = tiny * static_cast<double>(sm.next() % 4);
+            nearMin[i] = dmin;
+            for (std::uint64_t s = sm.next() % 4; s > 0; --s)
+                nearMin[i] = std::nextafter(nearMin[i], 1.0);
+            finiteScale[i] = 1e-305 * unit(sm);
+        }
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectMatchesSort(denorm, kEdgePs);
+        expectMatchesSort(nearMin, kEdgePs);
+        expectMatchesSort(finiteScale, kEdgePs);
+        expectMatchesSort(finiteScale, {50.0, 99.0});
+    }
+}
+
+TEST(SelectPercentilesTest, InfinitiesStayExact)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    SplitMix64 sm(0x1f1f1ULL);
+    for (std::size_t n : {2u, 7u, 600u}) {
+        std::vector<double> both = makeSample(sm, n, Shape::Random);
+        std::vector<double> plus = both;
+        std::vector<double> minus = both;
+        both[0] = inf;
+        both[n - 1] = -inf;
+        plus[n / 2] = inf;
+        minus[n / 2] = -inf;
+        SCOPED_TRACE("n=" + std::to_string(n));
+        for (const auto *v : {&both, &plus, &minus}) {
+            expectMatchesSort(*v, kEdgePs);
+            expectMatchesSort(*v, {50.0, 99.0});
+        }
+        expectMatchesSort(std::vector<double>(n, inf), kEdgePs);
+        expectMatchesSort(std::vector<double>(n, -inf), kEdgePs);
+    }
+}
+
+TEST(SelectPercentilesTest, NegativeValuesStayExact)
+{
+    SplitMix64 sm(0x4e9ULL);
+    for (std::size_t n : {2u, 60u, 1000u, 4096u}) {
+        std::vector<double> negative(n), mixed(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            negative[i] = -1000.0 * unit(sm) - 1.0;
+            mixed[i] = 200.0 * unit(sm) - 100.0;
+        }
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectMatchesSort(negative, kEdgePs);
+        expectMatchesSort(mixed, kEdgePs);
+        expectMatchesSort(mixed, {50.0, 99.0});
+    }
+}
+
+TEST(SelectPercentilesTest, SignedZerosCompareEqual)
+{
+    // -0.0 and +0.0 compare equal, so either may come back where the
+    // sorted reference holds the other: compare with ==, not by bits.
+    SplitMix64 sm(0x2e70ULL);
+    for (std::size_t n : {2u, 9u, 500u}) {
+        std::vector<double> zeros(n), withPositives(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            zeros[i] = sm.next() & 1 ? -0.0 : 0.0;
+            withPositives[i] = sm.next() % 3 == 0 ? unit(sm) : zeros[i];
+        }
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectMatchesSort(zeros, kEdgePs, false);
+        expectMatchesSort(withPositives, kEdgePs, false);
+    }
+}
+
+TEST(SelectPercentilesTest, MonitorPairAtEverySizeUpTo600)
+{
+    // Every bucket count from 4 to 256, with and without a remainder
+    // past the four-lane min/max loop.
+    constexpr std::uint64_t kSeed = 0x600ULL;
+    SplitMix64 sm(kSeed);
+    for (std::size_t n = 1; n <= 600; ++n) {
+        SCOPED_TRACE("seed=" + std::to_string(kSeed) +
+                     " n=" + std::to_string(n));
+        expectMatchesSort(makeSample(sm, n, Shape::Random), {50.0, 99.0});
+        expectMatchesSort(makeSample(sm, n, Shape::HeavyTies),
+                          {50.0, 99.0});
+    }
 }
 
 TEST(P2QuantileTest, ExactBelowFiveSamples)
