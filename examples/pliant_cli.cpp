@@ -33,7 +33,8 @@
  * per-service model that is the default).
  * --nodes N > 1 runs a cluster: every node hosts the service list,
  * and --placement decides where the apps land (and, for qos-aware,
- * whether they migrate at --epoch-s boundaries).
+ * whether they migrate at --epoch-s boundaries). --placement and
+ * --epoch-s without --nodes N > 1 are an error, as is --csv with it.
  * --fast-sampling switches the latency samplers to the
  * quantile-table path, which is faster but NOT byte-identical —
  * never use it when diffing against pinned output.
@@ -272,6 +273,7 @@ main(int argc, char **argv)
     std::size_t nodes = 1;
     cluster::PlacementKind placement = cluster::PlacementKind::Static;
     sim::Time epoch = 5 * sim::kSecond;
+    bool cluster_flags = false; // --placement or --epoch-s given
     budget::BudgetConfig budget_cfg;
     std::string trace_out;
     std::string metrics_out;
@@ -324,8 +326,10 @@ main(int argc, char **argv)
             nodes =
                 util::parseFlag<std::size_t>(arg, next(), usage_line, 1);
         } else if (arg == "--placement") {
+            cluster_flags = true;
             placement = parsePlacement(next(), argv[0]);
         } else if (arg == "--epoch-s") {
+            cluster_flags = true;
             epoch = sim::fromSeconds(
                 util::parseFlag(arg, next(), usage_line, 0.0));
         } else if (arg == "--admission") {
@@ -399,6 +403,11 @@ main(int argc, char **argv)
         std::cerr << "error: --quality-budget/--shed-budget/"
                      "--budget-policy are cluster features; pass "
                      "--nodes N with N > 1\n";
+        return 2;
+    }
+    if (cluster_flags && nodes <= 1) {
+        std::cerr << "error: --placement/--epoch-s are cluster "
+                     "features; pass --nodes N with N > 1\n";
         return 2;
     }
     if (nodes > 1) {

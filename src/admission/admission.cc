@@ -28,6 +28,36 @@ hashU01(std::uint64_t seed, std::uint64_t tick)
 /** Floor arrival rates so wait formulas never divide by ~0. */
 constexpr double kMinRatePerSec = 1.0;
 
+/** ProbabilisticShed: queue fill where shedding starts. */
+constexpr double kShedThreshold = 0.3;
+
+/** ProbabilisticShed: slope of the shed fraction over the fill. */
+constexpr double kShedAggressiveness = 2.0;
+
+/**
+ * Fraction of per-request service demand amortized away in the
+ * limit of large batches: a full batch of B requests costs
+ * (1 - kBatchEfficiency * (1 - 1/B)) of B individual dispatches.
+ */
+constexpr double kBatchEfficiency = 0.25;
+
+/**
+ * Target service utilization: dispatch at most this fraction of the
+ * service's current estimated capacity per tick. Tail latency
+ * explodes as rho -> 1, so a front-end that wants the service to
+ * *meet* its QoS must hold it just under the knee and absorb the
+ * excess in its own queue (where shedding and batching can act)
+ * rather than in the service's backlog (where nothing can). 0.85
+ * leaves enough latency slack under the QoS knee that the Pliant
+ * control loop can actually *revert* approximation while a shed
+ * policy carries an overload — the coordination the QosShed policy
+ * exists for.
+ */
+constexpr double kDispatchUtilization = 0.85;
+
+/** Relative amplitude of the deterministic arrival jitter. */
+constexpr double kArrivalJitter = 0.05;
+
 } // namespace
 
 std::string
@@ -68,38 +98,12 @@ validateAdmissionConfig(const AdmissionConfig &cfg)
     if (!(cfg.queueBoundQos > 0.0))
         util::fatal("admission queue bound must be positive (got ",
                     cfg.queueBoundQos, " x QoS)");
-    if (cfg.shedThreshold < 0.0 || cfg.shedThreshold >= 1.0)
-        util::fatal("admission shed threshold must be in [0, 1) (got ",
-                    cfg.shedThreshold, ")");
-    if (!(cfg.shedAggressiveness > 0.0))
-        util::fatal("admission shed aggressiveness must be positive "
-                    "(got ",
-                    cfg.shedAggressiveness, ")");
-    if (!(cfg.maxShedFraction > 0.0) || cfg.maxShedFraction > 1.0)
-        util::fatal("admission max shed fraction must be in (0, 1] "
-                    "(got ",
-                    cfg.maxShedFraction, ")");
     if (cfg.batchSize < 1)
         util::fatal("fixed batch size must be at least 1 (got ",
                     cfg.batchSize, ")");
     if (!(cfg.batchTimeoutUs > 0.0))
         util::fatal("adaptive batch timeout must be positive (got ",
                     cfg.batchTimeoutUs, " us)");
-    if (cfg.maxBatchSize < 1)
-        util::fatal("adaptive max batch size must be at least 1 (got ",
-                    cfg.maxBatchSize, ")");
-    if (cfg.batchEfficiency < 0.0 || cfg.batchEfficiency >= 1.0)
-        util::fatal("batch efficiency must be in [0, 1) (got ",
-                    cfg.batchEfficiency, ")");
-    if (!(cfg.dispatchUtilization > 0.0) ||
-        cfg.dispatchUtilization > 1.0)
-        util::fatal("dispatch utilization target must be in (0, 1] "
-                    "(got ",
-                    cfg.dispatchUtilization, ")");
-    if (cfg.arrivalJitter < 0.0 || cfg.arrivalJitter >= 1.0)
-        util::fatal("arrival jitter amplitude must be in [0, 1) "
-                    "(got ",
-                    cfg.arrivalJitter, ")");
 }
 
 AdmissionQueue::AdmissionQueue(AdmissionConfig config,
@@ -151,11 +155,11 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
 
       case AdmissionKind::ProbabilisticShed: {
         const double fill = queueReq / boundReq;
-        if (fill <= cfg.shedThreshold)
+        if (fill <= kShedThreshold)
             return 0.0;
-        const double over = (fill - cfg.shedThreshold) /
-                            (1.0 - cfg.shedThreshold);
-        return std::min(1.0, cfg.shedAggressiveness * over);
+        const double over = (fill - kShedThreshold) /
+                            (1.0 - kShedThreshold);
+        return std::min(1.0, kShedAggressiveness * over);
       }
 
       case AdmissionKind::QosShed: {
@@ -170,7 +174,7 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
         if (!qosGate)
             return 0.0;
         // Shed the standing queue over ~20 ticks on top of the
-        // excess; capped by maxShedFraction (never dark the
+        // excess; capped by kMaxShedFraction (never dark the
         // service).
         const double drain = 0.05 * queueReq;
         const double admit_target =
@@ -178,10 +182,10 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
         const double raw =
             arrivals > 0.0 ? 1.0 - admit_target / arrivals : 0.0;
         // The budget slice, when set, replaces the local clamp: a
-        // cluster-funded entitlement may exceed maxShedFraction.
+        // cluster-funded entitlement may exceed kMaxShedFraction.
         const double clamp_at =
             shedCap >= 0.0 ? std::min(shedCap, 1.0)
-                           : cfg.maxShedFraction;
+                           : kMaxShedFraction;
         const double shed = std::clamp(raw, 0.0, clamp_at);
         // Gate release: once there has been nothing to shed and no
         // meaningful backlog for half a second of simulated time,
@@ -209,7 +213,7 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
     const double dt_s = sim::toSeconds(dt);
     const double u = hashU01(seedBase, tickIndex++);
     const double jitter =
-        1.0 + cfg.arrivalJitter * (2.0 * u - 1.0);
+        1.0 + kArrivalJitter * (2.0 * u - 1.0);
     const double arrivals =
         std::max(0.0, offered_load) * jitter * satQps * dt_s;
 
@@ -231,7 +235,7 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
       case BatchingKind::Adaptive: {
         const double timeout_s = cfg.batchTimeoutUs * 1e-6;
         batch = std::clamp(arrival_rate * timeout_s, 1.0,
-                           static_cast<double>(cfg.maxBatchSize));
+                           static_cast<double>(kMaxBatchSize));
         form_wait_us =
             0.5 * std::min(cfg.batchTimeoutUs,
                            batch / arrival_rate * 1e6);
@@ -240,13 +244,13 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
     }
     // A full batch of B costs this fraction of B single dispatches.
     const double batch_factor =
-        1.0 - cfg.batchEfficiency * (1.0 - 1.0 / batch);
+        1.0 - kBatchEfficiency * (1.0 - 1.0 / batch);
 
     // --- dispatch budget: hold the service at the utilization
     //     target (batch amortization stretches the request budget) ---
     const double capacity = satQps * dt_s *
                             std::max(capacity_fraction, 0.0) *
-                            cfg.dispatchUtilization;
+                            kDispatchUtilization;
     const double capacity_req = capacity / batch_factor;
 
     // --- admission: the policy's deliberate shed ---

@@ -72,6 +72,15 @@ enum class AdmissionKind { AcceptAll, DropTail, ProbabilisticShed,
 std::string batchingName(BatchingKind kind);
 std::string admissionName(AdmissionKind kind);
 
+/**
+ * QosShed: cap on the deliberately-shed arrival fraction when no
+ * budget slice is installed (see AdmissionQueue::setShedCap).
+ */
+inline constexpr double kMaxShedFraction = 0.5;
+
+/** Adaptive batching: batch size cap (requests). */
+inline constexpr int kMaxBatchSize = 64;
+
 /** Configuration of one tenant's admission front-end. */
 struct AdmissionConfig
 {
@@ -97,48 +106,14 @@ struct AdmissionConfig
      */
     double queueBoundQos = 2.0;
 
-    /** ProbabilisticShed: queue fill where shedding starts, [0, 1). */
-    double shedThreshold = 0.3;
-
-    /** ProbabilisticShed: slope of the shed fraction over the fill. */
-    double shedAggressiveness = 2.0;
-
-    /** QosShed: cap on the deliberately-shed arrival fraction. */
-    double maxShedFraction = 0.5;
-
     /** Fixed batching: target batch size (requests). */
     int batchSize = 16;
 
-    /** Adaptive batching: formation wait bound, microseconds. */
+    /**
+     * Adaptive batching: formation wait bound, microseconds. The
+     * batch size follows the arrival rate up to kMaxBatchSize.
+     */
     double batchTimeoutUs = 500.0;
-
-    /** Adaptive batching: batch size cap. */
-    int maxBatchSize = 64;
-
-    /**
-     * Fraction of per-request service demand amortized away in the
-     * limit of large batches: a full batch of B requests costs
-     * (1 - batchEfficiency * (1 - 1/B)) of B individual dispatches.
-     */
-    double batchEfficiency = 0.25;
-
-    /**
-     * Target service utilization: dispatch at most this fraction of
-     * the service's current estimated capacity per tick, in (0, 1].
-     * Tail latency explodes as rho -> 1, so a front-end that wants
-     * the service to *meet* its QoS must hold it just under the
-     * knee and absorb the excess in its own queue (where shedding
-     * and batching can act) rather than in the service's backlog
-     * (where nothing can). Raising it toward 1 trades tail headroom
-     * for goodput. The 0.85 default leaves enough latency slack
-     * under the QoS knee that the Pliant control loop can actually
-     * *revert* approximation while a shed policy carries an
-     * overload — the coordination the QosShed policy exists for.
-     */
-    double dispatchUtilization = 0.85;
-
-    /** Relative amplitude of the deterministic arrival jitter, [0, 1). */
-    double arrivalJitter = 0.05;
 };
 
 /**
@@ -237,7 +212,7 @@ class AdmissionQueue
     /**
      * Budget hook: cap this tenant's deliberate shed fraction (the
      * node's slice of a cluster-wide shed budget). A non-negative
-     * cap *replaces* the config's maxShedFraction clamp — a slice
+     * cap *replaces* the kMaxShedFraction clamp — a slice
      * above the local default is a hot node spending entitlement
      * its quiet peers are not using, a slice of 0 disarms deliberate
      * shedding entirely (the drop-tail overflow backstop still
@@ -247,7 +222,7 @@ class AdmissionQueue
      */
     void setShedCap(double cap) { shedCap = cap; }
 
-    /** The active shed cap (< 0: the config clamp applies). */
+    /** The active shed cap (< 0: kMaxShedFraction applies). */
     double currentShedCap() const { return shedCap; }
 
     /** Close the decision interval: report and reset the window. */
@@ -298,7 +273,7 @@ class AdmissionQueue
     double qosRatio = 0.0;
     double reliefRatio = -1.0;
 
-    /** Budget slice clamp on deliberate shed (< 0: config clamp). */
+    /** Budget slice clamp on deliberate shed (< 0: kMaxShedFraction). */
     double shedCap = -1.0;
 
     /**

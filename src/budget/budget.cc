@@ -7,6 +7,13 @@
 namespace pliant {
 namespace budget {
 
+namespace {
+
+/** Learned policy: EWMA smoothing factor of the demand model. */
+constexpr double kAlpha = 0.3;
+
+} // namespace
+
 std::string
 policyName(BudgetPolicy policy)
 {
@@ -46,9 +53,6 @@ validateBudgetConfig(const BudgetConfig &cfg)
     if (cfg.shedBudget < 0.0)
         util::fatal("shed budget must be non-negative (got ",
                     cfg.shedBudget, ")");
-    if (cfg.alpha <= 0.0 || cfg.alpha > 1.0)
-        util::fatal("budget EWMA alpha must be in (0, 1], got ",
-                    cfg.alpha);
 }
 
 double
@@ -161,8 +165,8 @@ Controller::allocate(const std::vector<NodeDemand> &demands)
                 if (slot.samples[k] == 0)
                     slot.ratio[k] = obs[k];
                 else
-                    slot.ratio[k] = cfg.alpha * obs[k] +
-                                    (1.0 - cfg.alpha) * slot.ratio[k];
+                    slot.ratio[k] = kAlpha * obs[k] +
+                                    (1.0 - kAlpha) * slot.ratio[k];
                 ++slot.samples[k];
             }
             quality[i] = slot.ratio[0];

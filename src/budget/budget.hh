@@ -28,11 +28,12 @@
  *                  *current* demands (quality in use + headroom
  *                  wanted while pressured; shed in use + overload
  *                  excess). Surplus is spread evenly.
- *  - Learned:      the same water-fill over per-node EWMA demand
- *                  predictors (approx::ModelSlot, the LearnedRuntime
- *                  slot machinery), so one noisy epoch does not whip
- *                  the split and a recurring diurnal/crowd pattern
- *                  is anticipated by its smoothed history.
+ *  - Learned:      the same water-fill over per-node EWMA (alpha
+ *                  0.3) demand predictors (approx::ModelSlot, the
+ *                  LearnedRuntime slot machinery), so one noisy
+ *                  epoch does not whip the split and a recurring
+ *                  diurnal/crowd pattern is anticipated by its
+ *                  smoothed history.
  *
  * Every policy is a deterministic pure function of (controller
  * state, demand vector): allocation happens on one thread at the
@@ -83,16 +84,13 @@ struct BudgetConfig
     /**
      * Global shed budget: the summed per-node deliberate shed
      * fractions the cluster may spend. A node's slice replaces its
-     * local maxShedFraction clamp, so a slice above the per-node
-     * default is a hot node spending entitlement its quiet peers
-     * are not using.
+     * local admission::kMaxShedFraction clamp, so a slice above the
+     * per-node default is a hot node spending entitlement its quiet
+     * peers are not using.
      */
     double shedBudget = 0.0;
 
     BudgetPolicy policy = BudgetPolicy::Proportional;
-
-    /** Learned policy: EWMA smoothing factor of the demand model. */
-    double alpha = 0.3;
 };
 
 /**

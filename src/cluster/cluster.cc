@@ -72,9 +72,6 @@ validateClusterConfig(const ClusterConfig &cfg)
                     " s) must be at least the decision interval (",
                     sim::toSeconds(cfg.decisionInterval),
                     " s): placement acts on closed interval reports");
-    if (!(cfg.slackThreshold >= 0.0 && cfg.slackThreshold <= 1.0))
-        util::fatal("slack threshold must be in [0, 1], got ",
-                    cfg.slackThreshold);
     // Inert when disabled; every field checked when enabled.
     admission::validateAdmissionConfig(cfg.admission);
     budget::validateBudgetConfig(cfg.budget);
@@ -130,7 +127,6 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         nc.arbiter = cfg.arbiter;
         nc.learnedVector = cfg.learnedVector;
         nc.decisionInterval = cfg.decisionInterval;
-        nc.slackThreshold = cfg.slackThreshold;
         nc.tick = cfg.tick;
         nc.maxDuration = cfg.maxDuration;
         nc.enableCachePartitioning = cfg.enableCachePartitioning;
@@ -688,13 +684,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::decisionInterval(sim::Time interval)
 {
     cfg.decisionInterval = interval;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::slackThreshold(double threshold)
-{
-    cfg.slackThreshold = threshold;
     return *this;
 }
 

@@ -72,7 +72,6 @@ struct ClusterConfig
     bool learnedVector = true;
 
     sim::Time decisionInterval = sim::kSecond;
-    double slackThreshold = 0.10;
     sim::Time tick = 10 * sim::kMillisecond;
     sim::Time maxDuration = 600 * sim::kSecond;
     bool enableCachePartitioning = false;
@@ -134,9 +133,9 @@ struct ClusterConfig
  * the node hosts a service, its tenants' resolved names are
  * distinct (the first that recurs is named, with the node), its
  * resolved name does not recur at a later node, and its scenario
- * loads are finite and non-negative; then timing, epoch, a slack
- * threshold in [0, 1], admission and budget fields. A reported
- * duplicate is always the lowest index whose name recurs later.
+ * loads are finite and non-negative; then timing, epoch, admission
+ * and budget fields. A reported duplicate is always the lowest index
+ * whose name recurs later.
  *
  * Runs once per object: ClusterConfigBuilder::build() validates the
  * config it returns, and Cluster's constructor validates the config
@@ -297,7 +296,6 @@ class ClusterConfigBuilder
 
     ClusterConfigBuilder &epoch(sim::Time epoch);
     ClusterConfigBuilder &decisionInterval(sim::Time interval);
-    ClusterConfigBuilder &slackThreshold(double threshold);
     ClusterConfigBuilder &tick(sim::Time tick);
     ClusterConfigBuilder &maxDuration(sim::Time duration);
     ClusterConfigBuilder &cachePartitioning(bool enable = true);

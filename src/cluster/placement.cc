@@ -82,6 +82,15 @@ QosAwarePlacement::initialPlacement(
 
 namespace {
 
+/** QosAware: the source must exceed this pressure (in violation). */
+constexpr double kPressureThreshold = 1.0;
+
+/** QosAware: the destination must be below this ratio (headroom). */
+constexpr double kHeadroomThreshold = 0.90;
+
+/** QosAware: epochs a migrated app stays pinned before moving again. */
+constexpr int kCooldownEpochs = 3;
+
 /**
  * Effective migration pressure of a node: its live worst ratio,
  * floored by the runtime's predicted post-approximation ratio when
@@ -116,7 +125,7 @@ QosAwarePlacement::rebalance(const std::vector<NodeStatus> &nodes,
                              sim::Time)
 {
     // Tick down cooldowns first so a freshly-moved app unpins after
-    // exactly cooldownEpochs epochs.
+    // exactly kCooldownEpochs epochs.
     for (auto &cd : cooldowns)
         --cd.epochsLeft;
     cooldowns.erase(std::remove_if(cooldowns.begin(), cooldowns.end(),
@@ -144,8 +153,8 @@ QosAwarePlacement::rebalance(const std::vector<NodeStatus> &nodes,
     }
     if (!src || !dst || src->node == dst->node)
         return {};
-    if (sourcePressure(*src) <= prm.pressureThreshold ||
-        dst->worstRatio >= prm.headroomThreshold)
+    if (sourcePressure(*src) <= kPressureThreshold ||
+        dst->worstRatio >= kHeadroomThreshold)
         return {};
 
     // Move the unfinished, un-pinned app with the most remaining
@@ -167,7 +176,7 @@ QosAwarePlacement::rebalance(const std::vector<NodeStatus> &nodes,
     if (!victim)
         return {};
 
-    cooldowns.push_back({victim->name, prm.cooldownEpochs});
+    cooldowns.push_back({victim->name, kCooldownEpochs});
     return {{victim->name, src->node, dst->node}};
 }
 

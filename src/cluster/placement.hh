@@ -186,26 +186,17 @@ class LeastLoadedPlacement : public PlacementPolicy
         override;
 };
 
-/** LPT start, QoS-pressure-driven migration at epochs. */
+/**
+ * LPT start, QoS-pressure-driven migration at epochs. At most one
+ * app moves per epoch: from the node with the highest source
+ * pressure (above 1.0, i.e. in violation) to the node with the
+ * lowest worst ratio (below 0.90, i.e. with headroom). A moved app
+ * stays pinned for 3 epochs (the epoch of the move counts as the
+ * first) before it may move again.
+ */
 class QosAwarePlacement : public PlacementPolicy
 {
   public:
-    /** Tuning knobs, defaulted to conservative values. */
-    struct Params
-    {
-        /** Source must exceed this p99/QoS ratio (in violation). */
-        double pressureThreshold = 1.0;
-
-        /** Destination must be below this ratio (has headroom). */
-        double headroomThreshold = 0.90;
-
-        /** Epochs a migrated app stays pinned before moving again. */
-        int cooldownEpochs = 3;
-    };
-
-    QosAwarePlacement() = default;
-    explicit QosAwarePlacement(Params params) : prm(params) {}
-
     std::string name() const override { return "qos-aware"; }
 
     std::vector<std::size_t>
@@ -224,7 +215,6 @@ class QosAwarePlacement : public PlacementPolicy
         int epochsLeft = 0;
     };
 
-    Params prm;
     std::vector<Cooldown> cooldowns;
 };
 

@@ -77,13 +77,6 @@ ConfigBuilder::decisionInterval(sim::Time interval)
 }
 
 ConfigBuilder &
-ConfigBuilder::slackThreshold(double threshold)
-{
-    cfg.slackThreshold = threshold;
-    return *this;
-}
-
-ConfigBuilder &
 ConfigBuilder::tick(sim::Time tick)
 {
     cfg.tick = tick;

@@ -8,7 +8,10 @@
  * (colo::checkConfig), so a bad config fails at build time with a
  * pointed message instead of deep inside the tick loop. Raw
  * ColoConfig structs remain valid input to colo::Engine — the
- * builder is sugar plus early errors, not a new semantic.
+ * builder is sugar plus early errors, not a new semantic. The
+ * controller's fixed constants (the 10% revert slack, the admission
+ * shed and batching constants) have no setter here: they are named
+ * constants in the layers that use them.
  */
 
 #ifndef PLIANT_COLO_BUILDER_HH
@@ -68,7 +71,6 @@ class ConfigBuilder
     /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
     ConfigBuilder &learnedVector(bool enable = true);
     ConfigBuilder &decisionInterval(sim::Time interval);
-    ConfigBuilder &slackThreshold(double threshold);
     ConfigBuilder &tick(sim::Time tick);
     ConfigBuilder &maxDuration(sim::Time duration);
     ConfigBuilder &seed(std::uint64_t seed);

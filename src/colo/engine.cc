@@ -193,12 +193,6 @@ class Engine::ServerActuator : public core::Actuator
 };
 
 int
-Engine::fairShare(const server::ServerSpec &spec, int n_apps)
-{
-    return fairShare(spec, n_apps, 1);
-}
-
-int
 Engine::fairShare(const server::ServerSpec &spec, int n_apps,
                   int n_services)
 {
@@ -283,9 +277,6 @@ checkConfig(const ColoConfig &cfg)
                     sim::toSeconds(cfg.tick), " s)");
     if (cfg.maxDuration <= 0)
         util::fatal("max duration must be positive");
-    if (!(cfg.slackThreshold >= 0.0 && cfg.slackThreshold <= 1.0))
-        util::fatal("slack threshold must be in [0, 1], got ",
-                    cfg.slackThreshold);
 
     // Admission fields are validated only when the front-end is
     // enabled: a disabled config is inert whatever its fields hold,
@@ -351,12 +342,10 @@ Engine::Engine(ColoConfig config)
     }
 
     // The precise baseline runs natively (no recompilation runtime),
-    // so it pays no instrumentation overhead. Note: each profile
-    // already carries its measured dynrec overhead (applied by
-    // ApproxTask to execution progress), so no separate
-    // dynrec::OverheadModel instance is constructed here — the one
-    // the old harness created was never wired in, and adding it on
-    // top of the per-profile factor would double-count.
+    // so it pays no instrumentation overhead. Every other runtime
+    // pays exactly the measured dynrec overhead its profile carries
+    // (applied by ApproxTask to execution progress); nothing else
+    // adds overhead on top of it.
     std::uint64_t task_seed = cfg.seed ^ 0x7a;
     for (const std::string &name : cfg.apps) {
         approx::AppProfile prof = approx::findProfile(name);
@@ -375,14 +364,12 @@ Engine::Engine(ColoConfig config)
         std::make_unique<ServerActuator>(tasks, tenants, partition);
     if (cfg.runtime == core::RuntimeKind::Pliant) {
         core::RuntimeParams rp;
-        rp.slackThreshold = cfg.slackThreshold;
         rp.arbiter = cfg.arbiter;
         rp.enableCachePartitioning = cfg.enableCachePartitioning;
         runtime = std::make_unique<core::PliantRuntime>(
             *actuator, rp, cfg.seed ^ 0x91);
     } else if (cfg.runtime == core::RuntimeKind::Learned) {
         core::LearnedParams lp;
-        lp.slackThreshold = cfg.slackThreshold;
         lp.vectorConditioned = cfg.learnedVector;
         runtime = std::make_unique<core::LearnedRuntime>(
             *actuator, lp, cfg.seed ^ 0x91);
@@ -497,7 +484,7 @@ Engine::setTimelineSink(TimelineSink *new_sink)
 Engine::~Engine() = default;
 
 bool
-Engine::allFinished() const
+Engine::appsFinished() const
 {
     for (const auto &t : tasks)
         if (!t.finished())
@@ -506,15 +493,9 @@ Engine::allFinished() const
 }
 
 bool
-Engine::appsFinished() const
-{
-    return allFinished();
-}
-
-bool
 Engine::done() const
 {
-    return allFinished() || clock.now() >= cfg.maxDuration;
+    return appsFinished() || clock.now() >= cfg.maxDuration;
 }
 
 sim::Time
@@ -559,10 +540,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
     // stops at that tick, so chunked execution can never add ticks a
     // bare run() would not have executed.
     const bool stop_when_apps_finish =
-        !keep_services_running || !allFinished();
+        !keep_services_running || !appsFinished();
 
     while (clock.now() < stop) {
-        if (stop_when_apps_finish && allFinished())
+        if (stop_when_apps_finish && appsFinished())
             break;
         const sim::Time tick_start = clock.now();
 

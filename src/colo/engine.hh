@@ -114,11 +114,12 @@ struct ColoConfig
      */
     bool learnedVector = true;
 
-    /** Pliant decision interval (paper default: 1 s). */
+    /**
+     * Pliant decision interval (paper default: 1 s). The revert
+     * slack is not configurable: every runtime uses the paper's
+     * 10% (core::kSlackThreshold).
+     */
     sim::Time decisionInterval = sim::kSecond;
-
-    /** Latency slack threshold for reverting (paper default: 10%). */
-    double slackThreshold = 0.10;
 
     /** Simulation tick. */
     sim::Time tick = 10 * sim::kMillisecond;
@@ -407,10 +408,9 @@ void validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
  * util::FatalError). In order: no apps with no services; the app
  * list (validateAppList); duplicate resolved service names (the
  * first name that recurs is reported); scenario loads
- * (validateScenarioLoads); timing; a slack threshold outside
- * [0, 1] or NaN; admission fields; fair-core starvation. The
- * builders and Engine's constructor run this pass, so every error
- * surfaces before the tick loop starts.
+ * (validateScenarioLoads); timing; admission fields; fair-core
+ * starvation. The builders and Engine's constructor run this pass,
+ * so every error surfaces before the tick loop starts.
  */
 void checkConfig(const ColoConfig &cfg);
 
@@ -580,12 +580,9 @@ class Engine
     void attachApp(const approx::TaskState &state);
 
     /**
-     * Fair core allocation per app container with one interactive
-     * service (the paper's split).
+     * Fair core allocation per app with n_services tenants (the
+     * paper's split is n_services = 1).
      */
-    static int fairShare(const server::ServerSpec &spec, int n_apps);
-
-    /** Fair core allocation per app with n_services tenants. */
     static int fairShare(const server::ServerSpec &spec, int n_apps,
                          int n_services);
 
@@ -614,7 +611,6 @@ class Engine
         std::unique_ptr<admission::AdmissionQueue> admission;
     };
 
-    bool allFinished() const;
     /** Send the live app roster to the sink, if one is attached. */
     void recordRoster();
 

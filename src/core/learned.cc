@@ -4,23 +4,26 @@
 #include <cstddef>
 #include <limits>
 
-#include "util/logging.hh"
-
 namespace pliant {
 namespace core {
 
 namespace {
 
+/** EWMA smoothing factor of the per-variant latency estimates. */
+constexpr double kAlpha = 0.4;
+
+/** Safety margin under QoS a learned variant must clear. */
+constexpr double kMargin = 0.10;
+
 /** One EWMA update of a model slot at variant v. */
 void
-observeSlot(approx::ModelSlot &slot, std::size_t v, double ratio,
-            double alpha)
+observeSlot(approx::ModelSlot &slot, std::size_t v, double ratio)
 {
     if (slot.samples[v] == 0)
         slot.ratio[v] = ratio;
     else
         slot.ratio[v] =
-            alpha * ratio + (1.0 - alpha) * slot.ratio[v];
+            kAlpha * ratio + (1.0 - kAlpha) * slot.ratio[v];
     ++slot.samples[v];
 }
 
@@ -41,11 +44,6 @@ LearnedRuntime::LearnedRuntime(Actuator &actuator, LearnedParams params,
                                std::uint64_t seed)
     : act(actuator), prm(params), rng(seed)
 {
-    if (prm.alpha <= 0 || prm.alpha > 1)
-        util::fatal("EWMA alpha must be in (0, 1], got ", prm.alpha);
-    if (!(prm.slackThreshold >= 0 && prm.slackThreshold <= 1))
-        util::fatal("slack threshold must be in [0, 1], got ",
-                    prm.slackThreshold);
     models.resize(static_cast<std::size_t>(act.taskCount()));
     for (int t = 0; t < act.taskCount(); ++t)
         models[static_cast<std::size_t>(t)].worst =
@@ -167,13 +165,13 @@ LearnedRuntime::observe(const std::vector<ServiceReport> &services)
         auto &model = models[static_cast<std::size_t>(t)];
         const std::size_t v =
             static_cast<std::size_t>(act.variantOf(t));
-        observeSlot(model.worst, v, worst, prm.alpha);
+        observeSlot(model.worst, v, worst);
         if (!prm.vectorConditioned)
             continue;
         const std::size_t variants = variantCountOf(t);
         for (const ServiceReport &svc : services)
             observeSlot(slotFor(model, svc.name, variants), v,
-                        svc.ratio(), prm.alpha);
+                        svc.ratio());
     }
 }
 
@@ -220,7 +218,7 @@ LearnedRuntime::onInterval(const std::vector<ServiceReport> &services)
         return vectorActive ? escalateVector() : escalate();
     }
     const double slack = 1.0 - ratio;
-    if (slack > prm.slackThreshold) {
+    if (slack > kSlackThreshold) {
         if (++slackStreak >= prm.revertHysteresis) {
             slackStreak = 0;
             return vectorActive ? deescalateVector() : deescalate();
@@ -279,7 +277,7 @@ LearnedRuntime::reclaimAny()
 Decision
 LearnedRuntime::escalate()
 {
-    const double target = 1.0 - prm.margin;
+    const double target = 1.0 - kMargin;
     const int n = act.taskCount();
     for (int i = 0; i < n; ++i) {
         const int t = (rrPointer + i) % n;
@@ -322,7 +320,7 @@ LearnedRuntime::escalate()
 Decision
 LearnedRuntime::escalateVector()
 {
-    const double target = 1.0 - prm.margin;
+    const double target = 1.0 - kMargin;
     const int n = act.taskCount();
     for (int i = 0; i < n; ++i) {
         const int t = (rrPointer + i) % n;
@@ -385,7 +383,7 @@ LearnedRuntime::escalateVector()
 Decision
 LearnedRuntime::deescalate()
 {
-    const double target = 1.0 - prm.margin;
+    const double target = 1.0 - kMargin;
     const int n = act.taskCount();
 
     // Cores first, mirroring Pliant's revert ordering.
@@ -420,7 +418,7 @@ LearnedRuntime::deescalate()
 Decision
 LearnedRuntime::deescalateVector()
 {
-    const double target = 1.0 - prm.margin;
+    const double target = 1.0 - kMargin;
     const int n = act.taskCount();
 
     // Cores first, mirroring Pliant's revert ordering.

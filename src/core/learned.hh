@@ -57,15 +57,6 @@ namespace core {
 /** Tuning parameters of the learned controller. */
 struct LearnedParams
 {
-    /** EWMA smoothing factor for latency estimates. */
-    double alpha = 0.4;
-
-    /** Safety margin under QoS a learned variant must clear. */
-    double margin = 0.10;
-
-    /** Latency slack required before de-escalation probes. */
-    double slackThreshold = 0.10;
-
     /** Consecutive slack intervals before a de-escalation. */
     int revertHysteresis = 3;
 

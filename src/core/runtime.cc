@@ -4,10 +4,18 @@
 #include <cstring>
 #include <limits>
 
-#include "util/logging.hh"
-
 namespace pliant {
 namespace core {
+
+namespace {
+
+/** Cap of the backed-off revert streak (see RuntimeParams). */
+constexpr int kMaxRevertStreak = 16;
+
+/** Consecutive met intervals that decay the streak by one. */
+constexpr int kDecayInterval = 12;
+
+} // namespace
 
 double
 worstRatio(const std::vector<ServiceReport> &services)
@@ -60,9 +68,6 @@ PliantRuntime::PliantRuntime(Actuator &actuator, RuntimeParams params,
                              std::uint64_t seed)
     : act(actuator), prm(params), rng(seed)
 {
-    if (!(prm.slackThreshold >= 0 && prm.slackThreshold <= 1))
-        util::fatal("slack threshold must be in [0, 1], got ",
-                    prm.slackThreshold);
     // First victim is selected randomly (Section 4.4); subsequent
     // selections proceed round-robin from there.
     rrPointer = act.taskCount() > 0
@@ -103,19 +108,19 @@ PliantRuntime::onInterval(const std::vector<ServiceReport> &services)
         // was not actually safe: back off before trying again.
         if (sinceRevert <= prm.punishWindow) {
             requiredStreak =
-                std::min(requiredStreak * 2, prm.maxRevertStreak);
+                std::min(requiredStreak * 2, kMaxRevertStreak);
         }
         return actOnViolation();
     }
 
-    if (++metStreak >= prm.decayInterval) {
+    if (++metStreak >= kDecayInterval) {
         metStreak = 0;
         requiredStreak =
             std::max(prm.revertHysteresis, requiredStreak - 1);
     }
 
     const double slack = 1.0 - ratio;
-    if (slack > prm.slackThreshold) {
+    if (slack > kSlackThreshold) {
         if (++slackStreak >= requiredStreak) {
             slackStreak = 0;
             const Decision d = actOnSlack();

@@ -37,12 +37,16 @@ enum class RuntimeKind { Precise, Pliant, Learned };
 /** Multi-application arbitration policies. */
 enum class ArbiterKind { RoundRobin, ImpactAware };
 
+/**
+ * Latency slack (fraction of QoS) a runtime requires on every
+ * service before it reverts (paper: 10%). Shared by the Pliant and
+ * Learned controllers.
+ */
+inline constexpr double kSlackThreshold = 0.10;
+
 /** Tuning parameters of the Pliant control loop. */
 struct RuntimeParams
 {
-    /** Latency slack (fraction of QoS) required before reverting. */
-    double slackThreshold = 0.10;
-
     /**
      * Consecutive high-slack intervals required before a revert
      * step. Dampens ping-ponging between states (the overhead the
@@ -53,14 +57,12 @@ struct RuntimeParams
     /**
      * Adaptive backoff: when a revert is punished by a violation
      * within `punishWindow` intervals, the required slack streak
-     * doubles (capped at maxRevertStreak); it decays by one after
-     * every `decayInterval` consecutive met intervals. This is how
-     * the runtime finds the least-approximate stable state instead
-     * of oscillating around the QoS boundary.
+     * doubles (capped at 16); it decays by one after every 12
+     * consecutive met intervals. This is how the runtime finds the
+     * least-approximate stable state instead of oscillating around
+     * the QoS boundary.
      */
     int punishWindow = 3;
-    int maxRevertStreak = 16;
-    int decayInterval = 12;
 
     ArbiterKind arbiter = ArbiterKind::RoundRobin;
 

@@ -9,9 +9,10 @@
  * to. This module implements the same mechanism in-process: a
  * VariantTable holds the function pointers, an atomic index selects
  * the active one, and a SignalDispatcher maps virtual signal numbers
- * to table switches. Switch latency is measurable (see bench) and
- * the OverheadModel captures the paper's steady-state instrumentation
- * cost (3.8% mean, 8.9% max).
+ * to table switches. Switch latency is measurable (see bench); the
+ * paper's steady-state instrumentation cost (3.8% mean, 8.9% max) is
+ * carried per app by the catalog profiles (approx::AppProfile::
+ * dynrecOverhead), not by this module.
  */
 
 #ifndef PLIANT_DYNREC_VARIANT_TABLE_HH

@@ -17,6 +17,9 @@ constexpr double kZ99 = 2.3263478740408408;
 /** Most latency samples one tick emits. */
 constexpr std::size_t kMaxSamplesPerTick = 60;
 
+/** Utilization cap for the steady-state queueing term. */
+constexpr double kRhoCap = 0.98;
+
 } // namespace
 
 std::string_view
@@ -158,7 +161,7 @@ InteractiveService::tick(sim::Time dt, double inflation,
     // Steady-state tail from the queueing approximation.
     const double a =
         std::sqrt(2.0 * (static_cast<double>(cfg.fairCores) + 1.0));
-    const double rho_q = std::min(rho, cfg.rhoCap);
+    const double rho_q = std::min(rho, kRhoCap);
     const double q = std::pow(rho_q, a) / (1.0 - rho_q);
     double p99 = cfg.baseTailUs + cfg.queueScaleUs * q;
 

@@ -10,7 +10,7 @@
  * performs) whose distribution matches the analytic tail estimate:
  *
  *   rho   = load * (fairCores / cores) * inflation
- *   q     = rho^a / (1 - min(rho, rhoCap)),  a = sqrt(2 (k + 1))
+ *   q     = rho^a / (1 - min(rho, 0.98)),  a = sqrt(2 (k + 1))
  *   p99   = (A + B q) * noise + backlog term
  *
  * A is the service's contention-free tail floor and B scales the
@@ -65,9 +65,6 @@ struct ServiceConfig
 
     /** Tail exponent parameter a = sqrt(2 (k+1)) uses fair cores. */
     int fairCores = 8;
-
-    /** Utilization cap for the steady-state queueing term. */
-    double rhoCap = 0.98;
 
     /** Interference sensitivity vector. */
     server::Sensitivity sensitivity;

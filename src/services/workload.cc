@@ -6,6 +6,13 @@
 namespace pliant {
 namespace services {
 
+namespace {
+
+/** Mean-reversion rate (1/s) of the load-noise process. */
+constexpr double kReversion = 1.5;
+
+} // namespace
+
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config,
                                      std::uint64_t seed)
     : cfg(config), rng(seed), lastLoad(config.loadFraction)
@@ -18,7 +25,7 @@ WorkloadGenerator::tick(sim::Time dt)
     const double dt_s = sim::toSeconds(dt);
 
     // Ornstein-Uhlenbeck step: dX = -theta X dt + sigma dW.
-    const double theta = cfg.reversion;
+    const double theta = kReversion;
     const double sigma = cfg.noiseSd * std::sqrt(2.0 * theta);
     noise += -theta * noise * dt_s + sigma * std::sqrt(dt_s) * rng.normal();
     noise = std::clamp(noise, -3.0 * cfg.noiseSd, 3.0 * cfg.noiseSd);

@@ -31,9 +31,6 @@ struct WorkloadConfig
     /** Standard deviation of the mean-reverting load noise. */
     double noiseSd = 0.015;
 
-    /** Mean-reversion rate (1/s) of the noise process. */
-    double reversion = 1.5;
-
     /** Probability per second of a demand burst starting. */
     double burstRatePerSec = 0.02;
 

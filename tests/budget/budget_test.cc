@@ -57,7 +57,6 @@ TEST(BudgetConfigTest, DisabledConfigIsInertWhateverItsFields)
     cfg.enabled = false;
     cfg.qualityBudget = -5.0;
     cfg.shedBudget = -1.0;
-    cfg.alpha = 17.0;
     EXPECT_NO_THROW(validateBudgetConfig(cfg));
 }
 
@@ -74,12 +73,6 @@ TEST(BudgetConfigTest, EnabledConfigRejectsOutOfRangeFields)
     cfg.shedBudget = -2.0;
     EXPECT_THROW(validateBudgetConfig(cfg), util::FatalError);
     cfg.shedBudget = 0.5;
-
-    cfg.alpha = 0.0;
-    EXPECT_THROW(validateBudgetConfig(cfg), util::FatalError);
-    cfg.alpha = 1.5;
-    EXPECT_THROW(validateBudgetConfig(cfg), util::FatalError);
-    cfg.alpha = 1.0;
     EXPECT_NO_THROW(validateBudgetConfig(cfg));
 }
 
@@ -192,9 +185,8 @@ TEST(BudgetDemandTest, ShedDemandAddsOverloadExcess)
 
 TEST(BudgetControllerTest, LearnedSeedsOnFirstObservationThenSmooths)
 {
-    BudgetConfig cfg = enabledConfig(BudgetPolicy::Learned, 0.4, 1.0);
-    cfg.alpha = 0.5;
-    Controller ctl(cfg, 2);
+    // The demand model's EWMA smoothing factor is fixed at 0.3.
+    Controller ctl(enabledConfig(BudgetPolicy::Learned, 0.4, 1.0), 2);
 
     // First epoch: the EWMA seeds at the observation, so the split
     // equals what Proportional would produce (demands 0.6 / 0.2,
@@ -207,14 +199,16 @@ TEST(BudgetControllerTest, LearnedSeedsOnFirstObservationThenSmooths)
     EXPECT_EQ(ctl.model(0).samples[0], 1);
 
     // Second epoch: node 0's demand collapses to 0, but the EWMA
-    // remembers half of it (alpha 0.5): prediction 0.3 vs node 1's
-    // steady 0.2 → fills 0.24 / 0.16 of the 0.4 budget.
+    // keeps 0.7 of it (alpha 0.3): prediction 0.3 * 0 + 0.7 * 0.6 =
+    // 0.42 vs node 1's steady 0.2. Still oversubscribed (0.62 > 0.4),
+    // so the budget splits 0.42 : 0.2 → 0.2710 / 0.1290.
     const auto second = ctl.allocate(
         {demandOf(0.5, 0.0, 0.0, 0.0), demandOf(1.1, 0.1, 0.1, 0.0)});
-    EXPECT_DOUBLE_EQ(ctl.model(0).ratio[0], 0.3);
+    EXPECT_DOUBLE_EQ(ctl.model(0).ratio[0], 0.42);
+    EXPECT_DOUBLE_EQ(ctl.model(1).ratio[0], 0.2);
     EXPECT_EQ(ctl.model(0).samples[0], 2);
-    EXPECT_DOUBLE_EQ(second[0].qualityCap, 0.4 * 0.3 / 0.5);
-    EXPECT_DOUBLE_EQ(second[1].qualityCap, 0.4 * 0.2 / 0.5);
+    EXPECT_DOUBLE_EQ(second[0].qualityCap, 0.4 * 0.42 / 0.62);
+    EXPECT_DOUBLE_EQ(second[1].qualityCap, 0.4 * 0.2 / 0.62);
 }
 
 TEST(BudgetControllerTest, AllocationIsDeterministic)

@@ -4,20 +4,23 @@
  *
  *  - builder/config validation (zero-node clusters, service-less
  *    nodes, bad epochs, duplicate node names and the exact text that
- *    names the first repeat, bad slack thresholds and loads);
+ *    names the first repeat, bad loads);
  *  - the regression contract: a single-node Cluster is byte-identical
  *    to a bare colo::Engine run of the same node config;
  *  - thread-count invariance: a 3-node QoS-aware placement run (with
  *    migrations) is byte-identical at 1 and 6 worker threads, both
  *    inside one Cluster and across a runClusters batch;
  *  - placement semantics: static round-robin and least-loaded LPT
- *    assignments, and pressure-driven migration off a crowded node
- *    with every app accounted for exactly once.
+ *    assignments, QoS-aware migration's fixed thresholds and
+ *    cooldown on hand-built node states, and pressure-driven
+ *    migration off a crowded node with every app accounted for
+ *    exactly once.
  */
 
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -342,7 +345,7 @@ TEST(ClusterValidationTest, DuplicateAppReportsTheFirstRepeated)
               "approximate application may appear once");
 }
 
-TEST(ClusterValidationTest, ConstructorRejectsBadSlackAndLoads)
+TEST(ClusterValidationTest, ConstructorRejectsBadLoads)
 {
     // Raw configs skip build(), so Cluster::Cluster must catch these
     // before run() builds the first engine.
@@ -357,17 +360,6 @@ TEST(ClusterValidationTest, ConstructorRejectsBadSlackAndLoads)
         return cfg;
     };
     EXPECT_NO_THROW(Cluster c(raw()));
-    for (const auto runtime :
-         {core::RuntimeKind::Precise, core::RuntimeKind::Pliant,
-          core::RuntimeKind::Learned})
-        for (const double bad :
-             {std::numeric_limits<double>::quiet_NaN(), -0.5, 2.0}) {
-            ClusterConfig cfg = raw();
-            cfg.runtime = runtime;
-            cfg.slackThreshold = bad;
-            EXPECT_THROW(Cluster c(std::move(cfg)), util::FatalError)
-                << "slack " << bad;
-        }
     for (const double bad :
          {std::numeric_limits<double>::quiet_NaN(), -0.1,
           std::numeric_limits<double>::infinity()}) {
@@ -571,6 +563,72 @@ TEST(ClusterPlacementTest, StaticAssignsRoundRobin)
     ASSERT_EQ(assignment.size(), 6u);
     for (std::size_t a = 0; a < assignment.size(); ++a)
         EXPECT_EQ(assignment[a], a % 3);
+}
+
+/** A hand-built node state: one unfinished app when `app` is set. */
+NodeStatus
+nodeStatus(std::size_t idx, double worst_ratio, const char *app)
+{
+    NodeStatus st;
+    st.node = idx;
+    st.name = "node" + std::to_string(idx);
+    st.worstRatio = worst_ratio;
+    if (app) {
+        AppStatus a;
+        a.name = app;
+        a.remainingWorkSeconds = 30.0;
+        st.apps.push_back(a);
+    }
+    return st;
+}
+
+TEST(QosAwarePlacementTest, SourceMustBeAbovePressureOne)
+{
+    const NodeStatus calm = nodeStatus(1, 0.5, nullptr);
+
+    QosAwarePlacement at_qos;
+    EXPECT_TRUE(
+        at_qos.rebalance({nodeStatus(0, 1.0, "canneal"), calm}, kS)
+            .empty());
+
+    QosAwarePlacement over_qos;
+    const auto moves = over_qos.rebalance(
+        {nodeStatus(0, std::nextafter(1.0, 2.0), "canneal"), calm}, kS);
+    ASSERT_EQ(moves.size(), 1u);
+    EXPECT_EQ(moves[0].app, "canneal");
+    EXPECT_EQ(moves[0].from, 0u);
+    EXPECT_EQ(moves[0].to, 1u);
+}
+
+TEST(QosAwarePlacementTest, DestinationMustBeBelowHeadroomRatio)
+{
+    const NodeStatus hot = nodeStatus(0, 1.5, "canneal");
+
+    QosAwarePlacement no_headroom;
+    EXPECT_TRUE(
+        no_headroom.rebalance({hot, nodeStatus(1, 0.90, nullptr)}, kS)
+            .empty());
+
+    QosAwarePlacement headroom;
+    const auto moves = headroom.rebalance(
+        {hot, nodeStatus(1, std::nextafter(0.90, 0.0), nullptr)}, kS);
+    ASSERT_EQ(moves.size(), 1u);
+    EXPECT_EQ(moves[0].to, 1u);
+}
+
+TEST(QosAwarePlacementTest, MovedAppStaysPinnedForThreeEpochs)
+{
+    // The same pressured picture every epoch: the app moves at epoch
+    // 0, is pinned at epochs 1 and 2, and may move again at epoch 3.
+    QosAwarePlacement policy;
+    const std::vector<NodeStatus> nodes = {
+        nodeStatus(0, 1.5, "canneal"), nodeStatus(1, 0.5, nullptr)};
+    EXPECT_EQ(policy.rebalance(nodes, 0).size(), 1u);
+    EXPECT_TRUE(policy.rebalance(nodes, 5 * kS).empty());
+    EXPECT_TRUE(policy.rebalance(nodes, 10 * kS).empty());
+    const auto again = policy.rebalance(nodes, 15 * kS);
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_EQ(again[0].app, "canneal");
 }
 
 TEST(ClusterPlacementTest, LeastLoadedBalancesNominalWork)

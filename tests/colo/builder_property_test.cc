@@ -62,36 +62,16 @@ invalidAdmissionDraw(util::SplitMix64 &sm)
 {
     admission::AdmissionConfig cfg;
     cfg.enabled = true;
-    switch (sm.next() % 8) {
+    switch (sm.next() % 3) {
       case 0:
         cfg.queueBoundQos =
             -static_cast<double>(sm.next() % 100) / 10.0;
         break;
       case 1:
-        cfg.shedThreshold =
-            1.0 + static_cast<double>(sm.next() % 100) / 100.0;
-        break;
-      case 2:
-        cfg.shedAggressiveness = 0.0;
-        break;
-      case 3:
-        cfg.maxShedFraction =
-            1.0 + static_cast<double>(1 + sm.next() % 100) / 100.0;
-        break;
-      case 4:
         cfg.batchSize = -static_cast<int>(sm.next() % 5);
         break;
-      case 5:
-        cfg.batchTimeoutUs = 0.0;
-        break;
-      case 6:
-        cfg.batchEfficiency =
-            1.0 + static_cast<double>(sm.next() % 50) / 100.0;
-        break;
       default:
-        cfg.dispatchUtilization = sm.next() % 2 == 0
-            ? 0.0
-            : 1.0 + static_cast<double>(1 + sm.next() % 50) / 100.0;
+        cfg.batchTimeoutUs = 0.0;
         break;
     }
     return cfg;
@@ -106,50 +86,13 @@ invalidBudgetDraw(util::SplitMix64 &sm)
 {
     budget::BudgetConfig cfg;
     cfg.enabled = true;
-    switch (sm.next() % 3) {
-      case 0:
+    if (sm.next() % 2 == 0)
         cfg.qualityBudget =
             -static_cast<double>(1 + sm.next() % 100) / 100.0;
-        break;
-      case 1:
+    else
         cfg.shedBudget =
             -static_cast<double>(1 + sm.next() % 100) / 100.0;
-        break;
-      default:
-        cfg.alpha = sm.next() % 2 == 0
-            ? 0.0
-            : 1.0 + static_cast<double>(1 + sm.next() % 50) / 100.0;
-        break;
-    }
     return cfg;
-}
-
-/** A random runtime kind: the slack check must not depend on it. */
-core::RuntimeKind
-runtimeDraw(util::SplitMix64 &sm)
-{
-    switch (sm.next() % 3) {
-      case 0:
-        return core::RuntimeKind::Precise;
-      case 1:
-        return core::RuntimeKind::Pliant;
-      default:
-        return core::RuntimeKind::Learned;
-    }
-}
-
-/** A slack threshold outside [0, 1], or NaN. */
-double
-invalidSlackDraw(util::SplitMix64 &sm)
-{
-    switch (sm.next() % 3) {
-      case 0:
-        return std::numeric_limits<double>::quiet_NaN();
-      case 1:
-        return -static_cast<double>(1 + sm.next() % 100) / 100.0;
-      default:
-        return 1.0 + static_cast<double>(1 + sm.next() % 100) / 100.0;
-    }
 }
 
 /**
@@ -188,7 +131,7 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
         colo::ConfigBuilder builder;
         builder.service(services::ServiceKind::Memcached,
                         colo::Scenario::constant(loadDraw(sm)));
-        const auto kind = sm.next() % 10;
+        const auto kind = sm.next() % 9;
         switch (kind) {
           case 0: { // duplicate app
             const auto apps = pickApps(sm, 1);
@@ -250,12 +193,6 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
             builder.admission(invalidAdmissionDraw(sm));
             break;
           }
-          case 8: { // NaN or out-of-range slack threshold
-            builder.apps(pickApps(sm, 1))
-                .runtime(runtimeDraw(sm))
-                .slackThreshold(invalidSlackDraw(sm));
-            break;
-          }
           default: { // non-finite or negative scenario load
             builder.service("bad-load", services::ServiceKind::Nginx,
                             invalidScenarioDraw(sm));
@@ -302,7 +239,7 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
     util::SplitMix64 sm(0xC1BADu);
     for (int iter = 0; iter < 120; ++iter) {
         cluster::ClusterConfigBuilder builder;
-        const auto kind = sm.next() % 12;
+        const auto kind = sm.next() % 11;
         // Most classes need a well-formed base cluster first.
         if (kind != 0 && kind != 1 && kind != 9) {
             builder.nodes(1 + sm.next() % 3);
@@ -381,13 +318,7 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
             builder.budget(invalidBudgetDraw(sm));
             break;
           }
-          case 10: { // NaN or out-of-range slack threshold
-            builder.apps(pickApps(sm, 1))
-                .runtime(runtimeDraw(sm))
-                .slackThreshold(invalidSlackDraw(sm));
-            break;
-          }
-          case 11: { // non-finite or negative scenario load
+          case 10: { // non-finite or negative scenario load
             builder.node("bad-load").service(
                 services::ServiceKind::Nginx, invalidScenarioDraw(sm));
             builder.apps(pickApps(sm, 1));

@@ -203,31 +203,6 @@ TEST(ConfigBuilderValidationTest, RejectsNonPositiveTiming)
                  util::FatalError);
 }
 
-TEST(ConfigBuilderValidationTest, RejectsBadSlackThresholdForEveryRuntime)
-{
-    for (const auto runtime :
-         {core::RuntimeKind::Precise, core::RuntimeKind::Pliant,
-          core::RuntimeKind::Learned}) {
-        const auto build = [&](double slack) {
-            return ConfigBuilder()
-                .service(services::ServiceKind::Memcached,
-                         Scenario::constant(0.5))
-                .app("canneal")
-                .runtime(runtime)
-                .slackThreshold(slack)
-                .build();
-        };
-        for (const double bad :
-             {std::numeric_limits<double>::quiet_NaN(), -0.01, 1.5,
-              std::numeric_limits<double>::infinity()})
-            EXPECT_THROW(build(bad), util::FatalError)
-                << "runtime " << static_cast<int>(runtime) << ", slack "
-                << bad;
-        EXPECT_NO_THROW(build(0.0));
-        EXPECT_NO_THROW(build(1.0));
-    }
-}
-
 /** The loads every scenario kind must reject. */
 const double kBadLoads[] = {-0.2,
                             std::numeric_limits<double>::quiet_NaN(),

@@ -27,9 +27,9 @@ runRecorded(const ColoConfig &cfg, TimelineRecorder &recorder)
 TEST(FairShareTest, SplitsUsableCores)
 {
     server::ServerSpec spec; // 16 usable
-    EXPECT_EQ(Engine::fairShare(spec, 1), 8);
-    EXPECT_EQ(Engine::fairShare(spec, 2), 5);
-    EXPECT_EQ(Engine::fairShare(spec, 3), 4);
+    EXPECT_EQ(Engine::fairShare(spec, 1, 1), 8);
+    EXPECT_EQ(Engine::fairShare(spec, 2, 1), 5);
+    EXPECT_EQ(Engine::fairShare(spec, 3, 1), 4);
 }
 
 TEST(ExperimentTest, RequiresAtLeastOneApp)

@@ -5,12 +5,10 @@
 
 #include "core/learned.hh"
 
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -77,28 +75,6 @@ fastParams()
     LearnedParams p;
     p.revertHysteresis = 1;
     return p;
-}
-
-TEST(LearnedRuntimeTest, RejectsBadAlpha)
-{
-    SyntheticActuator env;
-    LearnedParams p;
-    p.alpha = 0.0;
-    EXPECT_THROW(LearnedRuntime r(env, p, 1),
-                 pliant::util::FatalError);
-}
-
-TEST(LearnedRuntimeTest, RejectsNanOrOutOfRangeSlack)
-{
-    for (const double bad :
-         {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
-        SyntheticActuator env;
-        LearnedParams p;
-        p.slackThreshold = bad;
-        EXPECT_THROW(LearnedRuntime r(env, p, 1),
-                     pliant::util::FatalError)
-            << bad;
-    }
 }
 
 TEST(LearnedRuntimeTest, EscalatesOnViolation)

@@ -6,13 +6,11 @@
 
 #include "core/runtime.hh"
 
-#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/actuator.hh"
-#include "util/logging.hh"
 
 namespace {
 
@@ -366,22 +364,6 @@ TEST(PliantRuntimeTest, ImpactAwareReclaimsFromLeastRelief)
     rt.onInterval(300.0, 200.0);
     EXPECT_EQ(act.at(0).cores, 4);
     EXPECT_EQ(act.at(1).cores, 5);
-}
-
-TEST(PliantRuntimeTest, InvalidSlackThresholdIsFatal)
-{
-    MockActuator act(1);
-    RuntimeParams prm;
-    prm.slackThreshold = 1.5;
-    EXPECT_THROW(PliantRuntime(act, prm, 1), pliant::util::FatalError);
-}
-
-TEST(PliantRuntimeTest, NanSlackThresholdIsFatal)
-{
-    MockActuator act(1);
-    RuntimeParams prm;
-    prm.slackThreshold = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(PliantRuntime(act, prm, 1), pliant::util::FatalError);
 }
 
 TEST(DecisionNameTest, EventNamesArePrefixedDecisionNames)

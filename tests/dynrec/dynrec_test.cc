@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests for the dynamic-replacement machinery: variant tables, signal
- * dispatch, the instrumented-kernel wrapper, and the overhead model.
+ * dispatch, and the instrumented-kernel wrapper.
  */
 
 #include <gtest/gtest.h>
 
 #include "dynrec/instrumented.hh"
-#include "dynrec/overhead.hh"
 #include "dynrec/variant_table.hh"
 #include "util/logging.hh"
 
@@ -148,50 +147,6 @@ TEST(InstrumentedKernelTest, SignalsStartAtSigrtmin)
     InstrumentedKernel ik(pliant::kernels::makeKernel("kmeans", 3));
     EXPECT_EQ(ik.signalFor(0), InstrumentedKernel::kFirstSignal);
     EXPECT_TRUE(ik.signals().isMapped(InstrumentedKernel::kFirstSignal));
-}
-
-TEST(OverheadModelTest, DrawsWithinConfiguredBounds)
-{
-    OverheadModel m;
-    for (int i = 0; i < 1000; ++i) {
-        const double o = m.drawAppOverhead();
-        EXPECT_GE(o, m.params().minOverhead);
-        EXPECT_LE(o, m.params().maxOverhead);
-    }
-}
-
-TEST(OverheadModelTest, MeanNearPaperValue)
-{
-    OverheadModel m;
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += m.drawAppOverhead();
-    // Clamping skews the mean slightly below 3.8%; stay within band.
-    EXPECT_NEAR(sum / n, 0.038, 0.008);
-}
-
-TEST(OverheadModelTest, DeterministicForSeed)
-{
-    OverheadModel a(OverheadParams{}, 9);
-    OverheadModel b(OverheadParams{}, 9);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_DOUBLE_EQ(a.drawAppOverhead(), b.drawAppOverhead());
-}
-
-TEST(OverheadModelTest, SwitchCostTotals)
-{
-    OverheadModel m;
-    EXPECT_EQ(m.totalSwitchCost(0), 0);
-    EXPECT_EQ(m.totalSwitchCost(10), 10 * m.switchCost());
-}
-
-TEST(OverheadModelTest, InvalidParamsAreFatal)
-{
-    OverheadParams bad;
-    bad.meanOverhead = 0.10;
-    bad.maxOverhead = 0.05;
-    EXPECT_THROW(OverheadModel model(bad), pliant::util::FatalError);
 }
 
 } // namespace
