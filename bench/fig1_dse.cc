@@ -2,11 +2,12 @@
  * @file
  * Figure 1: approximation design-space exploration.
  *
- * Odd rows (per application): the execution-time vs inaccuracy
- * scatter — measured live for the 12 real kernels, and the calibrated
- * catalog curve plus dominated cloud for all 24 paper applications.
- * Even rows: the tail latency (relative to QoS) of each *selected*
- * variant when statically colocated with each interactive service.
+ * Odd rows (per kernel): the execution-time vs inaccuracy table of
+ * every variant examined, measured live for the 15 real kernels of
+ * the registry, with the Pareto-selected variants marked.
+ * Even rows (skipped by --quick): the tail latency (relative to QoS)
+ * of each catalog variant of all 24 paper applications when
+ * statically colocated with each interactive service.
  *
  * Both halves run through the parallel experiment driver
  * (driver::parallelMap). The kernel explorations are live wall-clock

@@ -60,36 +60,6 @@ constexpr double kArrivalJitter = 0.05;
 
 } // namespace
 
-std::string
-batchingName(BatchingKind kind)
-{
-    switch (kind) {
-      case BatchingKind::None:
-        return "none";
-      case BatchingKind::Fixed:
-        return "fixed";
-      case BatchingKind::Adaptive:
-        return "adaptive";
-    }
-    return "unknown";
-}
-
-std::string
-admissionName(AdmissionKind kind)
-{
-    switch (kind) {
-      case AdmissionKind::AcceptAll:
-        return "accept-all";
-      case AdmissionKind::DropTail:
-        return "drop-tail";
-      case AdmissionKind::ProbabilisticShed:
-        return "prob-shed";
-      case AdmissionKind::QosShed:
-        return "qos-shed";
-    }
-    return "unknown";
-}
-
 void
 validateAdmissionConfig(const AdmissionConfig &cfg)
 {

@@ -54,7 +54,6 @@
 #define PLIANT_ADMISSION_ADMISSION_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/time.hh"
 
@@ -67,10 +66,6 @@ enum class BatchingKind { None, Fixed, Adaptive };
 /** What gets shed at the front door. */
 enum class AdmissionKind { AcceptAll, DropTail, ProbabilisticShed,
                            QosShed };
-
-/** Printable names (used by tables, CSV, and the CLI). */
-std::string batchingName(BatchingKind kind);
-std::string admissionName(AdmissionKind kind);
 
 /**
  * QosShed: cap on the deliberately-shed arrival fraction when no
@@ -221,9 +216,6 @@ class AdmissionQueue
      * byte-identical. Updated at cluster epoch barriers.
      */
     void setShedCap(double cap) { shedCap = cap; }
-
-    /** The active shed cap (< 0: kMaxShedFraction applies). */
-    double currentShedCap() const { return shedCap; }
 
     /** Close the decision interval: report and reset the window. */
     AdmissionStats closeInterval();

@@ -539,13 +539,6 @@ ClusterConfigBuilder::lastNode()
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::nodeSpec(server::ServerSpec spec)
-{
-    lastNode().spec = std::move(spec);
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::service(services::ServiceKind kind,
                               colo::Scenario scenario)
 {

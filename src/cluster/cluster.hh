@@ -244,9 +244,6 @@ class ClusterConfigBuilder
     /** Start a new node (service() calls attach to it). */
     ClusterConfigBuilder &node(std::string name = "");
 
-    /** Set the most recent node's server spec. */
-    ClusterConfigBuilder &nodeSpec(server::ServerSpec spec);
-
     /** Attach a tenant to the most recent node. */
     ClusterConfigBuilder &service(services::ServiceKind kind,
                                   colo::Scenario scenario);
@@ -348,12 +345,6 @@ class Cluster
     const colo::ColoConfig &nodeConfig(std::size_t i) const
     {
         return nodeConfigs[i];
-    }
-
-    /** Resolved display name of node i. */
-    const std::string &nodeName(std::size_t i) const
-    {
-        return nodeNames[i];
     }
 
     /** Apps assigned to each node by the initial placement. */

@@ -298,7 +298,7 @@ validateConfig(const ColoConfig &cfg)
 
 Engine::Engine(ColoConfig config)
     : cfg(std::move(config)), interference(cfg.spec),
-      partition(cfg.spec, 0), clock(cfg.tick)
+      partition(cfg.spec, 0)
 {
     checkConfig(cfg);
     ServiceSpec legacy;
@@ -467,7 +467,7 @@ Engine::recordRoster()
     if (!sink)
         return;
     RosterEvent ev;
-    ev.t = clock.now();
+    ev.t = simTime;
     ev.apps.reserve(profiles.size());
     for (const auto &prof : profiles)
         ev.apps.push_back(prof->name);
@@ -495,13 +495,13 @@ Engine::appsFinished() const
 bool
 Engine::done() const
 {
-    return appsFinished() || clock.now() >= cfg.maxDuration;
+    return appsFinished() || simTime >= cfg.maxDuration;
 }
 
 sim::Time
 Engine::now() const
 {
-    return clock.now();
+    return simTime;
 }
 
 const std::string &
@@ -542,10 +542,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
     const bool stop_when_apps_finish =
         !keep_services_running || !appsFinished();
 
-    while (clock.now() < stop) {
+    while (simTime < stop) {
         if (stop_when_apps_finish && appsFinished())
             break;
-        const sim::Time tick_start = clock.now();
+        const sim::Time tick_start = simTime;
 
         // Phase wall timers: steady_clock is read only when someone
         // consumes the readings (metrics or opt-in phase spans), so
@@ -657,7 +657,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
         }
 
-        const sim::Time now = clock.advance();
+        simTime += cfg.tick;
+        const sim::Time now = simTime;
 
         // 3. Decision interval boundary: close every monitoring
         //    window and let the runtime act on the joint report.
@@ -916,7 +917,7 @@ Engine::setBudgetSlice(double quality_cap, double shed_cap)
     if (metrics)
         metrics->add(mid.budgetSlices);
     if (tracer)
-        tracer->instant(tracePid, 1, "budget-slice", clock.now());
+        tracer->instant(tracePid, 1, "budget-slice", simTime);
 }
 
 double

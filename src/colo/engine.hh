@@ -36,7 +36,7 @@
 #include "server/partition.hh"
 #include "server/spec.hh"
 #include "services/interactive.hh"
-#include "sim/clock.hh"
+#include "sim/time.hh"
 #include "util/stats.hh"
 
 namespace pliant {
@@ -515,17 +515,6 @@ class Engine
     void setTrace(obs::TraceWriter *writer, int pid = 0);
 
     /**
-     * The live metrics registry (null when
-     * cfg.observability.metrics is off). Exposed for tests and the
-     * cluster's node-order fold; snapshot() is safe between
-     * advanceUntil() chunks.
-     */
-    const obs::MetricsRegistry *metricsRegistry() const
-    {
-        return metrics.get();
-    }
-
-    /**
      * Budget hook: install this node's slice of the cluster-wide
      * quality and shed budgets (see budget::Controller). Called at
      * epoch barriers, between advanceUntil() chunks: the runtime
@@ -646,7 +635,8 @@ class Engine
     int appFairCores = 0;
 
     // --- run state, persistent across advanceUntil() chunks ---
-    sim::Clock clock;
+    /** Simulated time; advances by cfg.tick per tick. */
+    sim::Time simTime = 0;
     sim::Time nextDecision = 0;
     int totalIntervals = 0;
     bool finalized = false;

@@ -101,7 +101,6 @@ PliantRuntime::onInterval(const std::vector<ServiceReport> &services)
     lastRatio = ratio;
 
     if (ratio > 1.0) {
-        ++violations;
         slackStreak = 0;
         metStreak = 0;
         // A violation right after a revert means the reverted state

@@ -248,9 +248,6 @@ class Runtime
      */
     void setQualityCap(double cap) { qualityCap = cap; }
 
-    /** The active quality cap (< 0: unlimited). */
-    double currentQualityCap() const { return qualityCap; }
-
     virtual std::string name() const = 0;
 
   protected:
@@ -294,9 +291,6 @@ class PliantRuntime : public Runtime
 
     const RuntimeParams &params() const { return prm; }
 
-    /** Total decisions of each kind, for the effectiveness breakdown. */
-    int violationCount() const { return violations; }
-
   private:
     /** Violation path: approximate first, then reclaim cores. */
     Decision actOnViolation();
@@ -333,7 +327,6 @@ class PliantRuntime : public Runtime
     RuntimeParams prm;
     util::Rng rng;
     int rrPointer;
-    int violations = 0;
     int slackStreak = 0;
     int requiredStreak;
     int sinceRevert = 1 << 20;

@@ -1,11 +1,9 @@
 #include "dse/explore.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "driver/pool.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace pliant {
 namespace dse {
@@ -147,46 +145,6 @@ toVariants(const ExploreResult &result)
         out.push_back(v);
     }
     return out;
-}
-
-std::vector<DsePoint>
-syntheticCloud(const approx::AppProfile &profile, std::uint64_t seed,
-               int extra_points)
-{
-    util::Rng rng(seed ^ 0xd5e);
-    std::vector<DsePoint> cloud;
-
-    // The selected variants themselves.
-    for (const auto &v : profile.variants) {
-        DsePoint pt;
-        pt.timeNorm = v.execTimeNorm;
-        pt.inaccuracy = v.inaccuracy;
-        pt.selected = !v.isPrecise();
-        if (v.isPrecise())
-            pt.knobs = kernels::Knobs{};
-        else
-            pt.knobs = kernels::Knobs{v.index + 1,
-                                      kernels::Precision::Double, false};
-        cloud.push_back(pt);
-    }
-
-    // Dominated candidates scattered above/right of the frontier —
-    // the losing variants the exploration examined and discarded.
-    const auto &vs = profile.variants;
-    for (int i = 0; i < extra_points; ++i) {
-        const auto &anchor =
-            vs[1 + rng.uniformInt(vs.size() - 1)];
-        DsePoint pt;
-        pt.knobs = kernels::Knobs{static_cast<int>(i) + 20,
-                                  kernels::Precision::Double, false};
-        pt.timeNorm = std::min(
-            1.25, anchor.execTimeNorm + rng.uniform(0.02, 0.35));
-        pt.inaccuracy = std::min(
-            0.25, anchor.inaccuracy + rng.uniform(0.0, 0.15));
-        pt.selected = false;
-        cloud.push_back(pt);
-    }
-    return cloud;
 }
 
 } // namespace dse

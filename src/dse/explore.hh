@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "approx/profile.hh"
 #include "approx/variant.hh"
 #include "kernels/kernel.hh"
 
@@ -104,15 +103,6 @@ std::vector<std::size_t> paretoSelect(const std::vector<DsePoint> &points,
  */
 std::vector<approx::ApproxVariant>
 toVariants(const ExploreResult &result);
-
-/**
- * Exploration over a catalog profile: regenerates the "blue dot"
- * cloud of raw candidate variants around the profile's pareto curve
- * (for Fig. 1 rendering of apps that have no real kernel here).
- */
-std::vector<DsePoint> syntheticCloud(const approx::AppProfile &profile,
-                                     std::uint64_t seed,
-                                     int extra_points = 24);
 
 } // namespace dse
 } // namespace pliant

@@ -54,7 +54,6 @@ class InstrumentedKernel
     /** Execute the kernel through the dispatch table. */
     kernels::KernelResult invoke() { return table(); }
 
-    const SignalDispatcher &signals() const { return dispatcher; }
     std::uint64_t switchCount() const { return table.switches(); }
 
   private:

@@ -134,17 +134,11 @@ class SignalDispatcher
         auto it = actions.find(signum);
         if (it == actions.end())
             util::fatal("raise of unmapped signal ", signum);
-        ++deliveredCount;
         it->second();
     }
 
-    bool isMapped(int signum) const { return actions.count(signum) > 0; }
-    std::size_t mappedCount() const { return actions.size(); }
-    std::uint64_t delivered() const { return deliveredCount; }
-
   private:
     std::map<int, SwitchAction> actions;
-    std::uint64_t deliveredCount = 0;
 };
 
 } // namespace dynrec

@@ -170,14 +170,6 @@ class MetricsRegistry
     /** Gauge overwrite. Frozen-only. */
     void set(MetricId id, double v) { gauges[slotOf[id]] = v; }
 
-    /** Gauge running-max. Frozen-only. */
-    void setMax(MetricId id, double v)
-    {
-        double &g = gauges[slotOf[id]];
-        if (v > g)
-            g = v;
-    }
-
     /** Stat observation. Frozen-only. */
     void record(MetricId id, double v) { stats[slotOf[id]].add(v); }
 

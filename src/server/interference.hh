@@ -132,9 +132,6 @@ class InterferenceModel
         return 1.0 + c.weighted(s);
     }
 
-    double llcCapacityMb() const { return llcMb; }
-    double peakBwGbs() const { return peakBw; }
-
   private:
     double llcMb;
     double peakBw;

@@ -34,7 +34,6 @@ class CachePartition
      */
     explicit CachePartition(const ServerSpec &spec, int service_ways = 0);
 
-    int totalWays() const { return total; }
     int serviceWays() const { return svcWays; }
 
     /** Whether partitioning is active at all. */

@@ -139,12 +139,6 @@ class InteractiveService
     /** Pressure the service exerts on shared resources right now. */
     approx::PressureVector currentPressure() const;
 
-    /** Offered QPS at the current load. */
-    double currentQps() const
-    {
-        return workload.current() * cfg.saturationQps;
-    }
-
   private:
     ServiceConfig cfg;
     WorkloadGenerator workload;

@@ -34,20 +34,6 @@ toSeconds(Time t)
     return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
-/** Convert milliseconds (double) to simulated Time. */
-constexpr Time
-fromMillis(double ms)
-{
-    return static_cast<Time>(ms * static_cast<double>(kMillisecond));
-}
-
-/** Convert simulated Time to milliseconds. */
-constexpr double
-toMillis(Time t)
-{
-    return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 } // namespace sim
 } // namespace pliant
 

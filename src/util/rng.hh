@@ -203,16 +203,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool coin(double p) { return uniform() < p; }
 
-    /** Exponential variate with the given rate (mean 1/rate). */
-    double exponential(double rate)
-    {
-        double u = uniform();
-        // Guard against log(0).
-        if (u <= 0.0)
-            u = 0x1.0p-53;
-        return -std::log(u) / rate;
-    }
-
     /**
      * Standard normal via Box-Muller (one value per call).
      *
@@ -323,9 +313,6 @@ class Rng
         const double mu = std::log(mean) - 0.5 * sigma2;
         return std::exp(normal(mu, std::sqrt(sigma2)));
     }
-
-    /** Fork an independent, deterministically-derived child stream. */
-    Rng fork() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)

@@ -519,37 +519,6 @@ class P2Quantile
 };
 
 /**
- * Fixed-capacity uniform reservoir sample, for distribution summaries
- * (violin plots) over long runs.
- */
-template <typename RngType>
-class Reservoir
-{
-  public:
-    explicit Reservoir(std::size_t capacity) : cap(capacity) {}
-
-    void add(double x, RngType &rng)
-    {
-        ++seen;
-        if (items.size() < cap) {
-            items.push_back(x);
-        } else {
-            const std::uint64_t j = rng.uniformInt(seen);
-            if (j < cap)
-                items[static_cast<std::size_t>(j)] = x;
-        }
-    }
-
-    const std::vector<double> &data() const { return items; }
-    std::size_t seenCount() const { return seen; }
-
-  private:
-    std::size_t cap;
-    std::uint64_t seen = 0;
-    std::vector<double> items;
-};
-
-/**
  * Five-number summary (min, q1, median, q3, max) of a sample —
  * the data behind a violin/box plot. Each field is the 0th, 25th,
  * 50th, 75th or 100th percentile from selectPercentiles, so min and

@@ -28,8 +28,6 @@ class TextTable
     /** Render with aligned columns to the stream. */
     void print(std::ostream &os) const;
 
-    std::size_t rowCount() const { return rows.size(); }
-
   private:
     std::vector<std::string> head;
     std::vector<std::vector<std::string>> rows;

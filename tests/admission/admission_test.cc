@@ -64,23 +64,6 @@ makeQueue(AdmissionConfig cfg, std::uint64_t seed = 7)
     return AdmissionQueue(cfg, 600e3, 200.0, seed);
 }
 
-TEST(AdmissionConfigTest, NamesArePrintable)
-{
-    EXPECT_EQ(admission::admissionName(AdmissionKind::AcceptAll),
-              "accept-all");
-    EXPECT_EQ(admission::admissionName(AdmissionKind::DropTail),
-              "drop-tail");
-    EXPECT_EQ(
-        admission::admissionName(AdmissionKind::ProbabilisticShed),
-        "prob-shed");
-    EXPECT_EQ(admission::admissionName(AdmissionKind::QosShed),
-              "qos-shed");
-    EXPECT_EQ(admission::batchingName(BatchingKind::None), "none");
-    EXPECT_EQ(admission::batchingName(BatchingKind::Fixed), "fixed");
-    EXPECT_EQ(admission::batchingName(BatchingKind::Adaptive),
-              "adaptive");
-}
-
 TEST(AdmissionConfigTest, DisabledConfigIsNeverValidated)
 {
     AdmissionConfig cfg;

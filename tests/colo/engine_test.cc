@@ -15,6 +15,7 @@
 #include "colo/engine.hh"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -359,6 +360,27 @@ TEST(EngineValidationTest, RejectsConfigsLeavingServicesNoCores)
                 "hmmer",      "fasta",        "birch",
                 "semphy"};
     EXPECT_THROW(Engine e(cfg), util::FatalError);
+}
+
+TEST(EngineValidationTest, RejectsNonPositiveTickWithItsOwnMessage)
+{
+    // The tick check is the engine's own, and its message is the one
+    // raised: nothing built before checkConfig may reject the tick
+    // first with a different error.
+    for (const sim::Time tick : {sim::Time{0}, sim::Time{-1}}) {
+        ColoConfig cfg;
+        cfg.apps = {"canneal"};
+        cfg.tick = tick;
+        try {
+            Engine e(cfg);
+            ADD_FAILURE() << "tick " << tick << " was accepted";
+        } catch (const util::FatalError &err) {
+            EXPECT_NE(std::string(err.what())
+                          .find("simulation tick must be positive"),
+                      std::string::npos)
+                << "tick " << tick << ": " << err.what();
+        }
+    }
 }
 
 TEST(EngineValidationTest, FairShareSplitsAcrossServices)

@@ -268,16 +268,6 @@ TEST(PliantRuntimeTest, AdaptiveBackoffAfterPunishedRevert)
               Decision::Kind::StepDown);
 }
 
-TEST(PliantRuntimeTest, ViolationCountTracks)
-{
-    MockActuator act(1);
-    PliantRuntime rt(act, noHysteresis(), 1);
-    rt.onInterval(300.0, 200.0);
-    rt.onInterval(100.0, 200.0);
-    rt.onInterval(300.0, 200.0);
-    EXPECT_EQ(rt.violationCount(), 2);
-}
-
 TEST(PliantRuntimeTest, FinishedTasksAreSkipped)
 {
     MockActuator act(2);

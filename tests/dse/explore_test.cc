@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "approx/profile.hh"
+#include "approx/variant.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -155,33 +155,6 @@ TEST(ExploreKernelTest, RejectsZeroRepetitions)
     opts.repetitions = 0;
     EXPECT_THROW(exploreKernel(*kernel, opts),
                  pliant::util::FatalError);
-}
-
-TEST(SyntheticCloudTest, ContainsProfileVariantsAndExtras)
-{
-    const auto &prof = pliant::approx::findProfile("bayesian");
-    const auto cloud = syntheticCloud(prof, 3, 20);
-    EXPECT_EQ(cloud.size(), prof.variants.size() + 20);
-    // First points mirror the profile's pareto curve.
-    for (std::size_t i = 0; i < prof.variants.size(); ++i) {
-        EXPECT_DOUBLE_EQ(cloud[i].timeNorm,
-                         prof.variants[i].execTimeNorm);
-        EXPECT_DOUBLE_EQ(cloud[i].inaccuracy,
-                         prof.variants[i].inaccuracy);
-    }
-    // Extras are dominated (worse or equal in at least one axis).
-    for (std::size_t i = prof.variants.size(); i < cloud.size(); ++i)
-        EXPECT_FALSE(cloud[i].selected);
-}
-
-TEST(SyntheticCloudTest, DeterministicForSeed)
-{
-    const auto &prof = pliant::approx::findProfile("canneal");
-    const auto a = syntheticCloud(prof, 9, 10);
-    const auto b = syntheticCloud(prof, 9, 10);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_DOUBLE_EQ(a[i].timeNorm, b[i].timeNorm);
 }
 
 } // namespace

@@ -39,16 +39,15 @@ TEST(MetricsRegistryTest, SnapshotPreservesRegistrationOrderAndTags)
     EXPECT_EQ(snap.metrics[3].buckets.size(), 8U + 2U);
 }
 
-TEST(MetricsRegistryTest, GaugeSetAndSetMax)
+TEST(MetricsRegistryTest, GaugeSetOverwrites)
 {
     MetricsRegistry reg;
     const MetricId g = reg.gauge("g");
     reg.freeze();
     reg.set(g, 4.0);
-    reg.setMax(g, 2.0); // below current: no change
     EXPECT_EQ(reg.snapshot().metrics[0].value, 4.0);
-    reg.setMax(g, 9.0);
-    EXPECT_EQ(reg.snapshot().metrics[0].value, 9.0);
+    reg.set(g, 2.0);
+    EXPECT_EQ(reg.snapshot().metrics[0].value, 2.0);
 }
 
 TEST(MetricsRegistryTest, RegistrationAfterFreezePanics)

@@ -102,12 +102,6 @@ TEST_F(InterferenceTest, ApproximationReducesInflation)
     EXPECT_LT(infl_approx, infl_precise);
 }
 
-TEST_F(InterferenceTest, CapacityAccessors)
-{
-    EXPECT_DOUBLE_EQ(model.llcCapacityMb(), 55.0);
-    EXPECT_DOUBLE_EQ(model.peakBwGbs(), 76.8);
-}
-
 TEST_F(InterferenceTest, ComputeChannelIsSmall)
 {
     const auto c = model.contention(

@@ -181,15 +181,6 @@ TEST(InteractiveServiceTest, PressureScalesWithLoad)
               hi.currentPressure().compute);
 }
 
-TEST(InteractiveServiceTest, CurrentQpsTracksLoad)
-{
-    const ServiceConfig cfg = defaultConfig(ServiceKind::Memcached);
-    InteractiveService svc(cfg, steadyLoad(0.5), 5);
-    svc.tick(10 * sim::kMillisecond, 1.0);
-    EXPECT_NEAR(svc.currentQps(), 0.5 * cfg.saturationQps,
-                0.02 * cfg.saturationQps);
-}
-
 /**
  * Byte-identity pin for the batched sample path. The expected doubles
  * were captured from the pre-batching scalar implementation (per-draw

@@ -25,7 +25,6 @@ using pliant::test::sortedPercentile;
 using pliant::util::FiveNumber;
 using pliant::util::IntPercentileWindow;
 using pliant::util::P2Quantile;
-using pliant::util::Reservoir;
 using pliant::util::Rng;
 using pliant::util::RunningStats;
 using pliant::util::selectPercentiles;
@@ -1050,38 +1049,6 @@ TEST(P2FrozenTest, AddsAfterMergeStayBitIdentical)
             }
         }
     }
-}
-
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity)
-{
-    Rng rng(3);
-    Reservoir<Rng> r(100);
-    for (int i = 0; i < 50; ++i)
-        r.add(i, rng);
-    EXPECT_EQ(r.data().size(), 50u);
-    EXPECT_EQ(r.seenCount(), 50u);
-}
-
-TEST(ReservoirTest, BoundedAtCapacity)
-{
-    Rng rng(3);
-    Reservoir<Rng> r(64);
-    for (int i = 0; i < 10000; ++i)
-        r.add(i, rng);
-    EXPECT_EQ(r.data().size(), 64u);
-    EXPECT_EQ(r.seenCount(), 10000u);
-}
-
-TEST(ReservoirTest, SampleIsRepresentative)
-{
-    Rng rng(9);
-    Reservoir<Rng> r(2000);
-    for (int i = 0; i < 100000; ++i)
-        r.add(static_cast<double>(i % 1000), rng);
-    double sum = 0.0;
-    for (double x : r.data())
-        sum += x;
-    EXPECT_NEAR(sum / static_cast<double>(r.data().size()), 499.5, 40.0);
 }
 
 TEST(FiveNumberTest, EmptyIsZeros)
