@@ -10,7 +10,8 @@
  *
  *  - memory: the sweep completes under a pinned RSS ceiling
  *    (--rss-limit-mb; CI pins it) because nothing retains the
- *    10k-tenant per-tick series;
+ *    10k-tenant per-tick series and each tenant's monitor window
+ *    reserves only what one 1 s interval can offer (60 samples);
  *  - determinism: the cluster rollups (worst service ratio, merged
  *    steady-state P² p99, QoS fractions, app outcomes) are exactly
  *    equal — double-for-double — between the serial run and an
@@ -19,6 +20,13 @@
  * Like perf_tick, the configuration is frozen: the committed
  * BENCH_scale.json is generated with --quick (the CI shape) and the
  * schema checker hard-fails if any deterministic field moves.
+ * `ticks` counts the node-ticks the nodes executed: the full 60 s
+ * run stops near 40 s, once every app has finished.
+ *
+ * Each row also records the process CPU seconds over its run
+ * (cpu_s), parallelism = cpu_s / wall_s, and host_starved when
+ * parallelism is under half the pool threads: such a row's wall
+ * time reflects a host that did not grant the cores, not the code.
  *
  * Usage: fig_scale [--quick] [--threads N] [--out FILE]
  *                  [--rss-limit-mb M]
@@ -64,6 +72,20 @@ peakRssMb()
     if (getrusage(RUSAGE_SELF, &ru) != 0)
         return 0.0;
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+/** Process CPU seconds so far, user + system, over every thread. */
+double
+cpuSeconds()
+{
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return 0.0;
+    const auto secs = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+            static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
 }
 
 double
@@ -123,6 +145,8 @@ struct Measurement
     std::string description;
     unsigned poolThreads = 1;
     double wallSeconds = 0.0;
+    double cpuSeconds = 0.0; ///< process user + system over the run
+    /** Node-ticks executed (the run may stop before the horizon). */
     std::uint64_t ticks = 0;
     double peakRssMbAfter = 0.0;
     cluster::ClusterResult result;
@@ -135,6 +159,23 @@ struct Measurement
             ? static_cast<double>(ticks) / wallSeconds
             : 0.0;
     }
+
+    /** Cores the run kept busy on average: CPU time over wall time. */
+    double
+    parallelism() const
+    {
+        return wallSeconds > 0.0 ? cpuSeconds / wallSeconds : 0.0;
+    }
+
+    /**
+     * The host granted under half the pool's threads, so this row's
+     * wall time says more about the host than about the code.
+     */
+    bool
+    hostStarved() const
+    {
+        return parallelism() < static_cast<double>(poolThreads) / 2.0;
+    }
 };
 
 Measurement
@@ -145,13 +186,16 @@ runCell(const std::string &name, const std::string &description,
     m.name = name;
     m.description = description;
     m.poolThreads = pool_threads;
-    const cluster::ClusterConfig cfg = scaleConfig(horizon, pool_threads);
-    m.ticks = static_cast<std::uint64_t>(cfg.nodes.size()) *
-        static_cast<std::uint64_t>(cfg.maxDuration / cfg.tick);
-    cluster::Cluster c(cfg);
+    cluster::Cluster c(scaleConfig(horizon, pool_threads));
     const double t0 = now();
+    const double cpu0 = cpuSeconds();
     m.result = c.run();
     m.wallSeconds = now() - t0;
+    m.cpuSeconds = cpuSeconds() - cpu0;
+    // Every app may finish before the horizon, and the run stops at
+    // that epoch barrier: count the ticks the nodes really executed.
+    for (const cluster::NodeResult &nr : m.result.nodes)
+        m.ticks += nr.ticks;
     // ru_maxrss is a process-lifetime high-water mark: later cells
     // can only report >= earlier ones. The ceiling check uses the
     // final value, which is exactly the quantity CI pins.
@@ -210,6 +254,10 @@ writeJson(const std::string &path,
             << (m.identicalToSerial ? "true" : "false") << ",\n"
             << "      \"wall_s\": " << m.wallSeconds << ",\n"
             << "      \"ticks_per_sec\": " << m.ticksPerSec() << ",\n"
+            << "      \"cpu_s\": " << m.cpuSeconds << ",\n"
+            << "      \"parallelism\": " << m.parallelism() << ",\n"
+            << "      \"host_starved\": "
+            << (m.hostStarved() ? "true" : "false") << ",\n"
             << "      \"peak_rss_mb\": " << m.peakRssMbAfter << "\n"
             << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
@@ -259,12 +307,14 @@ main(int argc, char **argv)
         m.identicalToSerial =
             rollupsEqual(m.result, results.front().result);
 
-    util::TextTable t({"config", "pool", "wall s", "ticks/s",
+    util::TextTable t({"config", "pool", "wall s", "cpu/wall", "ticks/s",
                        "steady p99", "worst ratio", "rss MB",
                        "== serial"});
     for (const Measurement &m : results)
         t.addRow({m.name, std::to_string(m.poolThreads),
                   util::fmt(m.wallSeconds, 2),
+                  util::fmt(m.parallelism(), 2) +
+                      (m.hostStarved() ? " starved" : ""),
                   util::fmt(m.ticksPerSec() / 1e3, 1) + "k",
                   util::fmt(m.result.steadyP99Us, 1),
                   util::fmt(m.result.worstServiceRatio, 4),

@@ -8,9 +8,10 @@ simulation field changing — for fig_scale that includes the cluster
 rollups (steady_p99_us, worst_ratio) and the thread-invariance bit
 (identical_to_serial), which are pure simulation outputs and must
 not move between machines. Wall-clock fields (wall_s,
-ticks_per_sec, peak_rss_mb) are noisy on shared runners, so they
-only produce a warning line showing the ratio — the perf trajectory
-artifact is where timing history lives.
+ticks_per_sec, peak_rss_mb, and fig_scale's cpu_s, parallelism and
+host_starved) are noisy on shared runners, so they only produce a
+warning line — the perf trajectory artifact is where timing history
+lives.
 
 Also validates metrics exports (perf_tick --metrics-summary writes
 metrics.json, a wrapper with one embedded pliant-metrics-v1 export
@@ -29,6 +30,9 @@ WALL_CLOCK_FIELDS = {
     "wall_s",
     "ticks_per_sec",
     "peak_rss_mb",
+    "cpu_s",
+    "parallelism",
+    "host_starved",
 }
 DETERMINISTIC_FIELDS = {
     "ticks",
@@ -129,6 +133,12 @@ def main():
                      f"committed {ref[field]} (simulated output "
                      f"moved — this is a regression, not noise)")
         for field in sorted(WALL_CLOCK_FIELDS & set(ref)):
+            if isinstance(ref[field], bool):
+                if ref[field] != new[field]:
+                    print(f"warn-only: '{name}' {field} = "
+                          f"{str(new[field]).lower()} (committed "
+                          f"{str(ref[field]).lower()})")
+                continue
             if not ref[field]:
                 continue
             ratio = new[field] / ref[field]

@@ -121,7 +121,7 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         nodeNames.push_back(resolvedNodeName(cfg.nodes[i], i));
 
         colo::ColoConfig nc;
-        nc.services = cfg.nodes[i].services;
+        nc.services = std::move(cfg.nodes[i].services);
         nc.spec = cfg.nodes[i].spec;
         nc.runtime = cfg.runtime;
         nc.arbiter = cfg.arbiter;
@@ -396,6 +396,7 @@ Cluster::run()
         NodeResult nr;
         nr.name = nodeNames[i];
         nr.seed = nodeConfigs[i].seed;
+        nr.ticks = static_cast<std::uint64_t>(engines[i]->now() / cfg.tick);
         nr.result = engines[i]->finalize();
         out.nodes.push_back(std::move(nr));
     }

@@ -158,6 +158,11 @@ struct NodeResult
 {
     std::string name;
     std::uint64_t seed = 0;
+    /**
+     * Ticks this node executed: the horizon's worth unless the run
+     * stopped early at an epoch barrier once every app finished.
+     */
+    std::uint64_t ticks = 0;
     /** Apps this node hosted at the end of the run. */
     colo::ColoResult result;
 };
@@ -388,6 +393,11 @@ class Cluster
      */
     void allocateBudget(const std::vector<NodeStatus> &statuses);
 
+    /**
+     * The config as given, except that every cfg.nodes[i].services
+     * has been moved into nodeConfigs[i] (nothing reads cfg.nodes
+     * after the constructor).
+     */
     ClusterConfig cfg;
     std::unique_ptr<PlacementPolicy> policy;
     std::unique_ptr<budget::Controller> budgeter; ///< null: disabled

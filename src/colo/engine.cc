@@ -31,6 +31,27 @@ tenantSalt(std::size_t i)
  */
 constexpr sim::Time kWarmup = 5 * sim::kSecond;
 
+/** Largest monitor window a tenant keeps per decision interval. */
+constexpr std::size_t kMaxWindowSamples = 4096;
+
+/**
+ * A tenant monitor's window budget: the most samples one decision
+ * interval can offer, capped at kMaxWindowSamples. The close
+ * schedule (nextDecision += interval, checked after each tick) puts
+ * at most ceil(interval / tick) ticks in one interval, and a tick
+ * emits at most kMaxSamplesPerTick samples.
+ */
+std::size_t
+monitorBudget(sim::Time tick, sim::Time interval)
+{
+    const auto ticks = static_cast<std::size_t>(
+        interval / tick + (interval % tick != 0 ? 1 : 0));
+    // Capping the tick count first keeps the product from overflowing.
+    return std::min(std::min(ticks, kMaxWindowSamples) *
+                        services::kMaxSamplesPerTick,
+                    kMaxWindowSamples);
+}
+
 /**
  * cfg's tenant list without copying it: cfg.services, or, when that
  * list is empty, the legacy single-service fields as one
@@ -332,8 +353,15 @@ Engine::Engine(ColoConfig config)
         wl.loadFraction = t.spec.scenario.loadAt(0);
         t.service = std::make_unique<services::InteractiveService>(
             scfg, wl, cfg.seed ^ 0x51 ^ tenantSalt(i));
+        // No interval offers more than monitorBudget, so the window
+        // keeps every sample and never takes its reservoir path; a
+        // 4096 window keeps the same samples (both are 4096 when the
+        // bound exceeds it), so no output byte depends on the budget.
+        // What shrinks is the up-front reservation: 32 KiB -> 480 B
+        // per tenant at tick = interval.
         t.monitor = std::make_unique<core::PerformanceMonitor>(
-            4096, cfg.seed ^ 0x30 ^ tenantSalt(i));
+            monitorBudget(cfg.tick, cfg.decisionInterval),
+            cfg.seed ^ 0x30 ^ tenantSalt(i));
         if (cfg.admission.enabled)
             t.admission = std::make_unique<admission::AdmissionQueue>(
                 cfg.admission, scfg.saturationQps, scfg.qosUs,

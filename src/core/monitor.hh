@@ -40,7 +40,13 @@ class PerformanceMonitor
 {
   public:
     /**
-     * @param sample_budget max retained samples per decision interval.
+     * @param sample_budget max retained samples per decision interval
+     *        (at least 16), reserved up front. Past it the window
+     *        keeps a uniform reservoir subsample. The engine passes
+     *        min(4096, ceil(interval / tick) * kMaxSamplesPerTick):
+     *        no interval offers more, so the reservoir never runs and
+     *        the window holds exactly what a 4096 window would, at a
+     *        fraction of the memory when the interval is few ticks.
      * @param seed stream for the subsampling decisions.
      */
     explicit PerformanceMonitor(std::size_t sample_budget = 4096,

@@ -14,9 +14,6 @@ namespace {
 /** Phi^-1(0.99): pins p99/p50 dispersion of the sample lognormal. */
 constexpr double kZ99 = 2.3263478740408408;
 
-/** Most latency samples one tick emits. */
-constexpr std::size_t kMaxSamplesPerTick = 60;
-
 /** Utilization cap for the steady-state queueing term. */
 constexpr double kRhoCap = 0.98;
 

@@ -22,6 +22,7 @@
 #ifndef PLIANT_SERVICES_INTERACTIVE_HH
 #define PLIANT_SERVICES_INTERACTIVE_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +36,13 @@
 
 namespace pliant {
 namespace services {
+
+/**
+ * Most latency samples one tick emits. The engine sizes each
+ * tenant's monitor window from it: an interval of k ticks can offer
+ * at most k * kMaxSamplesPerTick samples.
+ */
+constexpr std::size_t kMaxSamplesPerTick = 60;
 
 /** The three interactive services the paper evaluates. */
 enum class ServiceKind { Nginx, Memcached, MongoDb };

@@ -14,7 +14,9 @@
  *    assignments, QoS-aware migration's fixed thresholds and
  *    cooldown on hand-built node states, and pressure-driven
  *    migration off a crowded node with every app accounted for
- *    exactly once.
+ *    exactly once;
+ *  - tick accounting: a run that stops at app completion reports
+ *    the ticks its nodes executed, not the horizon's.
  */
 
 #include "cluster/cluster.hh"
@@ -763,6 +765,45 @@ TEST(ClusterIdleNodeTest, AppLessNodeIsAValidMigrationTarget)
     EXPECT_EQ(seen.size(), 2u);
     for (const auto &[name, times] : seen)
         EXPECT_EQ(times, 1) << name;
+}
+
+TEST(ClusterTickCountTest, RunEndingAtAppCompletionReportsFewerTicks)
+{
+    // One app on two nodes, static placement: node 0 hosts it. The
+    // run stops at the first epoch barrier after the app finishes,
+    // long before the 600 s horizon, so the nodes execute fewer
+    // ticks than nodes x horizon / tick.
+    const auto config = [](sim::Time horizon) {
+        return ClusterConfigBuilder()
+            .nodes(2)
+            .serviceOnAll(services::ServiceKind::Memcached,
+                          colo::Scenario::constant(0.6))
+            .apps({"bayesian"})
+            .placement(PlacementKind::Static)
+            .tick(10 * sim::kMillisecond)
+            .epoch(5 * kS)
+            .maxDuration(horizon)
+            .seed(5)
+            .build();
+    };
+    const ClusterResult early = Cluster(config(600 * kS)).run();
+    ASSERT_EQ(early.appsFinished, early.appsTotal);
+    ASSERT_EQ(early.nodes.size(), 2u);
+    const std::uint64_t horizon_ticks = 600 * 100;
+    EXPECT_LT(early.nodes[0].ticks + early.nodes[1].ticks,
+              2 * horizon_ticks);
+    // The app's node stops at its last tick; the app-less node
+    // serves on to the barrier, a whole number of 5 s epochs.
+    EXPECT_GT(early.nodes[0].ticks, 0u);
+    EXPECT_LE(early.nodes[0].ticks, early.nodes[1].ticks);
+    EXPECT_EQ(early.nodes[1].ticks % 500, 0u);
+    EXPECT_LT(early.nodes[1].ticks, horizon_ticks);
+
+    // A horizon the app outlasts: every node runs all of it.
+    const ClusterResult full = Cluster(config(10 * kS)).run();
+    EXPECT_EQ(full.appsFinished, 0);
+    for (const NodeResult &node : full.nodes)
+        EXPECT_EQ(node.ticks, 1000u) << node.name;
 }
 
 TEST(ClusterValidationTest, RejectsNonPositiveTiming)

@@ -9,18 +9,24 @@
  *  - the acceptance scenario: memcached + nginx sharing a box with
  *    two approximate apps through a flash crowd, run through
  *    runColocations, byte-identical at 1 and 6 worker threads;
- *  - config validation (bad fair-core splits, duplicate tenants).
+ *  - config validation (bad fair-core splits, duplicate tenants);
+ *  - the close schedule: no decision interval holds more than
+ *    ceil(interval / tick) ticks, the bound each tenant's monitor
+ *    window is sized to.
  */
 
 #include "colo/engine.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "driver/pool.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace {
 
@@ -135,6 +141,67 @@ TEST(EngineRegressionTest, PreciseBaselineMatchesPreRefactorNumbers)
     EXPECT_DOUBLE_EQ(r.qosMetFraction, 0.0);
     EXPECT_EQ(rec.points.size(), 40u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 0);
+}
+
+/** Two tenants (one flash-crowded) and two apps at the given timing. */
+ColoConfig
+timedConfig(sim::Time tick, sim::Time interval, std::uint64_t seed)
+{
+    ServiceSpec crowd;
+    crowd.kind = services::ServiceKind::Memcached;
+    crowd.scenario = Scenario::flashCrowd(0.55, 0.95, 20 * sim::kSecond,
+                                          3 * sim::kSecond,
+                                          10 * sim::kSecond,
+                                          5 * sim::kSecond);
+    ServiceSpec steady;
+    steady.kind = services::ServiceKind::Nginx;
+    steady.scenario = Scenario::constant(0.6);
+    ColoConfig cfg = makeMultiServiceConfig(
+        {crowd, steady}, {"canneal", "bayesian"},
+        core::RuntimeKind::Pliant, seed);
+    cfg.tick = tick;
+    cfg.decisionInterval = interval;
+    return cfg;
+}
+
+TEST(EngineRegressionTest, TickEqualsIntervalMatchesPinnedNumbers)
+{
+    // tick = interval (the 1000-node sweep's shape) and a tick that
+    // does not divide the interval are the shapes whose monitor
+    // window is smaller than 4096 samples; these numbers were
+    // recorded while every window was 4096, so a window that drops a
+    // sample moves them.
+    {
+        const Recorded rec =
+            runRecorded(timedConfig(sim::kSecond, sim::kSecond, 97));
+        const ColoResult &r = rec.result;
+        EXPECT_PINNED(r.overallP99Us, 644.74054555285534);
+        EXPECT_PINNED(r.steadyP99Us, 748.93817300929595);
+        EXPECT_PINNED(r.meanIntervalP99Us, 182.63372773105155);
+        EXPECT_PINNED(r.qosMetFraction, 0.92592592592592593);
+        EXPECT_PINNED(r.services[1].steadyP99Us, 10728.90993491353);
+        EXPECT_EQ(rec.points.size(), 27u);
+        ASSERT_EQ(r.apps.size(), 2u);
+        EXPECT_PINNED(r.apps[0].inaccuracy, 0.042445655858211404);
+        EXPECT_PINNED(r.apps[1].relativeExecTime, 0.47272727272727272);
+        EXPECT_PINNED(rec.points.back().p99Us, 139.50079256746542);
+    }
+    {
+        const Recorded rec = runRecorded(
+            timedConfig(30 * sim::kMillisecond,
+                        100 * sim::kMillisecond, 97));
+        const ColoResult &r = rec.result;
+        EXPECT_PINNED(r.overallP99Us, 136.58744641724022);
+        EXPECT_PINNED(r.steadyP99Us, 138.32483014282232);
+        EXPECT_PINNED(r.meanIntervalP99Us, 122.94136577855339);
+        EXPECT_PINNED(r.qosMetFraction, 0.98299319727891155);
+        EXPECT_PINNED(r.services[1].steadyP99Us, 7379.4402634833223);
+        EXPECT_EQ(rec.points.size(), 294u);
+        ASSERT_EQ(r.apps.size(), 2u);
+        EXPECT_PINNED(r.apps[0].inaccuracy, 0.044088545496259006);
+        EXPECT_PINNED(r.apps[1].relativeExecTime, 0.49036363636363633);
+        EXPECT_PINNED(rec.points.back().p99Us, 106.69601850602263);
+    }
 }
 
 TEST(EngineRegressionTest, ExplicitConstantTenantEqualsLegacyConfig)
@@ -380,6 +447,63 @@ TEST(EngineValidationTest, RejectsNonPositiveTickWithItsOwnMessage)
                       std::string::npos)
                 << "tick " << tick << ": " << err.what();
         }
+    }
+}
+
+TEST(EngineScheduleTest, NoIntervalHoldsMoreThanCeilIntervalOverTicks)
+{
+    // Each tenant's monitor window is sized to ceil(interval / tick)
+    // ticks of samples, so the close schedule (nextDecision +=
+    // interval, checked after each tick) must never put more ticks
+    // than that into one interval — for dividing and non-dividing
+    // pairs alike. The first interval always holds exactly that
+    // many, so the bound is also tight.
+    struct Timing
+    {
+        sim::Time tick, interval;
+    };
+    std::vector<Timing> timings = {
+        {30 * sim::kMillisecond, 100 * sim::kMillisecond},
+        {3, 4},
+        {7, 10},
+        {999, 1000},
+        {1000, 1999},
+        {10 * sim::kMillisecond, sim::kSecond},
+        {300 * sim::kMillisecond, sim::kSecond},
+        {sim::kSecond, sim::kSecond},
+    };
+    util::SplitMix64 sm(22);
+    for (int i = 0; i < 24; ++i) {
+        const auto tick = static_cast<sim::Time>(1 + sm.next() % 50000);
+        const auto interval =
+            tick + static_cast<sim::Time>(sm.next() % (20 * tick));
+        timings.push_back({tick, interval});
+    }
+    for (const Timing &tm : timings) {
+        SCOPED_TRACE(::testing::Message() << "tick " << tm.tick
+                                          << " us, interval "
+                                          << tm.interval << " us");
+        ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                        {"canneal"},
+                                        core::RuntimeKind::Precise, 3);
+        cfg.tick = tm.tick;
+        cfg.decisionInterval = tm.interval;
+        cfg.maxDuration = 25 * tm.interval;
+        const Recorded rec = runRecorded(cfg);
+        ASSERT_GE(rec.points.size(), 20u);
+
+        const sim::Time bound =
+            (tm.interval + tm.tick - 1) / tm.tick;
+        sim::Time prev = 0, most = 0;
+        for (const TimePoint &p : rec.points) {
+            ASSERT_EQ((p.t - prev) % tm.tick, 0);
+            const sim::Time ticks = (p.t - prev) / tm.tick;
+            EXPECT_GE(ticks, 1);
+            EXPECT_LE(ticks, bound) << "interval closing at " << p.t;
+            most = std::max(most, ticks);
+            prev = p.t;
+        }
+        EXPECT_EQ(most, bound);
     }
 }
 

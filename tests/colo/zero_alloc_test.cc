@@ -3,7 +3,9 @@
  * A warmed-up colo::Engine tick loop performs zero heap allocations,
  * with the metrics registry off and on, and so do its decision-
  * interval closes when the timeline is not retained — with the
- * admission front-end on as well. Every per-tick and per-close buffer
+ * admission front-end on as well, and at the 1000-node sweep's
+ * tick = interval shape, whose monitor windows are sized to one
+ * tick's samples. Every per-tick and per-close buffer
  * is sized at construction or reaches its steady capacity during
  * warmup, so the steady-state loop only reuses memory.
  */
@@ -274,6 +276,44 @@ TEST(ZeroAllocTest, WarmTickLoopStaysZeroAllocWithMetricsEnabled)
     EXPECT_EQ(after - before, 0U)
         << "metrics-enabled warm tick loop allocated "
         << (after - before) << " times between 10.2s and 10.9s";
+}
+
+TEST(ZeroAllocTest, TickEqualsIntervalWithFlashCrowdAllocatesNothing)
+{
+    // The 1000-node sweep's shape: tick = interval = 1 s, so every
+    // tick is a close and each monitor window is reserved for one
+    // tick's samples (kMaxSamplesPerTick). A 1 s tick already emits
+    // the cap; the flash crowd (15 s .. 30 s) drives the load, and
+    // the tail, to its peak inside the measured window.
+    const ColoConfig cfg =
+        ConfigBuilder()
+            .service("mc-crowd", services::ServiceKind::Memcached,
+                     Scenario::flashCrowd(0.45, 0.97, 15 * kS, 3 * kS,
+                                          8 * kS, 4 * kS))
+            .service("mc-b", services::ServiceKind::Memcached,
+                     Scenario::constant(0.50))
+            .service("ng", services::ServiceKind::Nginx,
+                     Scenario::constant(0.55))
+            .apps({"canneal", "bayesian"})
+            .runtime(core::RuntimeKind::Pliant)
+            .tick(kS)
+            .decisionInterval(kS)
+            .seed(97)
+            .build();
+    Engine engine(cfg);
+    engine.advanceUntil(10 * kS);
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    engine.advanceUntil(32 * kS);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    ASSERT_FALSE(engine.appsFinished());
+    EXPECT_EQ(engine.now(), 32 * kS);
+    EXPECT_EQ(allocs, 0U)
+        << "tick = interval warm loop allocated " << allocs
+        << " times between 10s and 32s";
 }
 
 /** A live timeline consumer that only counts what it is sent. */

@@ -186,6 +186,29 @@ expectSameReport(const IntervalReport &got, const IntervalReport &want)
     EXPECT_EQ(bitsOf(got.meanUs), bitsOf(want.meanUs));
 }
 
+TEST(MonitorTest, BudgetOfWhatTheIntervalOffersMatches4096Window)
+{
+    // The engine sizes a window to the most samples one interval can
+    // offer (here one 60-sample tick, the tick = interval shape).
+    // Filled to exactly that budget, it keeps every sample and
+    // reports what a 4096-sample window reports, bit for bit.
+    PerformanceMonitor sized(60, 5), wide(4096, 5);
+    pliant::util::Rng rng(12);
+    std::vector<double> tick(60);
+    for (int interval = 0; interval < 20; ++interval) {
+        for (double &l : tick)
+            l = rng.lognormalMeanCv(150.0, 0.9);
+        sized.observe(std::span<const double>(tick), interval >= 5);
+        wide.observe(std::span<const double>(tick), interval >= 5);
+        ASSERT_EQ(sized.windowSamples(), tick);
+        ASSERT_EQ(wide.windowSamples(), tick);
+        expectSameReport(sized.closeInterval(), wide.closeInterval());
+    }
+    EXPECT_EQ(bitsOf(sized.longRunP99()), bitsOf(wide.longRunP99()));
+    EXPECT_EQ(bitsOf(sized.steadySketch().value()),
+              bitsOf(wide.steadySketch().value()));
+}
+
 TEST(MonitorSpanTest, SpanObserveMatchesPerSampleFeed)
 {
     // The windows stay below the budget, cross it mid-span, and run
