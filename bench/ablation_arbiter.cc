@@ -25,7 +25,6 @@
 #include <iostream>
 
 #include "approx/profile.hh"
-#include "colo/builder.hh"
 #include "colo/engine.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
@@ -105,18 +104,15 @@ learnedConditioningTable(std::ostream &os)
     std::vector<colo::ColoConfig> configs;
     for (const auto &sc : scenarios) {
         for (const bool vector : {true, false}) {
-            configs.push_back(
-                colo::ConfigBuilder()
-                    .service(services::ServiceKind::Memcached,
-                             colo::Scenario::constant(sc.mcLoad))
-                    .service(services::ServiceKind::Nginx,
-                             colo::Scenario::constant(sc.ngLoad))
-                    .apps({sc.app})
-                    .runtime(core::RuntimeKind::Learned)
-                    .learnedVector(vector)
-                    .maxDuration(240 * s)
-                    .seed(sc.seed)
-                    .build());
+            colo::ColoConfig cfg = colo::makeMultiServiceConfig(
+                {{services::ServiceKind::Memcached,
+                  colo::Scenario::constant(sc.mcLoad)},
+                 {services::ServiceKind::Nginx,
+                  colo::Scenario::constant(sc.ngLoad)}},
+                {sc.app}, core::RuntimeKind::Learned, sc.seed);
+            cfg.learnedVector = vector;
+            cfg.maxDuration = 240 * s;
+            configs.push_back(std::move(cfg));
         }
     }
 

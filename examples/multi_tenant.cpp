@@ -11,7 +11,6 @@
 
 #include <iostream>
 
-#include "colo/builder.hh"
 #include "colo/engine.hh"
 #include "util/table.hh"
 
@@ -22,23 +21,18 @@ runWith(pliant::core::ArbiterKind arbiter)
 {
     using namespace pliant;
     const sim::Time s = sim::kSecond;
-    // The builder API: tenants, apps, and runtime in one validated
-    // chain — a bad app name or duplicate tenant fails here, not
-    // deep inside the tick loop.
-    colo::ColoConfig cfg =
-        colo::ConfigBuilder()
-            .service(services::ServiceKind::Nginx,
-                     colo::Scenario::constant(0.65))
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::flashCrowd(
-                         /*base=*/0.60, /*peak=*/0.95, /*at=*/40 * s,
-                         /*ramp=*/3 * s, /*hold=*/25 * s,
-                         /*decay=*/10 * s))
-            .apps({"canneal", "bayesian", "snp"})
-            .runtime(core::RuntimeKind::Pliant)
-            .arbiter(arbiter)
-            .seed(7777)
-            .build();
+    // Raw configs are validated where the engine is built: a bad
+    // app name or duplicate tenant fails there, not deep inside the
+    // tick loop.
+    colo::ColoConfig cfg = colo::makeMultiServiceConfig(
+        {{services::ServiceKind::Nginx, colo::Scenario::constant(0.65)},
+         {services::ServiceKind::Memcached,
+          colo::Scenario::flashCrowd(
+              /*base=*/0.60, /*peak=*/0.95, /*at=*/40 * s,
+              /*ramp=*/3 * s, /*hold=*/25 * s, /*decay=*/10 * s)}},
+        {"canneal", "bayesian", "snp"}, core::RuntimeKind::Pliant,
+        /*seed=*/7777);
+    cfg.arbiter = arbiter;
     colo::Engine engine(cfg);
     return engine.run();
 }

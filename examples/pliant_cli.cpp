@@ -416,33 +416,21 @@ main(int argc, char **argv)
             return 2;
         }
         try {
-            cluster::ClusterConfigBuilder builder;
-            builder.nodes(nodes);
-            if (cfg.services.empty()) {
-                builder.serviceOnAll(
-                    cfg.service,
-                    colo::Scenario::constant(cfg.loadFraction));
-            } else {
-                for (const auto &spec : cfg.services)
-                    builder.serviceOnAll(spec.kind, spec.scenario);
-            }
-            builder.apps(cfg.apps)
-                .runtime(cfg.runtime)
-                .learnedVector(cfg.learnedVector)
-                .decisionInterval(cfg.decisionInterval)
-                .cachePartitioning(cfg.enableCachePartitioning)
-                .placement(placement)
-                .epoch(epoch)
-                .fastSampling(cfg.fastSampling)
-                .seed(cfg.seed);
-            if (cfg.admission.enabled)
-                builder.admission(cfg.admission);
-            if (budget_cfg.enabled)
-                builder.budget(budget_cfg);
-            if (cfg.observability.enabled())
-                builder.observability(cfg.observability);
-            const cluster::ClusterConfig ccfg = builder.build();
-            cluster::Cluster cl(ccfg);
+            // Every node runs the single-node settings; the cluster
+            // adds the nodes, placement, epoch and budgets.
+            cluster::ClusterConfig ccfg;
+            static_cast<colo::RunConfig &>(ccfg) = cfg;
+            cluster::NodeSpec node;
+            node.services = cfg.services;
+            if (node.services.empty())
+                node.services.push_back(
+                    {cfg.service,
+                     colo::Scenario::constant(cfg.loadFraction)});
+            ccfg.nodes.assign(nodes, node);
+            ccfg.placement = placement;
+            ccfg.epoch = epoch;
+            ccfg.budget = budget_cfg;
+            cluster::Cluster cl(std::move(ccfg));
             std::unique_ptr<std::ofstream> trace_os;
             std::unique_ptr<obs::TraceWriter> tracer;
             if (!trace_out.empty()) {

@@ -113,9 +113,10 @@ struct AdmissionConfig
 
 /**
  * Validate an (enabled) AdmissionConfig; throws util::FatalError on
- * the first out-of-range field. Called from colo::validateConfig /
- * cluster::validateClusterConfig so invalid admission configs fail
- * at build() time, never inside the tick loop.
+ * the first out-of-range field. Called from colo::checkRunConfig,
+ * which both colo::checkConfig and cluster::validateClusterConfig
+ * run, so invalid admission configs fail at construction, never
+ * inside the tick loop.
  */
 void validateAdmissionConfig(const AdmissionConfig &cfg);
 

@@ -30,7 +30,7 @@ validateClusterConfig(const ClusterConfig &cfg)
         util::fatal("cluster needs at least one node");
     if (cfg.apps.empty())
         util::fatal("cluster needs at least one app to place");
-    colo::validateAppList(cfg.apps, cfg.initialVariants);
+    colo::checkRunConfig(cfg);
     std::vector<std::string> names;
     names.reserve(cfg.nodes.size());
     for (std::size_t i = 0; i < cfg.nodes.size(); ++i)
@@ -54,17 +54,6 @@ validateClusterConfig(const ClusterConfig &cfg)
         for (const colo::ServiceSpec &spec : specs)
             colo::validateScenarioLoads(spec.scenario, spec.resolvedName());
     }
-    if (cfg.decisionInterval <= 0)
-        util::fatal("decision interval must be positive");
-    if (cfg.tick <= 0)
-        util::fatal("simulation tick must be positive");
-    if (cfg.decisionInterval < cfg.tick)
-        util::fatal("decision interval (",
-                    sim::toSeconds(cfg.decisionInterval),
-                    " s) must be at least one simulation tick (",
-                    sim::toSeconds(cfg.tick), " s)");
-    if (cfg.maxDuration <= 0)
-        util::fatal("max duration must be positive");
     if (cfg.epoch <= 0)
         util::fatal("cluster epoch must be positive");
     if (cfg.epoch < cfg.decisionInterval)
@@ -73,7 +62,6 @@ validateClusterConfig(const ClusterConfig &cfg)
                     sim::toSeconds(cfg.decisionInterval),
                     " s): placement acts on closed interval reports");
     // Inert when disabled; every field checked when enabled.
-    admission::validateAdmissionConfig(cfg.admission);
     budget::validateBudgetConfig(cfg.budget);
     if (cfg.budget.enabled && cfg.nodes.size() < 2)
         util::fatal("cluster-wide budgets need at least 2 nodes to "
@@ -115,25 +103,22 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
                         "' to node ", assignment[a], " of ",
                         cfg.nodes.size());
 
+    // Every node runs the cluster's settings; only its seed and its
+    // placed apps differ. Clear the app lists once here rather than
+    // copy the full list into every node.
+    colo::RunConfig shared = cfg;
+    shared.apps.clear();
+    shared.initialVariants.clear();
     nodeNames.reserve(cfg.nodes.size());
     nodeConfigs.reserve(cfg.nodes.size());
     for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
         nodeNames.push_back(resolvedNodeName(cfg.nodes[i], i));
 
         colo::ColoConfig nc;
+        static_cast<colo::RunConfig &>(nc) = shared;
+        nc.seed = nodeSeed(cfg.seed, i);
         nc.services = std::move(cfg.nodes[i].services);
         nc.spec = cfg.nodes[i].spec;
-        nc.runtime = cfg.runtime;
-        nc.arbiter = cfg.arbiter;
-        nc.learnedVector = cfg.learnedVector;
-        nc.decisionInterval = cfg.decisionInterval;
-        nc.tick = cfg.tick;
-        nc.maxDuration = cfg.maxDuration;
-        nc.enableCachePartitioning = cfg.enableCachePartitioning;
-        nc.admission = cfg.admission;
-        nc.fastSampling = cfg.fastSampling;
-        nc.observability = cfg.observability;
-        nc.seed = nodeSeed(cfg.seed, i);
         for (std::size_t a = 0; a < cfg.apps.size(); ++a) {
             if (assignment[a] != i)
                 continue;
@@ -603,13 +588,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::runtime(core::RuntimeKind kind)
 {
     cfg.runtime = kind;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::arbiter(core::ArbiterKind kind)
-{
-    cfg.arbiter = kind;
     return *this;
 }
 

@@ -50,39 +50,15 @@ struct NodeSpec
     std::vector<colo::ServiceSpec> services;
 };
 
-/** Cluster-wide experiment configuration. */
-struct ClusterConfig
+/**
+ * Cluster-wide experiment configuration: the run's settings
+ * (colo::RunConfig, which every node receives with its own derived
+ * seed and its placed subset of `apps`) plus the nodes, budgets,
+ * placement and epoch.
+ */
+struct ClusterConfig : colo::RunConfig
 {
     std::vector<NodeSpec> nodes;
-
-    /** Catalog names of the approximate apps to place. */
-    std::vector<std::string> apps;
-
-    /** Optional per-app starting variants (parallel to `apps`). */
-    std::vector<int> initialVariants;
-
-    core::RuntimeKind runtime = core::RuntimeKind::Pliant;
-    core::ArbiterKind arbiter = core::ArbiterKind::RoundRobin;
-
-    /**
-     * Learned runtime: vector-conditioned per-service models
-     * (default) vs the collapsed worst-ratio baseline; see
-     * colo::ColoConfig::learnedVector.
-     */
-    bool learnedVector = true;
-
-    sim::Time decisionInterval = sim::kSecond;
-    sim::Time tick = 10 * sim::kMillisecond;
-    sim::Time maxDuration = 600 * sim::kSecond;
-    bool enableCachePartitioning = false;
-
-    /**
-     * Request-level admission control & batching front-end, applied
-     * to every interactive tenant on every node (see
-     * colo::ColoConfig::admission). Disabled by default; disabled
-     * clusters are byte-identical to pre-admission ones.
-     */
-    admission::AdmissionConfig admission;
 
     /**
      * Cluster-wide quality/shed budgets, allocated per epoch by a
@@ -91,14 +67,6 @@ struct ClusterConfig
      * pre-budget ones.
      */
     budget::BudgetConfig budget;
-
-    /**
-     * Observability knobs, applied to the cluster layer AND copied
-     * to every node engine (see colo::ColoConfig::observability).
-     * Disabled by default; disabled clusters are byte-identical to
-     * pre-observability ones.
-     */
-    obs::ObsConfig observability;
 
     /** How apps land on nodes, and whether they move. */
     PlacementKind placement = PlacementKind::Static;
@@ -109,33 +77,23 @@ struct ClusterConfig
      */
     sim::Time epoch = 5 * sim::kSecond;
 
-    std::uint64_t seed = 1;
-
     /** Worker threads for node execution; 0 = Pool default. */
     unsigned threads = 0;
-
-    /**
-     * Table-driven samplers on every node (see
-     * colo::ColoConfig::fastSampling). NOT byte-identical; keep off
-     * for golden-pinned runs.
-     */
-    bool fastSampling = false;
 };
 
 /**
  * Validate a ClusterConfig (throws util::FatalError at the first
  * error). Linear in nodes + tenants + apps: duplicates are found by
  * util::firstDuplicate, which hashes names instead of comparing
- * pairs. In order: at least one
- * node; at least one app; the app list's catalog/variant checks
- * shared with the single-node layer (the first app that recurs is
- * named); then per node in index order —
- * the node hosts a service, its tenants' resolved names are
+ * pairs. In order: at least one node; at least one app; the shared
+ * settings (colo::checkRunConfig: app list, timing, admission — the
+ * same messages a single node raises); then per node in index
+ * order — the node hosts a service, its tenants' resolved names are
  * distinct (the first that recurs is named, with the node), its
  * resolved name does not recur at a later node, and its scenario
- * loads are finite and non-negative; then timing, epoch, admission
- * and budget fields. A reported duplicate is always the lowest index
- * whose name recurs later.
+ * loads are finite and non-negative; then epoch and budget fields.
+ * A reported duplicate is always the lowest index whose name recurs
+ * later.
  *
  * Runs once per object: ClusterConfigBuilder::build() validates the
  * config it returns, and Cluster's constructor validates the config
@@ -268,16 +226,16 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &apps(const std::vector<std::string> &names);
 
     ClusterConfigBuilder &runtime(core::RuntimeKind kind);
-    ClusterConfigBuilder &arbiter(core::ArbiterKind kind);
 
     /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
     ClusterConfigBuilder &learnedVector(bool enable = true);
     ClusterConfigBuilder &placement(PlacementKind kind);
 
     /**
-     * Enable the admission front-end cluster-wide (see
-     * colo::ConfigBuilder::admission; types spelled via pliant::
-     * because the method name hides the namespace in class scope).
+     * Enable the admission front-end cluster-wide, with the given
+     * (possibly customized) config or with the given policies and
+     * defaults elsewhere (types spelled via pliant:: because the
+     * method name hides the namespace in class scope).
      */
     ClusterConfigBuilder &
     admission(pliant::admission::AdmissionConfig cfg);

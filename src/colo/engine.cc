@@ -221,35 +221,6 @@ Engine::fairShare(const server::ServerSpec &spec, int n_apps,
 }
 
 void
-validateAppList(const std::vector<std::string> &apps,
-                const std::vector<int> &initial_variants)
-{
-    const std::size_t dup = util::firstDuplicate(apps);
-    if (dup < apps.size())
-        util::fatal("duplicate app '", apps[dup],
-                    "' in colocation config: each approximate "
-                    "application may appear once");
-    if (!initial_variants.empty() &&
-        initial_variants.size() != apps.size())
-        util::fatal("initialVariants has ", initial_variants.size(),
-                    " entries for ", apps.size(),
-                    " apps: the list must be empty or parallel to "
-                    "apps");
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        // Unknown names throw here, before any tenant is built.
-        const approx::AppProfile &prof = approx::findProfile(apps[i]);
-        if (initial_variants.empty())
-            continue;
-        const int v = initial_variants[i];
-        if (v < 0 || v >= static_cast<int>(prof.variants.size()))
-            util::fatal("initial variant ", v, " for app '", apps[i],
-                        "' is out of range: the catalog "
-                        "has variants 0..",
-                        prof.mostApproxIndex());
-    }
-}
-
-void
 validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
                   std::size_t n_services)
 {
@@ -266,27 +237,36 @@ validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
 }
 
 void
-checkConfig(const ColoConfig &cfg)
+checkRunConfig(const RunConfig &cfg)
 {
-    if (cfg.apps.empty() && cfg.services.empty())
-        util::fatal("colocation experiment needs at least one app");
-    validateAppList(cfg.apps, cfg.initialVariants);
+    const std::vector<std::string> &apps = cfg.apps;
+    const std::vector<int> &variants = cfg.initialVariants;
+    const std::size_t dup = util::firstDuplicate(apps);
+    if (dup < apps.size())
+        util::fatal("duplicate app '", apps[dup],
+                    "' in colocation config: each approximate "
+                    "application may appear once");
+    if (!variants.empty() && variants.size() != apps.size())
+        util::fatal("initialVariants has ", variants.size(),
+                    " entries for ", apps.size(),
+                    " apps: the list must be empty or parallel to "
+                    "apps");
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        // Unknown names throw here, before any tenant is built.
+        const approx::AppProfile &prof = approx::findProfile(apps[i]);
+        if (variants.empty())
+            continue;
+        const int v = variants[i];
+        if (v < 0 || v >= static_cast<int>(prof.variants.size()))
+            util::fatal("initial variant ", v, " for app '", apps[i],
+                        "' is out of range: the catalog "
+                        "has variants 0..",
+                        prof.mostApproxIndex());
+    }
 
-    ServiceSpec legacy;
-    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
-    const std::size_t dup =
-        util::firstDuplicate(specs, &ServiceSpec::resolvedName);
-    if (dup < specs.size())
-        util::fatal("duplicate service '", specs[dup].resolvedName(),
-                    "' in colocation config: give same-kind "
-                    "tenants distinct instance names");
-    for (const ServiceSpec &spec : specs)
-        validateScenarioLoads(spec.scenario, spec.resolvedName());
-
-    // Timing must be validated here too: a zero tick would spin the
-    // loop forever and a non-positive interval would never close a
-    // monitoring window — both are build-time errors, not tick-loop
-    // surprises.
+    // A zero tick would spin the loop forever and a non-positive
+    // interval would never close a monitoring window: both are
+    // construction-time errors, not tick-loop surprises.
     if (cfg.tick <= 0)
         util::fatal("simulation tick must be positive");
     if (cfg.decisionInterval <= 0)
@@ -304,6 +284,25 @@ checkConfig(const ColoConfig &cfg)
     // which keeps the disabled config space exactly the pre-admission
     // one.
     admission::validateAdmissionConfig(cfg.admission);
+}
+
+void
+checkConfig(const ColoConfig &cfg)
+{
+    if (cfg.apps.empty() && cfg.services.empty())
+        util::fatal("colocation experiment needs at least one app");
+    checkRunConfig(cfg);
+
+    ServiceSpec legacy;
+    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
+    const std::size_t dup =
+        util::firstDuplicate(specs, &ServiceSpec::resolvedName);
+    if (dup < specs.size())
+        util::fatal("duplicate service '", specs[dup].resolvedName(),
+                    "' in colocation config: give same-kind "
+                    "tenants distinct instance names");
+    for (const ServiceSpec &spec : specs)
+        validateScenarioLoads(spec.scenario, spec.resolvedName());
 
     validateCoreSplit(cfg.spec, cfg.apps.size(), specs.size());
 }

@@ -54,9 +54,10 @@ struct ServiceSpec
      * Instance name; empty defaults to the kind name. Reports,
      * traces, and tables key on this, so two shards of the same
      * service kind ("mc-a", "mc-b") are expressible as long as their
-     * names differ.
+     * names differ. (Its default initializer lets brace-initialized
+     * specs leave the name out.)
      */
-    std::string name;
+    std::string name = {};
 
     /**
      * The name reports and validation key on: a view of `name`, or
@@ -70,38 +71,36 @@ struct ServiceSpec
     }
 };
 
-/** Experiment configuration. */
-struct ColoConfig
+/**
+ * The settings every node of a run takes from the run itself: the
+ * whole of a single colocation's control setup, and what a cluster
+ * gives each of its nodes (Pliant runs one runtime per server). A
+ * ColoConfig adds one node's tenants and server; a
+ * cluster::ClusterConfig adds the nodes, placement and budgets, and
+ * hands every node these settings, its own derived seed and its
+ * placed subset of `apps`. checkRunConfig() validates them for both.
+ */
+struct RunConfig
 {
     /**
-     * Legacy single-service fields: used only when `services` is
-     * empty, in which case the engine runs one `service` tenant at a
-     * constant `loadFraction` — exactly the paper's setup.
-     */
-    services::ServiceKind service = services::ServiceKind::Memcached;
-
-    /** Offered load as a fraction of the service's saturation. */
-    double loadFraction = 0.78;
-
-    /**
-     * The tenant list. When non-empty it overrides
-     * `service`/`loadFraction`; duplicate *resolved names* are
-     * rejected (their monitors and QoS targets would be
-     * indistinguishable in reports and traces), but several tenants
-     * of the same kind are fine once given distinct names.
-     */
-    std::vector<ServiceSpec> services;
-
-    /**
-     * Catalog names of the colocated approximate applications. May
-     * be empty only when `services` is non-empty: a cluster node
-     * whose placement assigned it no apps still hosts its services
-     * (the cluster drives such nodes with
+     * Catalog names of the colocated approximate applications. A
+     * ColoConfig's list may be empty only when `services` is
+     * non-empty: a cluster node whose placement assigned it no apps
+     * still hosts its services (the cluster drives such nodes with
      * advanceUntil(keep_services_running); a bare run() of an
      * app-less config ends immediately, as there is no work to wait
-     * for).
+     * for). A cluster places every app of its list on one node.
      */
     std::vector<std::string> apps;
+
+    /**
+     * Optional per-app starting variants (parallel to `apps`). Used
+     * by the Fig. 1 static exploration, where each selected variant
+     * runs for the whole colocation; empty means all start precise.
+     * Validated up front: the list must match `apps` in size and
+     * every index must exist in the app's catalog variant list.
+     */
+    std::vector<int> initialVariants;
 
     core::RuntimeKind runtime = core::RuntimeKind::Pliant;
     core::ArbiterKind arbiter = core::ArbiterKind::RoundRobin;
@@ -128,17 +127,6 @@ struct ColoConfig
     sim::Time maxDuration = 600 * sim::kSecond;
 
     std::uint64_t seed = 1;
-
-    server::ServerSpec spec;
-
-    /**
-     * Optional per-app starting variants (parallel to `apps`). Used
-     * by the Fig. 1 static exploration, where each selected variant
-     * runs for the whole colocation; empty means all start precise.
-     * Validated up front: the list must match `apps` in size and
-     * every index must exist in the app's catalog variant list.
-     */
-    std::vector<int> initialVariants;
 
     /**
      * Section 6.5 extension: let the runtime isolate LLC ways for
@@ -172,9 +160,38 @@ struct ColoConfig
      * registry is constructed, no instrumentation branch taken, no
      * RNG stream touched (pinned by regression tests). With metrics
      * on, every metric not tagged wall_time is exactly equal at any
-     * pool-thread count.
+     * pool-thread count. A cluster also applies them to its own
+     * layer.
      */
     obs::ObsConfig observability;
+};
+
+/**
+ * One colocation experiment: the run's settings (RunConfig) plus the
+ * node's interactive tenants and server.
+ */
+struct ColoConfig : RunConfig
+{
+    /**
+     * Legacy single-service fields: used only when `services` is
+     * empty, in which case the engine runs one `service` tenant at a
+     * constant `loadFraction` — exactly the paper's setup.
+     */
+    services::ServiceKind service = services::ServiceKind::Memcached;
+
+    /** Offered load as a fraction of the service's saturation. */
+    double loadFraction = 0.78;
+
+    /**
+     * The tenant list. When non-empty it overrides
+     * `service`/`loadFraction`; duplicate *resolved names* are
+     * rejected (their monitors and QoS targets would be
+     * indistinguishable in reports and traces), but several tenants
+     * of the same kind are fine once given distinct names.
+     */
+    std::vector<ServiceSpec> services;
+
+    server::ServerSpec spec;
 };
 
 /** One service's slice of a sampled timeline point. */
@@ -385,16 +402,6 @@ class TimelineRecorder : public TimelineSink
 };
 
 /**
- * Validate an app list and its optional parallel initial-variant
- * list against the catalog: duplicates (the first app that recurs
- * is named), unknown names, and out-of-range variant indices all
- * throw util::FatalError. Linear in the list length. Shared by the
- * single-node and cluster validation passes.
- */
-void validateAppList(const std::vector<std::string> &apps,
-                     const std::vector<int> &initialVariants);
-
-/**
  * Throw util::FatalError unless `n_apps` apps at their fair share
  * leave at least one core per service on `spec` (fair-core
  * starvation). The one node check a cluster can only make after
@@ -404,13 +411,27 @@ void validateCoreSplit(const server::ServerSpec &spec, std::size_t n_apps,
                        std::size_t n_services);
 
 /**
+ * Validate the settings a run shares with its nodes (throws
+ * util::FatalError). In order: the app list against the catalog —
+ * duplicates (the first app that recurs is named), an
+ * initial-variant list neither empty nor parallel, unknown names,
+ * out-of-range variant indices; timing — tick, then decision
+ * interval, positive, the interval at least one tick, a positive
+ * duration; admission fields. Linear in the app count.
+ * checkConfig() and cluster::validateClusterConfig() both run it
+ * first, so a shared setting fails with the same message in either
+ * layer.
+ */
+void checkRunConfig(const RunConfig &cfg);
+
+/**
  * Validate a ColoConfig in place, copying nothing (throws
- * util::FatalError). In order: no apps with no services; the app
- * list (validateAppList); duplicate resolved service names (the
- * first name that recurs is reported); scenario loads
- * (validateScenarioLoads); timing; admission fields; fair-core
- * starvation. The builders and Engine's constructor run this pass,
- * so every error surfaces before the tick loop starts.
+ * util::FatalError). In order: no apps with no services;
+ * checkRunConfig(); duplicate resolved service names (the first
+ * name that recurs is reported); scenario loads
+ * (validateScenarioLoads); fair-core starvation. Engine's
+ * constructor runs this pass, so every error surfaces before the
+ * tick loop starts.
  */
 void checkConfig(const ColoConfig &cfg);
 

@@ -31,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/placement.hh"
-#include "colo/builder.hh"
 #include "colo/trace.hh"
 #include "util/logging.hh"
 
@@ -401,28 +400,21 @@ TEST(AdmissionEngineTest, CsvColumnsAppearOnlyWhenAdmissionRan)
     EXPECT_NE(s_on.str().find("mean_batch_size"), std::string::npos);
 }
 
-TEST(AdmissionEngineTest, BuilderEnablesAndValidatesAdmission)
+TEST(AdmissionEngineTest, CheckConfigValidatesOnlyAnEnabledFrontEnd)
 {
-    const colo::ColoConfig cfg =
-        colo::ConfigBuilder()
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::constant(0.6))
-            .apps({"canneal"})
-            .admission(AdmissionKind::QosShed, BatchingKind::Adaptive)
-            .build();
-    EXPECT_TRUE(cfg.admission.enabled);
-    EXPECT_EQ(cfg.admission.policy, AdmissionKind::QosShed);
-    EXPECT_EQ(cfg.admission.batching, BatchingKind::Adaptive);
+    colo::ColoConfig cfg = colo::makeColoConfig(
+        services::ServiceKind::Memcached, {"canneal"},
+        core::RuntimeKind::Pliant, 1, 0.6);
+    cfg.admission.enabled = true;
+    cfg.admission.policy = AdmissionKind::QosShed;
+    cfg.admission.batching = BatchingKind::Adaptive;
+    EXPECT_NO_THROW(colo::checkConfig(cfg));
 
-    AdmissionConfig bad;
-    bad.batchSize = -2;
-    EXPECT_THROW(colo::ConfigBuilder()
-                     .service(services::ServiceKind::Memcached,
-                              colo::Scenario::constant(0.6))
-                     .apps({"canneal"})
-                     .admission(bad)
-                     .build(),
-                 util::FatalError);
+    cfg.admission.batchSize = -2;
+    EXPECT_THROW(colo::checkConfig(cfg), util::FatalError);
+    // A disabled front-end is inert whatever its fields hold.
+    cfg.admission.enabled = false;
+    EXPECT_NO_THROW(colo::checkConfig(cfg));
 }
 
 /**

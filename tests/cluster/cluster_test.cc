@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "approx/profile.hh"
 #include "colo/trace.hh"
 #include "driver/pool.hh"
 #include "util/logging.hh"
@@ -407,6 +408,100 @@ TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
     // The element-wise series comparison is non-vacuous.
     EXPECT_FALSE(bare_series.points.empty());
     expectIdenticalPoints(node_series.points, bare_series.points);
+}
+
+TEST(ClusterNodeConfigTest, EverySharedSettingReachesEveryNode)
+{
+    // One row per colo::RunConfig field a node takes unchanged from
+    // its cluster. Each is set away from its default below; seed,
+    // apps and initialVariants are checked after the table, since a
+    // node gets a derived seed and its placed subset of the apps.
+#define PLIANT_SAME_FIELD(field)                                        \
+    {                                                                   \
+        #field, [](const colo::RunConfig &a, const colo::RunConfig &b) { \
+            return a.field == b.field;                                  \
+        }                                                               \
+    }
+    const struct
+    {
+        const char *field;
+        bool (*same)(const colo::RunConfig &, const colo::RunConfig &);
+    } rows[] = {
+        PLIANT_SAME_FIELD(runtime),
+        PLIANT_SAME_FIELD(arbiter),
+        PLIANT_SAME_FIELD(learnedVector),
+        PLIANT_SAME_FIELD(decisionInterval),
+        PLIANT_SAME_FIELD(tick),
+        PLIANT_SAME_FIELD(maxDuration),
+        PLIANT_SAME_FIELD(enableCachePartitioning),
+        PLIANT_SAME_FIELD(admission.enabled),
+        PLIANT_SAME_FIELD(admission.policy),
+        PLIANT_SAME_FIELD(admission.batching),
+        PLIANT_SAME_FIELD(admission.queueBoundQos),
+        PLIANT_SAME_FIELD(admission.batchSize),
+        PLIANT_SAME_FIELD(admission.batchTimeoutUs),
+        PLIANT_SAME_FIELD(fastSampling),
+        PLIANT_SAME_FIELD(observability.metrics),
+        PLIANT_SAME_FIELD(observability.traceTickPhases),
+    };
+#undef PLIANT_SAME_FIELD
+
+    ClusterConfig cfg;
+    cfg.nodes.resize(3);
+    for (NodeSpec &node : cfg.nodes)
+        node.services.push_back({services::ServiceKind::Memcached,
+                                 colo::Scenario::constant(0.5)});
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans"};
+    for (const std::string &app : cfg.apps)
+        cfg.initialVariants.push_back(
+            approx::findProfile(app).mostApproxIndex());
+    cfg.runtime = core::RuntimeKind::Learned;
+    cfg.arbiter = core::ArbiterKind::ImpactAware;
+    cfg.learnedVector = false;
+    cfg.decisionInterval = 2 * kS;
+    cfg.tick = 20 * sim::kMillisecond;
+    cfg.maxDuration = 90 * kS;
+    cfg.seed = 99;
+    cfg.enableCachePartitioning = true;
+    cfg.admission.enabled = true;
+    cfg.admission.policy = admission::AdmissionKind::QosShed;
+    cfg.admission.batching = admission::BatchingKind::Fixed;
+    cfg.admission.queueBoundQos = 3.0;
+    cfg.admission.batchSize = 8;
+    cfg.admission.batchTimeoutUs = 250.0;
+    cfg.fastSampling = true;
+    cfg.observability.metrics = true;
+    cfg.observability.traceTickPhases = true;
+
+    const colo::RunConfig defaults;
+    for (const auto &row : rows)
+        ASSERT_FALSE(row.same(cfg, defaults))
+            << row.field << " is left at its default";
+
+    const Cluster cl(cfg);
+    ASSERT_EQ(cl.nodeCount(), 3u);
+    const std::vector<std::size_t> &placed = cl.initialAssignment();
+    std::size_t apps_seen = 0;
+    for (std::size_t i = 0; i < cl.nodeCount(); ++i) {
+        const colo::ColoConfig &node = cl.nodeConfig(i);
+        for (const auto &row : rows)
+            EXPECT_TRUE(row.same(node, cfg))
+                << row.field << " on node " << i;
+        EXPECT_EQ(node.seed, Cluster::nodeSeed(cfg.seed, i));
+
+        std::vector<std::string> apps;
+        std::vector<int> variants;
+        for (std::size_t a = 0; a < cfg.apps.size(); ++a) {
+            if (placed[a] != i)
+                continue;
+            apps.push_back(cfg.apps[a]);
+            variants.push_back(cfg.initialVariants[a]);
+        }
+        EXPECT_EQ(node.apps, apps) << "node " << i;
+        EXPECT_EQ(node.initialVariants, variants) << "node " << i;
+        apps_seen += node.apps.size();
+    }
+    EXPECT_EQ(apps_seen, cfg.apps.size());
 }
 
 TEST(ClusterDeterminismTest, QosAwareSweepIdenticalAt1And6Threads)

@@ -1,15 +1,18 @@
 /**
  * @file
- * Property-style sweep over the validated config builders: a seeded
- * SplitMix64 stream drives randomized *invalid* configurations
- * through colo::ConfigBuilder and cluster::ClusterConfigBuilder, and
- * every one of them must throw util::FatalError at build() time —
- * never later, inside the tick loop (where a zero tick would hang
- * and a bad variant index would fault). Invalid admission-control
- * fields are one of the randomized classes, so the front-end's
- * config surface is held to the same contract. Randomized *valid*
+ * Property-style sweep over config validation: a seeded SplitMix64
+ * stream drives randomized *invalid* configurations through
+ * colo::checkConfig (raw ColoConfig structs, the pass Engine's
+ * constructor runs) and cluster::ClusterConfigBuilder, and every one
+ * of them must throw util::FatalError before any tick runs — never
+ * later, inside the tick loop (where a zero tick would hang and a
+ * bad variant index would fault). Invalid admission-control fields
+ * are one of the randomized classes, so the front-end's config
+ * surface is held to the same contract. Randomized *valid*
  * configurations (with and without an admission front-end) must
- * build and construct their Engine/Cluster without throwing.
+ * validate and construct their Engine/Cluster without throwing. An
+ * invalid setting a cluster shares with its nodes (colo::RunConfig)
+ * must fail both layers with the same message.
  */
 
 #include <cctype>
@@ -23,7 +26,7 @@
 #include "approx/profile.hh"
 #include "budget/budget.hh"
 #include "cluster/cluster.hh"
-#include "colo/builder.hh"
+#include "colo/engine.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -124,113 +127,216 @@ invalidScenarioDraw(util::SplitMix64 &sm)
     }
 }
 
-TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
+TEST(BuilderPropertyTest, RandomInvalidColoConfigsFailValidation)
 {
     util::SplitMix64 sm(0xC010BADu);
     for (int iter = 0; iter < 120; ++iter) {
-        colo::ConfigBuilder builder;
-        builder.service(services::ServiceKind::Memcached,
-                        colo::Scenario::constant(loadDraw(sm)));
+        colo::ColoConfig cfg;
+        cfg.services.push_back({services::ServiceKind::Memcached,
+                                colo::Scenario::constant(loadDraw(sm))});
         const auto kind = sm.next() % 9;
         switch (kind) {
           case 0: { // duplicate app
             const auto apps = pickApps(sm, 1);
-            builder.app(apps[0]).app(apps[0]);
+            cfg.apps = {apps[0], apps[0]};
             break;
           }
           case 1: { // unknown catalog name
-            builder.app("no-such-app-" +
-                        std::to_string(sm.next() % 1000));
+            cfg.apps = {"no-such-app-" +
+                        std::to_string(sm.next() % 1000)};
             break;
           }
           case 2: { // out-of-range initial variant
-            const auto apps = pickApps(sm, 1);
-            const auto &prof = approx::findProfile(apps[0]);
+            cfg.apps = pickApps(sm, 1);
+            const auto &prof = approx::findProfile(cfg.apps[0]);
             const int bad = sm.next() % 2 == 0
                 ? static_cast<int>(prof.variants.size()) +
                     static_cast<int>(sm.next() % 5)
                 : -1 - static_cast<int>(sm.next() % 3);
-            builder.app(apps[0], bad);
+            cfg.initialVariants = {bad};
             break;
           }
           case 3: { // duplicate resolved service name
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(loadDraw(sm)));
-            builder.apps(pickApps(sm, 1));
+            cfg.services.push_back(
+                {services::ServiceKind::Memcached,
+                 colo::Scenario::constant(loadDraw(sm))});
+            cfg.apps = pickApps(sm, 1);
             break;
           }
           case 4: { // fair-core starvation: too many tenants
-            builder.service(services::ServiceKind::Nginx,
-                            colo::Scenario::constant(loadDraw(sm)));
-            builder.apps(
-                pickApps(sm, 15 + sm.next() % 8)); // >= 15 starves
+            cfg.services.push_back(
+                {services::ServiceKind::Nginx,
+                 colo::Scenario::constant(loadDraw(sm))});
+            cfg.apps = pickApps(sm, 15 + sm.next() % 8); // >= 15 starves
             break;
           }
           case 5: { // non-positive timing
-            builder.apps(pickApps(sm, 1));
+            cfg.apps = pickApps(sm, 1);
             switch (sm.next() % 3) {
               case 0:
-                builder.tick(-static_cast<sim::Time>(sm.next() % 5));
+                cfg.tick = -static_cast<sim::Time>(sm.next() % 5);
                 break;
               case 1:
-                builder.decisionInterval(0);
+                cfg.decisionInterval = 0;
                 break;
               default:
-                builder.maxDuration(
-                    -static_cast<sim::Time>(sm.next() % 100));
+                cfg.maxDuration =
+                    -static_cast<sim::Time>(sm.next() % 100);
                 break;
             }
             break;
           }
           case 6: { // decision interval shorter than the tick
-            builder.apps(pickApps(sm, 1));
-            builder.tick(10 * sim::kMillisecond);
-            builder.decisionInterval(sim::kMillisecond);
+            cfg.apps = pickApps(sm, 1);
+            cfg.tick = 10 * sim::kMillisecond;
+            cfg.decisionInterval = sim::kMillisecond;
             break;
           }
           case 7: { // out-of-range admission field
-            builder.apps(pickApps(sm, 1));
-            builder.admission(invalidAdmissionDraw(sm));
+            cfg.apps = pickApps(sm, 1);
+            cfg.admission = invalidAdmissionDraw(sm);
             break;
           }
           default: { // non-finite or negative scenario load
-            builder.service("bad-load", services::ServiceKind::Nginx,
-                            invalidScenarioDraw(sm));
-            builder.apps(pickApps(sm, 1));
+            cfg.services.push_back({services::ServiceKind::Nginx,
+                                    invalidScenarioDraw(sm), "bad-load"});
+            cfg.apps = pickApps(sm, 1);
             break;
           }
         }
-        EXPECT_THROW(builder.build(), util::FatalError)
+        EXPECT_THROW(colo::checkConfig(cfg), util::FatalError)
             << "invalid colo config class " << kind << " (iteration "
-            << iter << ") must fail at build time";
+            << iter << ") must fail validation";
+        EXPECT_THROW(colo::Engine engine(cfg), util::FatalError)
+            << "invalid colo config class " << kind << " (iteration "
+            << iter << ") must fail at construction";
     }
 }
 
-TEST(BuilderPropertyTest, RandomValidColoConfigsBuildAndConstruct)
+TEST(BuilderPropertyTest, RandomValidColoConfigsValidateAndConstruct)
 {
     util::SplitMix64 sm(0xC010600Du);
     for (int iter = 0; iter < 24; ++iter) {
-        colo::ConfigBuilder builder;
-        builder.service(services::ServiceKind::Memcached,
-                        colo::Scenario::constant(loadDraw(sm)));
-        if (sm.next() % 2 == 0)
-            builder.service("ng-shard",
-                            services::ServiceKind::Nginx,
-                            colo::Scenario::constant(loadDraw(sm)));
-        builder.apps(pickApps(sm, 1 + sm.next() % 3))
-            .runtime(sm.next() % 2 == 0 ? core::RuntimeKind::Pliant
-                                        : core::RuntimeKind::Learned)
-            .seed(sm.next());
-        if (sm.next() % 2 == 0)
-            builder.admission(
-                static_cast<admission::AdmissionKind>(sm.next() % 4),
-                static_cast<admission::BatchingKind>(sm.next() % 3));
         colo::ColoConfig cfg;
-        ASSERT_NO_THROW(cfg = builder.build()) << "iteration " << iter;
+        cfg.services.push_back({services::ServiceKind::Memcached,
+                                colo::Scenario::constant(loadDraw(sm))});
+        if (sm.next() % 2 == 0)
+            cfg.services.push_back(
+                {services::ServiceKind::Nginx,
+                 colo::Scenario::constant(loadDraw(sm)), "ng-shard"});
+        cfg.apps = pickApps(sm, 1 + sm.next() % 3);
+        cfg.runtime = sm.next() % 2 == 0 ? core::RuntimeKind::Pliant
+                                         : core::RuntimeKind::Learned;
+        cfg.seed = sm.next();
+        if (sm.next() % 2 == 0) {
+            cfg.admission.enabled = true;
+            cfg.admission.policy =
+                static_cast<admission::AdmissionKind>(sm.next() % 4);
+            cfg.admission.batching =
+                static_cast<admission::BatchingKind>(sm.next() % 3);
+        }
+        ASSERT_NO_THROW(colo::checkConfig(cfg)) << "iteration " << iter;
         // Construction binds tenants/tasks but does not tick; a valid
-        // built config must never throw here either.
+        // config must never throw here either.
         ASSERT_NO_THROW(colo::Engine engine(cfg))
             << "iteration " << iter;
+    }
+}
+
+/** The FatalError text `check` throws ("" when it does not throw). */
+template <typename Check>
+std::string
+fatalText(Check check)
+{
+    try {
+        check();
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
+{
+    // colo::checkRunConfig is the one check of the settings a cluster
+    // hands every node, so each invalid shared-setting class must
+    // fail a single node and a cluster with the same text, and for
+    // the reason the class names.
+    const struct
+    {
+        const char *name;
+        const char *message; ///< a fragment the error must contain
+    } classes[] = {
+        {"non-positive tick", "simulation tick must be positive"},
+        {"non-positive interval", "decision interval must be positive"},
+        {"non-positive duration", "max duration must be positive"},
+        {"interval < tick", "must be at least one simulation tick"},
+        {"bad admission field", "(got "},
+        {"duplicate app", "duplicate app '"},
+        {"unknown app", "no catalog profile named '"},
+        {"out-of-range variant", "is out of range"},
+    };
+    util::SplitMix64 sm(0x5A4EDu);
+    for (int iter = 0; iter < 120; ++iter) {
+        colo::RunConfig shared;
+        shared.apps = pickApps(sm, 1 + sm.next() % 3);
+        const std::size_t kind = sm.next() % std::size(classes);
+        const std::size_t app = sm.next() % shared.apps.size();
+        switch (kind) {
+          case 0:
+            shared.tick = -static_cast<sim::Time>(sm.next() % 5);
+            break;
+          case 1:
+            shared.decisionInterval =
+                -static_cast<sim::Time>(sm.next() % 5);
+            break;
+          case 2:
+            shared.maxDuration = -static_cast<sim::Time>(sm.next() % 100);
+            break;
+          case 3:
+            shared.decisionInterval =
+                1 + static_cast<sim::Time>(sm.next() % (shared.tick - 1));
+            break;
+          case 4:
+            shared.admission = invalidAdmissionDraw(sm);
+            break;
+          case 5:
+            shared.apps.push_back(shared.apps[app]);
+            break;
+          case 6:
+            shared.apps.push_back("no-such-app-" +
+                                  std::to_string(sm.next() % 1000));
+            break;
+          default: {
+            shared.initialVariants.assign(shared.apps.size(), 0);
+            const auto &prof = approx::findProfile(shared.apps[app]);
+            shared.initialVariants[app] =
+                static_cast<int>(prof.variants.size()) +
+                static_cast<int>(sm.next() % 4);
+            break;
+          }
+        }
+
+        colo::ColoConfig node;
+        static_cast<colo::RunConfig &>(node) = shared;
+        node.services.push_back({services::ServiceKind::Memcached,
+                                 colo::Scenario::constant(loadDraw(sm))});
+        cluster::ClusterConfig cluster;
+        static_cast<colo::RunConfig &>(cluster) = shared;
+        cluster.nodes.resize(1 + sm.next() % 3);
+        for (cluster::NodeSpec &spec : cluster.nodes)
+            spec.services = node.services;
+
+        const std::string colo_text =
+            fatalText([&] { colo::checkConfig(node); });
+        const std::string cluster_text =
+            fatalText([&] { cluster::validateClusterConfig(cluster); });
+        EXPECT_NE(colo_text.find(classes[kind].message),
+                  std::string::npos)
+            << classes[kind].name << " (iteration " << iter
+            << "): " << colo_text;
+        EXPECT_EQ(colo_text, cluster_text)
+            << classes[kind].name << " (iteration " << iter << ")";
     }
 }
 

@@ -25,7 +25,7 @@
 
 #include <gtest/gtest.h>
 
-#include "colo/builder.hh"
+#include "colo/engine.hh"
 
 namespace {
 
@@ -44,18 +44,12 @@ ColoResult
 runLearned(const std::string &app, double mc_load, double ng_load,
            std::uint64_t seed, bool vector, TimelineRecorder &recorder)
 {
-    ColoConfig cfg =
-        ConfigBuilder()
-            .service(services::ServiceKind::Memcached,
-                     Scenario::constant(mc_load))
-            .service(services::ServiceKind::Nginx,
-                     Scenario::constant(ng_load))
-            .apps({app})
-            .runtime(core::RuntimeKind::Learned)
-            .learnedVector(vector)
-            .maxDuration(240 * kS)
-            .seed(seed)
-            .build();
+    ColoConfig cfg = makeMultiServiceConfig(
+        {{services::ServiceKind::Memcached, Scenario::constant(mc_load)},
+         {services::ServiceKind::Nginx, Scenario::constant(ng_load)}},
+        {app}, core::RuntimeKind::Learned, seed);
+    cfg.learnedVector = vector;
+    cfg.maxDuration = 240 * kS;
     Engine engine(cfg);
     engine.setTimelineSink(&recorder);
     return engine.run();
@@ -138,16 +132,11 @@ TEST(LearnedAblationTest, ScalarFlagIsByteInvisibleWithOneService)
     // the scalar path is the fallback the vector model reduces to.
     TimelineRecorder a_series, b_series;
     const auto run = [](bool vector, TimelineRecorder &recorder) {
-        ColoConfig cfg =
-            ConfigBuilder()
-                .service(services::ServiceKind::MongoDb,
-                         Scenario::constant(0.78))
-                .apps({"snp"})
-                .runtime(core::RuntimeKind::Learned)
-                .learnedVector(vector)
-                .maxDuration(120 * kS)
-                .seed(5)
-                .build();
+        ColoConfig cfg = makeMultiServiceConfig(
+            {{services::ServiceKind::MongoDb, Scenario::constant(0.78)}},
+            {"snp"}, core::RuntimeKind::Learned, 5);
+        cfg.learnedVector = vector;
+        cfg.maxDuration = 120 * kS;
         Engine engine(cfg);
         engine.setTimelineSink(&recorder);
         return engine.run();

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "admission/admission.hh"
-#include "colo/builder.hh"
 #include "colo/engine.hh"
 
 // ---------------------------------------------------------------------
@@ -190,6 +189,19 @@ using namespace pliant::colo;
 
 constexpr sim::Time kS = sim::kSecond;
 
+/** Three constant-load tenants (two memcached shards) + two apps. */
+ColoConfig
+threeTenantConfig()
+{
+    return makeMultiServiceConfig(
+        {{services::ServiceKind::Memcached, Scenario::constant(0.70),
+          "mc-a"},
+         {services::ServiceKind::Memcached, Scenario::constant(0.60),
+          "mc-b"},
+         {services::ServiceKind::Nginx, Scenario::constant(0.55), "ng"}},
+        {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 5);
+}
+
 TEST(ZeroAllocTest, CounterSeesNothrowAllocations)
 {
     // std::stable_sort's temporary buffer, for one, is a nothrow
@@ -219,18 +231,7 @@ TEST(ZeroAllocTest, WarmTickLoopPerformsZeroHeapAllocations)
     // steady capacity. The measured window (10.2s -> 10.9s) crosses
     // no decision-interval close — the next timeline append (which
     // legitimately allocates) happens at 11s.
-    const ColoConfig cfg =
-        ConfigBuilder()
-            .service("mc-a", services::ServiceKind::Memcached,
-                     Scenario::constant(0.70))
-            .service("mc-b", services::ServiceKind::Memcached,
-                     Scenario::constant(0.60))
-            .service("ng", services::ServiceKind::Nginx,
-                     Scenario::constant(0.55))
-            .apps({"canneal", "bayesian"})
-            .runtime(core::RuntimeKind::Pliant)
-            .seed(5)
-            .build();
+    const ColoConfig cfg = threeTenantConfig();
     Engine engine(cfg);
     engine.advanceUntil(sim::Time(10.2 * kS));
 
@@ -251,19 +252,8 @@ TEST(ZeroAllocTest, WarmTickLoopStaysZeroAllocWithMetricsEnabled)
     // construction (registration) and at snapshot, never per update.
     // Same window as the test above, now with counters/stats/phase
     // timers recording every tick.
-    const ColoConfig cfg =
-        ConfigBuilder()
-            .service("mc-a", services::ServiceKind::Memcached,
-                     Scenario::constant(0.70))
-            .service("mc-b", services::ServiceKind::Memcached,
-                     Scenario::constant(0.60))
-            .service("ng", services::ServiceKind::Nginx,
-                     Scenario::constant(0.55))
-            .apps({"canneal", "bayesian"})
-            .runtime(core::RuntimeKind::Pliant)
-            .seed(5)
-            .observability(true)
-            .build();
+    ColoConfig cfg = threeTenantConfig();
+    cfg.observability.metrics = true;
     Engine engine(cfg);
     engine.advanceUntil(sim::Time(10.2 * kS));
 
@@ -285,21 +275,17 @@ TEST(ZeroAllocTest, TickEqualsIntervalWithFlashCrowdAllocatesNothing)
     // tick's samples (kMaxSamplesPerTick). A 1 s tick already emits
     // the cap; the flash crowd (15 s .. 30 s) drives the load, and
     // the tail, to its peak inside the measured window.
-    const ColoConfig cfg =
-        ConfigBuilder()
-            .service("mc-crowd", services::ServiceKind::Memcached,
-                     Scenario::flashCrowd(0.45, 0.97, 15 * kS, 3 * kS,
-                                          8 * kS, 4 * kS))
-            .service("mc-b", services::ServiceKind::Memcached,
-                     Scenario::constant(0.50))
-            .service("ng", services::ServiceKind::Nginx,
-                     Scenario::constant(0.55))
-            .apps({"canneal", "bayesian"})
-            .runtime(core::RuntimeKind::Pliant)
-            .tick(kS)
-            .decisionInterval(kS)
-            .seed(97)
-            .build();
+    ColoConfig cfg = makeMultiServiceConfig(
+        {{services::ServiceKind::Memcached,
+          Scenario::flashCrowd(0.45, 0.97, 15 * kS, 3 * kS, 8 * kS,
+                               4 * kS),
+          "mc-crowd"},
+         {services::ServiceKind::Memcached, Scenario::constant(0.50),
+          "mc-b"},
+         {services::ServiceKind::Nginx, Scenario::constant(0.55), "ng"}},
+        {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 97);
+    cfg.tick = kS;
+    cfg.decisionInterval = kS;
     Engine engine(cfg);
     engine.advanceUntil(10 * kS);
 
@@ -341,22 +327,18 @@ TEST(ZeroAllocTest, IntervalClosesWithAdmissionAllocateNothing)
             SCOPED_TRACE(::testing::Message()
                          << "runtime " << static_cast<int>(runtime)
                          << ", metrics " << metrics);
-            const ColoConfig cfg =
-                ConfigBuilder()
-                    .service("memcached-primary-tenant",
-                             services::ServiceKind::Memcached,
-                             Scenario::constant(0.70))
-                    .service("mc-b", services::ServiceKind::Memcached,
-                             Scenario::constant(0.60))
-                    .service("ng", services::ServiceKind::Nginx,
-                             Scenario::constant(0.55))
-                    .apps({"canneal", "bayesian"})
-                    .runtime(runtime)
-                    .admission(admission::AdmissionKind::QosShed,
-                               admission::BatchingKind::Adaptive)
-                    .seed(5)
-                    .observability(metrics)
-                    .build();
+            ColoConfig cfg = makeMultiServiceConfig(
+                {{services::ServiceKind::Memcached,
+                  Scenario::constant(0.70), "memcached-primary-tenant"},
+                 {services::ServiceKind::Memcached,
+                  Scenario::constant(0.60), "mc-b"},
+                 {services::ServiceKind::Nginx, Scenario::constant(0.55),
+                  "ng"}},
+                {"canneal", "bayesian"}, runtime, 5);
+            cfg.admission.enabled = true;
+            cfg.admission.policy = admission::AdmissionKind::QosShed;
+            cfg.admission.batching = admission::BatchingKind::Adaptive;
+            cfg.observability.metrics = metrics;
             Engine engine(cfg);
             CountingSink sink;
             engine.setTimelineSink(&sink);
