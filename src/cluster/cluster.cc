@@ -383,6 +383,10 @@ Cluster::run()
         nr.seed = nodeConfigs[i].seed;
         nr.ticks = static_cast<std::uint64_t>(engines[i]->now() / cfg.tick);
         nr.result = engines[i]->finalize();
+        // Nothing reads a finalized engine, so free it before the
+        // next node's result is built: the engines and the results
+        // never stack up in memory.
+        engines[i].reset();
         out.nodes.push_back(std::move(nr));
     }
 

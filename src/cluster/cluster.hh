@@ -294,7 +294,12 @@ class Cluster
     Cluster(const Cluster &) = delete;
     Cluster &operator=(const Cluster &) = delete;
 
-    /** Execute the cluster experiment to completion. */
+    /**
+     * Execute the cluster experiment to completion. Each node's
+     * engine is destroyed as soon as it finalizes, so a node's
+     * timeline sink and the trace writer see nothing from that node
+     * after its finalize().
+     */
     ClusterResult run();
 
     std::size_t nodeCount() const { return nodeConfigs.size(); }
@@ -362,6 +367,7 @@ class Cluster
     std::vector<std::size_t> assignment; ///< app index -> node index
     std::vector<colo::ColoConfig> nodeConfigs;
     std::vector<std::string> nodeNames;
+    /** Node engines; run() frees each one as it finalizes. */
     std::vector<std::unique_ptr<colo::Engine>> engines;
     /** Per-node timeline sinks (non-owning; empty = none attached). */
     std::vector<colo::TimelineSink *> nodeSinks;

@@ -53,18 +53,28 @@ monitorBudget(sim::Time tick, sim::Time interval)
 }
 
 /**
+ * The legacy single-service fields as one constant-load tenant —
+ * bit-identical to the original single-service harness.
+ */
+ServiceSpec
+legacyTenant(const ColoConfig &cfg)
+{
+    ServiceSpec legacy;
+    legacy.kind = cfg.service;
+    legacy.scenario = Scenario::constant(cfg.loadFraction);
+    return legacy;
+}
+
+/**
  * cfg's tenant list without copying it: cfg.services, or, when that
- * list is empty, the legacy single-service fields as one
- * constant-load tenant written into `legacy` — bit-identical to the
- * original single-service harness.
+ * list is empty, legacyTenant(cfg) written into `legacy`.
  */
 std::span<const ServiceSpec>
 tenantList(const ColoConfig &cfg, ServiceSpec &legacy)
 {
     if (!cfg.services.empty())
         return cfg.services;
-    legacy.kind = cfg.service;
-    legacy.scenario = Scenario::constant(cfg.loadFraction);
+    legacy = legacyTenant(cfg);
     return {&legacy, 1};
 }
 
@@ -321,8 +331,11 @@ Engine::Engine(ColoConfig config)
       partition(cfg.spec, 0)
 {
     checkConfig(cfg);
-    ServiceSpec legacy;
-    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
+    // Tenants point at their scenarios in cfg.services, so a legacy
+    // single-service config becomes that list's one entry, once.
+    if (cfg.services.empty())
+        cfg.services.push_back(legacyTenant(cfg));
+    const std::vector<ServiceSpec> &specs = cfg.services;
 
     const int n_apps = static_cast<int>(cfg.apps.size());
     const int n_services = static_cast<int>(specs.size());
@@ -340,16 +353,16 @@ Engine::Engine(ColoConfig config)
     tenants.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         Tenant t;
-        t.spec = specs[i];
+        t.scenario = &specs[i].scenario;
         t.fairCores = base_cores + (static_cast<int>(i) < extra ? 1 : 0);
 
         services::ServiceConfig scfg =
-            services::defaultConfig(t.spec.kind);
-        scfg.name = t.spec.resolvedName();
+            services::defaultConfig(specs[i].kind);
+        scfg.name = specs[i].resolvedName();
         scfg.fairCores = t.fairCores;
         scfg.fastSampling = cfg.fastSampling;
         services::WorkloadConfig wl;
-        wl.loadFraction = t.spec.scenario.loadAt(0);
+        wl.loadFraction = t.scenario->loadAt(0);
         t.service = std::make_unique<services::InteractiveService>(
             scfg, wl, cfg.seed ^ 0x51 ^ tenantSalt(i));
         // No interval offers more than monitorBudget, so the window
@@ -422,6 +435,7 @@ Engine::Engine(ColoConfig config)
     svcAccum.resize(tenants.size());
 
     peerPressure.resize(tenants.size() - 1);
+    tickBuf.sampleUs.reserve(services::kMaxSamplesPerTick);
     // Tenant names are fixed for the run; the per-interval fields of
     // each report are overwritten at every interval close.
     for (std::size_t s = 0; s < tenants.size(); ++s)
@@ -589,7 +603,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
         //    service sees the *dispatched* load, computed below once
         //    this tick's capacity estimate (inflation) is known.
         for (auto &ten : tenants) {
-            ten.rawLoad = ten.spec.scenario.loadAt(tick_start);
+            ten.rawLoad = ten.scenario->loadAt(tick_start);
             if (!ten.admission)
                 ten.service->setBaseLoad(ten.rawLoad);
         }
@@ -638,14 +652,14 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 ten.service->setBaseLoad(ten.admOut.dispatchedLoad);
             }
 
-            ten.service->tick(cfg.tick, inflationBuf[s], ten.tickBuf);
+            ten.service->tick(cfg.tick, inflationBuf[s], tickBuf);
             if (ten.admission)
-                for (double &sample : ten.tickBuf.sampleUs)
+                for (double &sample : tickBuf.sampleUs)
                     sample += ten.admOut.queueDelayUs;
-            ten.monitor->observe(ten.tickBuf.sampleUs, tick_start >= warmup);
-            ten.lastLoad = ten.tickBuf.offeredLoad;
+            ten.monitor->observe(tickBuf.sampleUs, tick_start >= warmup);
+            ten.lastLoad = tickBuf.offeredLoad;
             if (metrics)
-                metrics->add(mid.samples, ten.tickBuf.sampleUs.size());
+                metrics->add(mid.samples, tickBuf.sampleUs.size());
         }
 
         if (time_phases)
@@ -989,6 +1003,7 @@ Engine::finalize()
     // warmup window.
 
     // Per-service summaries; [0] mirrors into the scalar fields.
+    result.services.reserve(tenants.size());
     for (std::size_t s = 0; s < tenants.size(); ++s) {
         auto &ten = tenants[s];
         ServiceOutcome out;
@@ -1052,6 +1067,7 @@ Engine::finalize()
         result.typicalCoresReclaimed = static_cast<int>(
             std::lround(reclaimTotalsPost.percentile(60.0)));
 
+    result.apps.reserve(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         AppOutcome out;
         out.name = tasks[i].profile().name;

@@ -599,13 +599,19 @@ class Engine
   private:
     class ServerActuator;
 
-    /** One interactive tenant's live state. */
+    /**
+     * One interactive tenant's live state. It keeps no copy of its
+     * ServiceSpec: `scenario` points into the engine's own
+     * cfg.services, where the constructor writes a legacy
+     * single-service config's one tenant. That list is never
+     * resized after construction and the engine is neither
+     * copyable nor movable, so the pointer stays valid.
+     */
     struct Tenant
     {
-        ServiceSpec spec;
+        const Scenario *scenario = nullptr;
         std::unique_ptr<services::InteractiveService> service;
         std::unique_ptr<core::PerformanceMonitor> monitor;
-        services::ServiceTickResult tickBuf; ///< reused every tick
         double lastLoad = 0.0;
         int qosMetIntervals = 0;
         int fairCores = 0;
@@ -737,6 +743,14 @@ class Engine
      * allocations (pinned by the zero-alloc tests).
      */
     std::vector<approx::PressureVector> peerPressure;
+    /**
+     * One tick's samples, shared by the tenants in turn: each
+     * tenant's service tick fills it and its monitor and load
+     * bookkeeping read it before the next tenant ticks. Reserved to
+     * kMaxSamplesPerTick at construction, so not even the first tick
+     * allocates.
+     */
+    services::ServiceTickResult tickBuf;
     /**
      * The interval-close point, refilled in place at every close
      * while a sink is attached, and the runtime's relief predictions,

@@ -5,7 +5,8 @@
  * interval closes when the timeline is not retained — with the
  * admission front-end on as well, and at the 1000-node sweep's
  * tick = interval shape, whose monitor windows are sized to one
- * tick's samples. Every per-tick and per-close buffer
+ * tick's samples; at that shape even a fresh engine's first tick
+ * allocates nothing. Every per-tick and per-close buffer
  * is sized at construction or reaches its steady capacity during
  * warmup, so the steady-state loop only reuses memory.
  */
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +302,36 @@ TEST(ZeroAllocTest, TickEqualsIntervalWithFlashCrowdAllocatesNothing)
     EXPECT_EQ(allocs, 0U)
         << "tick = interval warm loop allocated " << allocs
         << " times between 10s and 32s";
+}
+
+TEST(ZeroAllocTest, FirstTickAtTickEqualsIntervalAllocatesNothing)
+{
+    // A freshly built engine at the 1000-node sweep's node shape: ten
+    // tenants, tick = interval = 1 s. The engine's one sample buffer
+    // is reserved at construction, so the first tick (a close too)
+    // grows no per-tenant buffer on whatever pool thread runs it.
+    std::vector<ServiceSpec> specs;
+    for (int s = 0; s < 10; ++s) {
+        const bool mc = s % 2 == 0;
+        specs.push_back({mc ? services::ServiceKind::Memcached
+                            : services::ServiceKind::Nginx,
+                         Scenario::constant(0.40 + 0.03 * (s % 5)),
+                         (mc ? "mc-" : "ngx-") + std::to_string(s)});
+    }
+    ColoConfig cfg = makeMultiServiceConfig(
+        std::move(specs), {"canneal"}, core::RuntimeKind::Pliant, 97);
+    cfg.tick = kS;
+    cfg.decisionInterval = kS;
+    Engine engine(cfg);
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    engine.advanceUntil(kS);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    EXPECT_EQ(engine.now(), kS);
+    EXPECT_EQ(allocs, 0U) << "the first tick allocated " << allocs << " times";
 }
 
 /** A live timeline consumer that only counts what it is sent. */
