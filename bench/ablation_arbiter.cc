@@ -59,17 +59,17 @@ runMixes(services::ServiceKind kind, core::ArbiterKind arbiter,
                     mix.end())
                     mix.push_back(cand);
             }
-            colo::ColoConfig cfg;
-            cfg.service = kind;
-            cfg.apps = mix;
+            colo::ColoConfig cfg = colo::makeColoConfig(
+                kind, mix, core::RuntimeKind::Pliant,
+                61 + static_cast<std::uint64_t>(s));
             cfg.arbiter = arbiter;
-            cfg.seed = 61 + static_cast<std::uint64_t>(s);
             configs.push_back(cfg);
         }
     }
 
     for (const auto &r : colo::runColocations(configs)) {
-        stats.latency.add(r.meanIntervalP99Us / r.qosUs);
+        const colo::ServiceOutcome &svc = r.services[0];
+        stats.latency.add(svc.meanIntervalP99Us / svc.qosUs);
         double lo = 1.0, hi = 0.0, sum = 0.0;
         for (const auto &app : r.apps) {
             lo = std::min(lo, app.inaccuracy);
@@ -133,7 +133,7 @@ learnedConditioningTable(std::ostream &os)
                       std::to_string(sc.seed),
                   i % 2 == 0 ? "vector" : "worst-ratio",
                   util::fmt(worst, 4) + "x",
-                  util::fmtPct(r.qosMetFraction, 1),
+                  util::fmtPct(r.services[0].qosMetFraction, 1),
                   util::fmtPct(r.apps[0].inaccuracy, 2),
                   std::to_string(r.apps[0].switches)});
     }

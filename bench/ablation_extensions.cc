@@ -39,15 +39,13 @@ runConfig(services::ServiceKind kind, core::RuntimeKind runtime,
     const char *apps[] = {"canneal", "raytrace", "bayesian", "snp",
                           "plsa", "kmeans", "streamcluster", "glimmer"};
     for (const char *app : apps) {
-        colo::ColoConfig cfg;
-        cfg.service = kind;
-        cfg.apps = {app};
-        cfg.runtime = runtime;
+        colo::ColoConfig cfg =
+            colo::makeColoConfig(kind, {app}, runtime, 71);
         cfg.enableCachePartitioning = partitioning;
-        cfg.seed = 71;
         colo::Engine exp(cfg);
         const colo::ColoResult r = exp.run();
-        row.latency.add(r.meanIntervalP99Us / r.qosUs);
+        const colo::ServiceOutcome &svc = r.services[0];
+        row.latency.add(svc.meanIntervalP99Us / svc.qosUs);
         row.cores.add(r.typicalCoresReclaimed);
         row.ways.add(r.maxPartitionWays);
         row.inacc.add(r.apps[0].inaccuracy);

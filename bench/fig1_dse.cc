@@ -78,13 +78,10 @@ staticColocationRows()
     for (const auto &prof : approx::catalog()) {
         for (const auto &v : prof.variants) {
             for (auto kind : kinds) {
-                colo::ColoConfig cfg;
-                cfg.service = kind;
-                cfg.apps = {prof.name};
-                cfg.runtime = core::RuntimeKind::Precise;
+                colo::ColoConfig cfg = colo::makeColoConfig(
+                    kind, {prof.name}, core::RuntimeKind::Precise, 7);
                 cfg.initialVariants = {v.index};
                 cfg.maxDuration = 30 * sim::kSecond;
-                cfg.seed = 7;
                 configs.push_back(cfg);
             }
         }
@@ -105,9 +102,10 @@ staticColocationRows()
             std::vector<std::string> row{v.isPrecise() ? "precise"
                                                        : v.label};
             for (std::size_t k = 0; k < std::size(kinds); ++k) {
-                const colo::ColoResult &r = results[cell++];
+                const colo::ServiceOutcome &svc =
+                    results[cell++].services[0];
                 row.push_back(
-                    util::fmt(r.steadyP99Us / r.qosUs, 2) + "x");
+                    util::fmt(svc.steadyP99Us / svc.qosUs, 2) + "x");
             }
             t.addRow(row);
         }

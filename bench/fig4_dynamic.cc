@@ -19,30 +19,28 @@ namespace {
 void
 timeline(services::ServiceKind kind, const std::string &app)
 {
-    colo::ColoConfig cfg;
-    cfg.service = kind;
-    cfg.apps = {app};
-    cfg.runtime = core::RuntimeKind::Pliant;
-    cfg.seed = 23;
-    colo::Engine exp(cfg);
+    colo::Engine exp(
+        colo::makeColoConfig(kind, {app}, core::RuntimeKind::Pliant, 23));
     colo::TimelineRecorder recorder;
     exp.setTimelineSink(&recorder);
     const colo::ColoResult r = exp.run();
+    const colo::ServiceOutcome &svc = r.services[0];
 
     const int most =
         approx::findProfile(app).mostApproxIndex();
-    std::cout << "[" << r.service << " + " << app << "] (" << most
+    std::cout << "[" << svc.name << " + " << app << "] (" << most
               << " approx variants)  QoS "
-              << util::fmt(r.qosUs / 1000.0, 2) << " ms\n";
+              << util::fmt(svc.qosUs / 1000.0, 2) << " ms\n";
 
     util::TextTable t({"t(s)", "p99", "p99/QoS", "variant",
                        "cores reclaimed", "decision"});
     std::vector<double> series;
     for (const auto &tp : recorder.points) {
-        series.push_back(tp.p99Us);
+        const double p99 = tp.services[0].p99Us;
+        series.push_back(p99);
         t.addRow({util::fmt(sim::toSeconds(tp.t), 0),
-                  util::fmt(tp.p99Us / 1000.0, 2) + "ms",
-                  util::fmt(tp.p99Us / r.qosUs, 2) + "x",
+                  util::fmt(p99 / 1000.0, 2) + "ms",
+                  util::fmt(p99 / svc.qosUs, 2) + "x",
                   tp.variantOf[0] == 0
                       ? "precise"
                       : "v" + std::to_string(tp.variantOf[0]),
@@ -52,9 +50,9 @@ timeline(services::ServiceKind kind, const std::string &app)
     t.print(std::cout);
     std::cout << "p99 over time: " << util::sparkline(series) << '\n';
     std::cout << "summary: steady p99 "
-              << util::fmt(r.steadyP99Us / r.qosUs, 2)
+              << util::fmt(svc.steadyP99Us / svc.qosUs, 2)
               << "x QoS | intervals meeting QoS "
-              << util::fmtPct(r.qosMetFraction, 0)
+              << util::fmtPct(svc.qosMetFraction, 0)
               << " | max cores reclaimed " << r.maxCoresReclaimedTotal
               << " | app inaccuracy "
               << util::fmtPct(r.apps[0].inaccuracy, 1)

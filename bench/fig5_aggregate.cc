@@ -69,9 +69,12 @@ main(int argc, char **argv)
             const auto &prec = results[cell++];
             const auto &pli = results[cell++];
 
-            const double prec_ratio = prec.steadyP99Us / prec.qosUs;
+            const colo::ServiceOutcome &prec_svc = prec.services[0];
+            const colo::ServiceOutcome &pli_svc = pli.services[0];
+            const double prec_ratio =
+                prec_svc.steadyP99Us / prec_svc.qosUs;
             const double pli_ratio =
-                pli.meanIntervalP99Us / pli.qosUs;
+                pli_svc.meanIntervalP99Us / pli_svc.qosUs;
             viol_min = std::min(viol_min, prec_ratio);
             viol_max = std::max(viol_max, prec_ratio);
             qos_ok += pli_ratio <= 1.0 ? 1 : 0;

@@ -19,27 +19,25 @@ namespace {
 void
 multiTimeline(services::ServiceKind kind)
 {
-    colo::ColoConfig cfg;
-    cfg.service = kind;
-    cfg.apps = {"canneal", "bayesian"};
-    cfg.runtime = core::RuntimeKind::Pliant;
-    cfg.seed = 29;
-    colo::Engine exp(cfg);
+    colo::Engine exp(colo::makeColoConfig(
+        kind, {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 29));
     colo::TimelineRecorder recorder;
     exp.setTimelineSink(&recorder);
     const colo::ColoResult r = exp.run();
+    const colo::ServiceOutcome &svc = r.services[0];
 
-    std::cout << "[" << r.service
+    std::cout << "[" << svc.name
               << " + canneal (4 approx) + bayesian (8 approx)]  QoS "
-              << util::fmt(r.qosUs / 1000.0, 2) << " ms\n";
+              << util::fmt(svc.qosUs / 1000.0, 2) << " ms\n";
     util::TextTable t({"t(s)", "p99/QoS", "canneal var",
                        "canneal cores", "bayesian var",
                        "bayesian cores", "decision"});
     std::vector<double> series;
     for (const auto &tp : recorder.points) {
-        series.push_back(tp.p99Us);
+        const double p99 = tp.services[0].p99Us;
+        series.push_back(p99);
         t.addRow({util::fmt(sim::toSeconds(tp.t), 0),
-                  util::fmt(tp.p99Us / r.qosUs, 2) + "x",
+                  util::fmt(p99 / svc.qosUs, 2) + "x",
                   "v" + std::to_string(tp.variantOf[0]),
                   std::to_string(tp.reclaimed[0]),
                   "v" + std::to_string(tp.variantOf[1]),

@@ -37,7 +37,8 @@ struct Dist
 void
 accumulate(Dist &dist, const colo::ColoResult &r)
 {
-    dist.latency.push_back(r.meanIntervalP99Us / r.qosUs);
+    const colo::ServiceOutcome &svc = r.services[0];
+    dist.latency.push_back(svc.meanIntervalP99Us / svc.qosUs);
     for (const auto &app : r.apps) {
         dist.exec.push_back(app.relativeExecTime);
         dist.inacc.push_back(app.inaccuracy);

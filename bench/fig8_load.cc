@@ -64,8 +64,10 @@ sweepService(services::ServiceKind kind)
     for (const char *app : kApps) {
         for (double load : kLoads) {
             const colo::ColoResult &r = results[cell++];
+            const colo::ServiceOutcome &svc = r.services[0];
             t.addRow({app, util::fmtPct(load, 0), qpsLabel(kind, load),
-                      util::fmt(r.meanIntervalP99Us / r.qosUs, 2) + "x",
+                      util::fmt(svc.meanIntervalP99Us / svc.qosUs, 2) +
+                          "x",
                       util::fmt(r.apps[0].relativeExecTime, 2),
                       util::fmtPct(r.apps[0].inaccuracy, 1),
                       std::to_string(r.maxCoresReclaimedTotal)});
@@ -75,8 +77,8 @@ sweepService(services::ServiceKind kind)
 
     double crossover = 0.0;
     for (double load : crossover_loads) {
-        const colo::ColoResult &r = results[cell++];
-        if (r.steadyP99Us <= r.qosUs)
+        const colo::ServiceOutcome &svc = results[cell++].services[0];
+        if (svc.steadyP99Us <= svc.qosUs)
             crossover = load;
     }
     std::cout << "precise-only QoS crossover (canneal co-runner): "

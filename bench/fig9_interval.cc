@@ -28,12 +28,10 @@ main(int argc, char **argv)
     std::vector<colo::ColoConfig> configs;
     for (const char *app : apps) {
         for (double s : intervals_s) {
-            colo::ColoConfig cfg;
-            cfg.service = services::ServiceKind::Memcached;
-            cfg.apps = {app};
-            cfg.runtime = core::RuntimeKind::Pliant;
+            colo::ColoConfig cfg = colo::makeColoConfig(
+                services::ServiceKind::Memcached, {app},
+                core::RuntimeKind::Pliant, 43);
             cfg.decisionInterval = sim::fromSeconds(s);
-            cfg.seed = 43;
             configs.push_back(cfg);
         }
     }
@@ -45,9 +43,10 @@ main(int argc, char **argv)
     for (const char *app : apps) {
         for (double s : intervals_s) {
             const colo::ColoResult &r = results[cell++];
+            const colo::ServiceOutcome &svc = r.services[0];
             t.addRow({app, util::fmt(s, 1) + "s",
-                      util::fmt(r.steadyP99Us / r.qosUs, 2) + "x",
-                      util::fmtPct(r.qosMetFraction, 0),
+                      util::fmt(svc.steadyP99Us / svc.qosUs, 2) + "x",
+                      util::fmtPct(svc.qosMetFraction, 0),
                       util::fmt(r.apps[0].relativeExecTime, 2),
                       util::fmtPct(r.apps[0].inaccuracy, 1),
                       std::to_string(r.apps[0].switches)});

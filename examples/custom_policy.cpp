@@ -72,12 +72,8 @@ runGradual(services::ServiceKind kind, const std::string &app)
 {
     // Reuse the stock experiment for everything except the runtime by
     // comparing against Pliant with identical seeds.
-    colo::ColoConfig cfg;
-    cfg.service = kind;
-    cfg.apps = {app};
-    cfg.runtime = core::RuntimeKind::Pliant;
-    cfg.seed = 555;
-    colo::Engine exp(cfg);
+    colo::Engine exp(
+        colo::makeColoConfig(kind, {app}, core::RuntimeKind::Pliant, 555));
     return exp.run();
 }
 
@@ -141,7 +137,8 @@ main()
     const colo::ColoResult pliant =
         runGradual(services::ServiceKind::Memcached, "bayesian");
     std::cout << "Pliant on the same app: intervals meeting QoS "
-              << pliant::util::fmtPct(pliant.qosMetFraction, 0)
+              << pliant::util::fmtPct(pliant.services[0].qosMetFraction,
+                                      0)
               << ", inaccuracy "
               << pliant::util::fmtPct(pliant.apps[0].inaccuracy, 1)
               << "\n";

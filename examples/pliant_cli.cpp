@@ -25,7 +25,9 @@
  *              [--list-apps]
  *
  * --services runs a multi-service colocation (one tenant per listed
- * service); --scenario applies the named deterministic load pattern
+ * service) in place of the one --service tenant; giving both, or an
+ * empty list or item in --services/--apps, prints the usage line and
+ * exits 2. --scenario applies the named deterministic load pattern
  * (default parameters, around --load) to every tenant;
  * `trace:<file>` replays a piecewise-linear (t_seconds,load) CSV.
  * --learned-scalar drops the learned runtime back to the collapsed
@@ -65,7 +67,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -248,16 +249,29 @@ openTraceStream(const std::string &path)
     return os;
 }
 
+/**
+ * Split a --services/--apps comma list. An empty list or item ("",
+ * ",", "a,,b", "a,") is an error that prints the usage line, never
+ * a silently shorter list.
+ */
 std::vector<std::string>
-splitCsvList(const std::string &arg)
+splitCsvList(const std::string &flag, const std::string &arg,
+             const char *argv0)
 {
     std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = arg.find(',', start);
+        out.push_back(arg.substr(start, comma - start));
+        if (out.back().empty()) {
+            std::cerr << "error: " << flag << " '" << arg
+                      << "' has an empty item\n";
+            usage(argv0);
+        }
+        if (comma == std::string::npos)
+            return out;
+        start = comma + 1;
+    }
 }
 
 } // namespace
@@ -268,6 +282,11 @@ main(int argc, char **argv)
     colo::ColoConfig cfg;
     cfg.apps = {"canneal"};
     std::string csv_mode;
+    // --service/--load name the paper's one tenant; --services lists
+    // several instead. Either way they become cfg.services below.
+    services::ServiceKind service = services::ServiceKind::Memcached;
+    bool service_flag = false;
+    double load = colo::ColoConfig::loadFraction;
     std::vector<services::ServiceKind> multi;
     std::string scenario = "constant";
     std::size_t nodes = 1;
@@ -288,14 +307,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--service") {
-            cfg.service = parseService(next(), argv[0]);
+            service = parseService(next(), argv[0]);
+            service_flag = true;
         } else if (arg == "--services") {
-            for (const auto &name : splitCsvList(next()))
+            for (const auto &name : splitCsvList(arg, next(), argv[0]))
                 multi.push_back(parseService(name, argv[0]));
         } else if (arg == "--scenario") {
             scenario = next();
         } else if (arg == "--apps") {
-            cfg.apps = splitCsvList(next());
+            cfg.apps = splitCsvList(arg, next(), argv[0]);
         } else if (arg == "--runtime") {
             const std::string r = next();
             if (r == "precise")
@@ -309,8 +329,7 @@ main(int argc, char **argv)
         } else if (arg == "--learned-scalar") {
             cfg.learnedVector = false;
         } else if (arg == "--load") {
-            cfg.loadFraction =
-                util::parseFlag(arg, next(), usage_line, 0.0);
+            load = util::parseFlag(arg, next(), usage_line, 0.0);
         } else if (arg == "--interval-s") {
             cfg.decisionInterval =
                 sim::fromSeconds(util::parseFlag(arg, next(),
@@ -376,21 +395,20 @@ main(int argc, char **argv)
     if (!metrics_out.empty() || metrics_summary)
         cfg.observability.metrics = true;
 
-    // Assemble the tenant list when multi-service or a non-constant
-    // scenario was requested; otherwise keep the legacy single-service
-    // fields (bit-identical to the original harness).
+    if (service_flag && !multi.empty()) {
+        std::cerr << "error: --service and --services are exclusive; "
+                     "list every tenant in --services\n";
+        usage(argv[0]);
+    }
+
+    // The tenant list: one tenant per --services entry (or the one
+    // --service), each driven by --scenario around --load.
     try {
-        if (!multi.empty() || scenario != "constant") {
-            if (multi.empty())
-                multi.push_back(cfg.service);
-            for (auto kind : multi) {
-                colo::ServiceSpec spec;
-                spec.kind = kind;
-                spec.scenario =
-                    parseScenario(scenario, cfg.loadFraction, argv[0]);
-                cfg.services.push_back(spec);
-            }
-        }
+        if (multi.empty())
+            multi.push_back(service);
+        for (auto kind : multi)
+            cfg.services.push_back(
+                {kind, parseScenario(scenario, load, argv[0])});
     } catch (const util::FatalError &err) {
         std::cerr << "error: " << err.what() << '\n';
         return 1;
@@ -422,10 +440,6 @@ main(int argc, char **argv)
             static_cast<colo::RunConfig &>(ccfg) = cfg;
             cluster::NodeSpec node;
             node.services = cfg.services;
-            if (node.services.empty())
-                node.services.push_back(
-                    {cfg.service,
-                     colo::Scenario::constant(cfg.loadFraction)});
             ccfg.nodes.assign(nodes, node);
             ccfg.placement = placement;
             ccfg.epoch = epoch;
@@ -528,18 +542,23 @@ main(int argc, char **argv)
             return 0;
         }
 
-        std::cout << r.service << " + ";
+        const colo::ServiceOutcome &primary = r.services[0];
+        std::cout << primary.name << " + ";
         for (std::size_t i = 0; i < r.apps.size(); ++i)
             std::cout << (i ? "+" : "") << r.apps[i].name;
         std::cout << " under " << r.runtime << " runtime\n\n";
         util::TextTable t({"metric", "value"});
-        t.addRow({"QoS target", util::fmt(r.qosUs / 1000.0, 3) + " ms"});
+        t.addRow({"QoS target",
+                  util::fmt(primary.qosUs / 1000.0, 3) + " ms"});
         t.addRow({"steady p99 / QoS",
-                  util::fmt(r.steadyP99Us / r.qosUs, 2) + "x"});
+                  util::fmt(primary.steadyP99Us / primary.qosUs, 2) +
+                      "x"});
         t.addRow({"interval-mean p99 / QoS",
-                  util::fmt(r.meanIntervalP99Us / r.qosUs, 2) + "x"});
+                  util::fmt(primary.meanIntervalP99Us / primary.qosUs,
+                            2) +
+                      "x"});
         t.addRow({"intervals meeting QoS",
-                  util::fmtPct(r.qosMetFraction, 0)});
+                  util::fmtPct(primary.qosMetFraction, 0)});
         t.addRow({"cores reclaimed (max/typical)",
                   std::to_string(r.maxCoresReclaimedTotal) + " / " +
                       std::to_string(r.typicalCoresReclaimed)});

@@ -31,13 +31,18 @@ main()
         services::ServiceKind::Memcached, {"canneal"},
         core::RuntimeKind::Pliant, /*seed=*/2024);
 
+    // The one tenant's outcome is services[0].
+    const colo::ServiceOutcome &precise_mc = precise.services[0];
+    const colo::ServiceOutcome &pliant_mc = pliant.services[0];
     util::TextTable t({"metric", "precise", "pliant"});
     t.addRow({"p99 tail latency / QoS",
-              util::fmt(precise.steadyP99Us / precise.qosUs, 2) + "x",
-              util::fmt(pliant.steadyP99Us / pliant.qosUs, 2) + "x"});
+              util::fmt(precise_mc.steadyP99Us / precise_mc.qosUs, 2) +
+                  "x",
+              util::fmt(pliant_mc.steadyP99Us / pliant_mc.qosUs, 2) +
+                  "x"});
     t.addRow({"intervals meeting QoS",
-              util::fmtPct(precise.qosMetFraction, 0),
-              util::fmtPct(pliant.qosMetFraction, 0)});
+              util::fmtPct(precise_mc.qosMetFraction, 0),
+              util::fmtPct(pliant_mc.qosMetFraction, 0)});
     t.addRow({"canneal relative exec time",
               util::fmt(precise.apps[0].relativeExecTime, 2),
               util::fmt(pliant.apps[0].relativeExecTime, 2)});

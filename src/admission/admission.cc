@@ -118,21 +118,21 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
                                 sim::Time dt)
 {
     switch (cfg.policy) {
-      case AdmissionKind::AcceptAll:
-      case AdmissionKind::DropTail:
+    case AdmissionKind::AcceptAll:
+    case AdmissionKind::DropTail:
         // DropTail sheds by overflow, not by fraction (see tick()).
         return 0.0;
 
-      case AdmissionKind::ProbabilisticShed: {
+    case AdmissionKind::ProbabilisticShed: {
         const double fill = queueReq / boundReq;
         if (fill <= kShedThreshold)
             return 0.0;
         const double over = (fill - kShedThreshold) /
                             (1.0 - kShedThreshold);
         return std::min(1.0, kShedAggressiveness * over);
-      }
+    }
 
-      case AdmissionKind::QosShed: {
+    case AdmissionKind::QosShed: {
         // The gate (armed/disarmed around this call) decides
         // WHETHER to shed — only when shedding is the right lever,
         // i.e. the tenant is violating and the runtime's predicted
@@ -171,7 +171,7 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
             qosGate = false;
         }
         return shed;
-      }
+    }
     }
     return 0.0;
 }
@@ -193,16 +193,16 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
     double batch = 1.0;
     double form_wait_us = 0.0;
     switch (cfg.batching) {
-      case BatchingKind::None:
+    case BatchingKind::None:
         break;
-      case BatchingKind::Fixed:
+    case BatchingKind::Fixed:
         batch = static_cast<double>(cfg.batchSize);
         // Mean residence of a request while its batch fills, capped
         // so an idle service does not wait unboundedly.
         form_wait_us = std::min(
             0.5 * (batch - 1.0) / arrival_rate * 1e6, 50e3);
         break;
-      case BatchingKind::Adaptive: {
+    case BatchingKind::Adaptive: {
         const double timeout_s = cfg.batchTimeoutUs * 1e-6;
         batch = std::clamp(arrival_rate * timeout_s, 1.0,
                            static_cast<double>(kMaxBatchSize));
@@ -210,7 +210,7 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
             0.5 * std::min(cfg.batchTimeoutUs,
                            batch / arrival_rate * 1e6);
         break;
-      }
+    }
     }
     // A full batch of B costs this fraction of B single dispatches.
     const double batch_factor =

@@ -18,11 +18,11 @@ std::string
 policyName(BudgetPolicy policy)
 {
     switch (policy) {
-      case BudgetPolicy::Uniform:
+    case BudgetPolicy::Uniform:
         return "uniform";
-      case BudgetPolicy::Proportional:
+    case BudgetPolicy::Proportional:
         return "proportional";
-      case BudgetPolicy::Learned:
+    case BudgetPolicy::Learned:
         return "learned";
     }
     return "unknown";
@@ -141,19 +141,19 @@ Controller::allocate(const std::vector<NodeDemand> &demands)
     std::vector<double> quality(nodes, 0.0);
     std::vector<double> shed(nodes, 0.0);
     switch (cfg.policy) {
-      case BudgetPolicy::Uniform:
+    case BudgetPolicy::Uniform:
         // Demand-blind: every node gets budget / N regardless of
         // pressure — the baseline the adaptive splits must beat.
         break;
 
-      case BudgetPolicy::Proportional:
+    case BudgetPolicy::Proportional:
         for (std::size_t i = 0; i < nodes; ++i) {
             quality[i] = qualityDemandOf(demands[i]);
             shed[i] = shedDemandOf(demands[i]);
         }
         break;
 
-      case BudgetPolicy::Learned:
+    case BudgetPolicy::Learned:
         // One EWMA update per node, then allocate from the smoothed
         // predictions (the LearnedRuntime observeSlot update: the
         // first observation seeds the estimate).

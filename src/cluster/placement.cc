@@ -12,11 +12,11 @@ std::string
 placementName(PlacementKind kind)
 {
     switch (kind) {
-      case PlacementKind::Static:
+    case PlacementKind::Static:
         return "static";
-      case PlacementKind::LeastLoaded:
+    case PlacementKind::LeastLoaded:
         return "least-loaded";
-      case PlacementKind::QosAware:
+    case PlacementKind::QosAware:
         return "qos-aware";
     }
     return "unknown";
@@ -184,11 +184,11 @@ std::unique_ptr<PlacementPolicy>
 makePlacement(PlacementKind kind)
 {
     switch (kind) {
-      case PlacementKind::Static:
+    case PlacementKind::Static:
         return std::make_unique<StaticPlacement>();
-      case PlacementKind::LeastLoaded:
+    case PlacementKind::LeastLoaded:
         return std::make_unique<LeastLoadedPlacement>();
-      case PlacementKind::QosAware:
+    case PlacementKind::QosAware:
         return std::make_unique<QosAwarePlacement>();
     }
     util::panic("unknown placement kind");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <span>
 
 #include "approx/profile.hh"
 #include "core/learned.hh"
@@ -50,32 +49,6 @@ monitorBudget(sim::Time tick, sim::Time interval)
     return std::min(std::min(ticks, kMaxWindowSamples) *
                         services::kMaxSamplesPerTick,
                     kMaxWindowSamples);
-}
-
-/**
- * The legacy single-service fields as one constant-load tenant —
- * bit-identical to the original single-service harness.
- */
-ServiceSpec
-legacyTenant(const ColoConfig &cfg)
-{
-    ServiceSpec legacy;
-    legacy.kind = cfg.service;
-    legacy.scenario = Scenario::constant(cfg.loadFraction);
-    return legacy;
-}
-
-/**
- * cfg's tenant list without copying it: cfg.services, or, when that
- * list is empty, legacyTenant(cfg) written into `legacy`.
- */
-std::span<const ServiceSpec>
-tenantList(const ColoConfig &cfg, ServiceSpec &legacy)
-{
-    if (!cfg.services.empty())
-        return cfg.services;
-    legacy = legacyTenant(cfg);
-    return {&legacy, 1};
 }
 
 } // namespace
@@ -299,12 +272,12 @@ checkRunConfig(const RunConfig &cfg)
 void
 checkConfig(const ColoConfig &cfg)
 {
-    if (cfg.apps.empty() && cfg.services.empty())
-        util::fatal("colocation experiment needs at least one app");
+    const std::vector<ServiceSpec> &specs = cfg.services;
+    if (specs.empty())
+        util::fatal("colocation config needs at least one interactive "
+                    "service");
     checkRunConfig(cfg);
 
-    ServiceSpec legacy;
-    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
     const std::size_t dup =
         util::firstDuplicate(specs, &ServiceSpec::resolvedName);
     if (dup < specs.size())
@@ -321,9 +294,7 @@ std::vector<ServiceSpec>
 validateConfig(const ColoConfig &cfg)
 {
     checkConfig(cfg);
-    ServiceSpec legacy;
-    const std::span<const ServiceSpec> specs = tenantList(cfg, legacy);
-    return {specs.begin(), specs.end()};
+    return cfg.services;
 }
 
 Engine::Engine(ColoConfig config)
@@ -331,10 +302,6 @@ Engine::Engine(ColoConfig config)
       partition(cfg.spec, 0)
 {
     checkConfig(cfg);
-    // Tenants point at their scenarios in cfg.services, so a legacy
-    // single-service config becomes that list's one entry, once.
-    if (cfg.services.empty())
-        cfg.services.push_back(legacyTenant(cfg));
     const std::vector<ServiceSpec> &specs = cfg.services;
 
     const int n_apps = static_cast<int>(cfg.apps.size());
@@ -441,9 +408,7 @@ Engine::Engine(ColoConfig config)
     for (std::size_t s = 0; s < tenants.size(); ++s)
         reports[s].name = tenants[s].service->name();
 
-    partial.service = tenants[0].service->name();
     partial.runtime = runtime->name();
-    partial.qosUs = tenants[0].service->qosUs();
     partial.admissionEnabled = cfg.admission.enabled;
 
     // Observability: register the full fixed metric roster whether or
@@ -862,8 +827,6 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             if (sink) {
                 TimePoint &tp = closePoint;
                 tp.t = now;
-                tp.p99Us = reports[0].interval.p99Us;
-                tp.loadFraction = tenants[0].lastLoad;
                 tp.services.resize(tenants.size());
                 for (std::size_t s = 0; s < tenants.size(); ++s)
                     tp.services[s] = {reports[s].interval.p99Us,
@@ -1002,7 +965,6 @@ Engine::finalize()
     // with a whole-run fallback when no interval lands past the
     // warmup window.
 
-    // Per-service summaries; [0] mirrors into the scalar fields.
     result.services.reserve(tenants.size());
     for (std::size_t s = 0; s < tenants.size(); ++s) {
         auto &ten = tenants[s];
@@ -1035,10 +997,6 @@ Engine::finalize()
                   static_cast<double>(total_intervals);
         result.services.push_back(std::move(out));
     }
-    result.overallP99Us = result.services[0].overallP99Us;
-    result.steadyP99Us = result.services[0].steadyP99Us;
-    result.meanIntervalP99Us = result.services[0].meanIntervalP99Us;
-    result.qosMetFraction = result.services[0].qosMetFraction;
 
     result.maxCoresReclaimedTotal = maxTotalReclaimed;
     result.approximationAloneSufficed = maxTotalReclaimed == 0;
@@ -1115,13 +1073,9 @@ makeColoConfig(services::ServiceKind service,
                core::RuntimeKind runtime, std::uint64_t seed,
                double load_fraction)
 {
-    ColoConfig cfg;
-    cfg.service = service;
-    cfg.apps = apps;
-    cfg.runtime = runtime;
-    cfg.seed = seed;
-    cfg.loadFraction = load_fraction;
-    return cfg;
+    return makeMultiServiceConfig(
+        {{service, Scenario::constant(load_fraction)}}, apps, runtime,
+        seed);
 }
 
 ColoConfig

@@ -11,9 +11,10 @@
  * The engine owns the tick loop the original single-service
  * experiment harness hard-wired; every evaluation figure, the
  * examples, and the multi-service scenario sweeps now run through
- * it. A ColoConfig with an empty `services` list reproduces the
- * paper's setup (one service at a constant offered load)
- * bit-for-bit.
+ * it. A node's tenants are its ColoConfig's `services` list, and
+ * each tenant's outcome is the matching entry of the result's
+ * `services`; the paper's setup (one service at a constant offered
+ * load) is the one-entry list makeColoConfig() builds.
  */
 
 #ifndef PLIANT_COLO_ENGINE_HH
@@ -84,12 +85,12 @@ struct RunConfig
 {
     /**
      * Catalog names of the colocated approximate applications. A
-     * ColoConfig's list may be empty only when `services` is
-     * non-empty: a cluster node whose placement assigned it no apps
-     * still hosts its services (the cluster drives such nodes with
-     * advanceUntil(keep_services_running); a bare run() of an
-     * app-less config ends immediately, as there is no work to wait
-     * for). A cluster places every app of its list on one node.
+     * ColoConfig's list may be empty: a cluster node whose placement
+     * assigned it no apps still hosts its services (the cluster
+     * drives such nodes with advanceUntil(keep_services_running); a
+     * bare run() of an app-less config ends immediately, as there is
+     * no work to wait for). A cluster places every app of its list
+     * on one node.
      */
     std::vector<std::string> apps;
 
@@ -173,21 +174,20 @@ struct RunConfig
 struct ColoConfig : RunConfig
 {
     /**
-     * Legacy single-service fields: used only when `services` is
-     * empty, in which case the engine runs one `service` tenant at a
-     * constant `loadFraction` — exactly the paper's setup.
+     * The paper's offered load, 78% of saturation: the constant load
+     * makeColoConfig() gives its tenant by default. A constant, not
+     * a setting, whatever tenants a config holds — each tenant's load
+     * is its own scenario. (perfbench's inputs digest reads it.)
      */
-    services::ServiceKind service = services::ServiceKind::Memcached;
-
-    /** Offered load as a fraction of the service's saturation. */
-    double loadFraction = 0.78;
+    static constexpr double loadFraction = 0.78;
 
     /**
-     * The tenant list. When non-empty it overrides
-     * `service`/`loadFraction`; duplicate *resolved names* are
-     * rejected (their monitors and QoS targets would be
-     * indistinguishable in reports and traces), but several tenants
-     * of the same kind are fine once given distinct names.
+     * The tenant list: at least one service, each driven by its own
+     * scenario (makeColoConfig() builds the paper's one constant-load
+     * tenant). Duplicate *resolved names* are rejected (their
+     * monitors and QoS targets would be indistinguishable in reports
+     * and traces), but several tenants of the same kind are fine
+     * once given distinct names.
      */
     std::vector<ServiceSpec> services;
 
@@ -205,12 +205,14 @@ struct ServicePoint
     double queueDelayUs = 0.0;
 };
 
-/** One sampled point of the experiment time series. */
+/**
+ * One sampled point of the experiment time series. Each tenant's
+ * interval tail and offered load are its entry of `services`, in
+ * config order.
+ */
 struct TimePoint
 {
     sim::Time t = 0;
-    double p99Us = 0.0;       ///< primary service's interval tail
-    double loadFraction = 0.0; ///< primary service's offered load
     std::vector<ServicePoint> services; ///< per-service series
     std::vector<int> variantOf;  ///< per-app active variant
     std::vector<int> reclaimed;  ///< per-app cores reclaimed
@@ -241,14 +243,29 @@ struct AppOutcome
     int maxCoresReclaimed = 0;
 };
 
-/** Per-service outcome. */
+/**
+ * Per-service outcome: the only place a tenant's QoS target, tail
+ * latency and QoS-met fraction are reported.
+ */
 struct ServiceOutcome
 {
     std::string name;
-    double qosUs = 0.0;
+    double qosUs = 0.0; ///< QoS target (p99 bound)
+
+    /** Overall p99 across every request sample of the run. */
     double overallP99Us = 0.0;
+
+    /**
+     * p99 across samples after the control loop's warmup (the first
+     * 5 seconds), i.e. the steady-state tail latency the paper's
+     * Fig. 5 bars report.
+     */
     double steadyP99Us = 0.0;
+
+    /** Mean of the per-interval p99 estimates. */
     double meanIntervalP99Us = 0.0;
+
+    /** Fraction of decision intervals that met QoS. */
     double qosMetFraction = 0.0;
 
     /**
@@ -285,12 +302,14 @@ struct RosterEvent
     std::vector<std::string> apps;
 };
 
-/** Full experiment outcome. */
+/**
+ * Full experiment outcome. Per-tenant outcomes live in `services`,
+ * one per config tenant in config order; the paper's single-service
+ * setup reads `services[0]`.
+ */
 struct ColoResult
 {
-    std::string service; ///< primary (first) service's name
     std::string runtime;
-    double qosUs = 0.0;  ///< primary service's QoS target
 
     /**
      * Whether the admission front-end ran. Output writers key new
@@ -325,23 +344,7 @@ struct ColoResult
     double budgetQualityCap = -1.0;
     double budgetShedCap = -1.0;
 
-    /** Overall p99 across every request sample of the run. */
-    double overallP99Us = 0.0;
-
-    /**
-     * p99 across samples after the control loop's warmup (the first
-     * 5 seconds), i.e. the steady-state tail latency the paper's
-     * Fig. 5 bars report. Primary service.
-     */
-    double steadyP99Us = 0.0;
-
-    /** Mean of the per-interval p99 estimates (primary service). */
-    double meanIntervalP99Us = 0.0;
-
-    /** Fraction of decision intervals that met QoS (primary). */
-    double qosMetFraction = 0.0;
-
-    /** Per-service summaries; [0] mirrors the scalar fields above. */
+    /** Per-service summaries, in config order. */
     std::vector<ServiceOutcome> services;
 
     /** Max cores simultaneously reclaimed across all apps. */
@@ -426,7 +429,7 @@ void checkRunConfig(const RunConfig &cfg);
 
 /**
  * Validate a ColoConfig in place, copying nothing (throws
- * util::FatalError). In order: no apps with no services;
+ * util::FatalError). In order: an empty tenant list;
  * checkRunConfig(); duplicate resolved service names (the first
  * name that recurs is reported); scenario loads
  * (validateScenarioLoads); fair-core starvation. Engine's
@@ -435,11 +438,7 @@ void checkRunConfig(const RunConfig &cfg);
  */
 void checkConfig(const ColoConfig &cfg);
 
-/**
- * checkConfig(), then return a copy of the normalized tenant list
- * (the legacy single-service fields become one constant-load
- * tenant).
- */
+/** checkConfig(), then return a copy of the tenant list. */
 std::vector<ServiceSpec> validateConfig(const ColoConfig &cfg);
 
 /**
@@ -602,10 +601,8 @@ class Engine
     /**
      * One interactive tenant's live state. It keeps no copy of its
      * ServiceSpec: `scenario` points into the engine's own
-     * cfg.services, where the constructor writes a legacy
-     * single-service config's one tenant. That list is never
-     * resized after construction and the engine is neither
-     * copyable nor movable, so the pointer stays valid.
+     * cfg.services. That list is never resized and the engine is
+     * neither copyable nor movable, so the pointer stays valid.
      */
     struct Tenant
     {
@@ -771,7 +768,7 @@ ColoResult runColocation(services::ServiceKind service,
                          const std::vector<std::string> &apps,
                          core::RuntimeKind runtime,
                          std::uint64_t seed = 1,
-                         double load_fraction = 0.78);
+                         double load_fraction = ColoConfig::loadFraction);
 
 /**
  * Run a batch of colocation experiments through the parallel
@@ -786,14 +783,15 @@ std::vector<ColoResult> runColocations(const std::vector<ColoConfig> &configs,
                                        unsigned threads = 0);
 
 /**
- * Build the ColoConfig runColocation() would run, so batch callers
- * can assemble config lists with identical semantics.
+ * Build the ColoConfig runColocation() would run — the paper's
+ * setup, one `service` tenant at a constant `load_fraction` — so
+ * batch callers can assemble config lists with identical semantics.
  */
 ColoConfig makeColoConfig(services::ServiceKind service,
                           const std::vector<std::string> &apps,
                           core::RuntimeKind runtime,
                           std::uint64_t seed = 1,
-                          double load_fraction = 0.78);
+                          double load_fraction = ColoConfig::loadFraction);
 
 /**
  * Build a multi-service config: one tenant per spec, shared app

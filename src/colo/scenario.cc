@@ -15,15 +15,15 @@ std::string
 scenarioName(ScenarioKind kind)
 {
     switch (kind) {
-      case ScenarioKind::Constant:
+    case ScenarioKind::Constant:
         return "constant";
-      case ScenarioKind::Diurnal:
+    case ScenarioKind::Diurnal:
         return "diurnal";
-      case ScenarioKind::FlashCrowd:
+    case ScenarioKind::FlashCrowd:
         return "flash-crowd";
-      case ScenarioKind::Step:
+    case ScenarioKind::Step:
         return "step";
-      case ScenarioKind::Trace:
+    case ScenarioKind::Trace:
         return "trace";
     }
     return "unknown";
@@ -33,19 +33,19 @@ double
 Scenario::loadAt(sim::Time t) const
 {
     switch (kind) {
-      case ScenarioKind::Constant:
+    case ScenarioKind::Constant:
         return baseLoad;
 
-      case ScenarioKind::Diurnal: {
+    case ScenarioKind::Diurnal: {
         if (period <= 0)
             return baseLoad;
         const double phase = 2.0 * M_PI * sim::toSeconds(t) /
                              sim::toSeconds(period);
         return std::max(0.0,
                         baseLoad * (1.0 + amplitude * std::sin(phase)));
-      }
+    }
 
-      case ScenarioKind::FlashCrowd: {
+    case ScenarioKind::FlashCrowd: {
         if (t < at)
             return baseLoad;
         sim::Time rel = t - at;
@@ -66,12 +66,12 @@ Scenario::loadAt(sim::Time t) const
             return peakLoad + (baseLoad - peakLoad) * f;
         }
         return baseLoad;
-      }
+    }
 
-      case ScenarioKind::Step:
+    case ScenarioKind::Step:
         return t < at ? baseLoad : peakLoad;
 
-      case ScenarioKind::Trace: {
+    case ScenarioKind::Trace: {
         if (points.empty())
             return baseLoad;
         if (t <= points.front().t)
@@ -86,7 +86,7 @@ Scenario::loadAt(sim::Time t) const
         const double f = static_cast<double>(t - prev->t) /
                          static_cast<double>(next->t - prev->t);
         return prev->load + (next->load - prev->load) * f;
-      }
+    }
     }
     return baseLoad;
 }
@@ -110,24 +110,24 @@ validateScenarioLoads(const Scenario &scenario, std::string_view tenant)
 {
     const ScenarioKind kind = scenario.kind;
     switch (kind) {
-      case ScenarioKind::Constant:
+    case ScenarioKind::Constant:
         requireLoad(scenario.baseLoad, tenant, kind, "load");
         return;
-      case ScenarioKind::Diurnal:
+    case ScenarioKind::Diurnal:
         requireLoad(scenario.baseLoad, tenant, kind, "base load");
         if (!std::isfinite(scenario.amplitude))
             util::fatal("service '", tenant,
                         "': diurnal scenario amplitude must be finite, got ",
                         scenario.amplitude);
         return;
-      case ScenarioKind::FlashCrowd:
-      case ScenarioKind::Step:
+    case ScenarioKind::FlashCrowd:
+    case ScenarioKind::Step:
         requireLoad(scenario.baseLoad, tenant, kind, "base load");
         requireLoad(scenario.peakLoad, tenant, kind,
                     kind == ScenarioKind::Step ? "post-step load"
                                                : "peak load");
         return;
-      case ScenarioKind::Trace:
+    case ScenarioKind::Trace:
         if (scenario.points.empty())
             requireLoad(scenario.baseLoad, tenant, kind, "base load");
         for (const LoadPoint &p : scenario.points)

@@ -48,7 +48,8 @@ CsvTimelineSink::CsvTimelineSink(std::ostream &os,
 CsvTimelineSink
 CsvTimelineSink::forConfig(std::ostream &os, const ColoConfig &cfg)
 {
-    const std::vector<ServiceSpec> tenants = validateConfig(cfg);
+    checkConfig(cfg);
+    const std::vector<ServiceSpec> &tenants = cfg.services;
     std::vector<std::string> names;
     names.reserve(tenants.size());
     for (const ServiceSpec &spec : tenants)
@@ -78,11 +79,12 @@ CsvTimelineSink::onPoint(const TimePoint &tp)
         return columns.size(); // app without a column: not emitted
     };
 
+    const ServicePoint &primary = tp.services[0];
     std::vector<std::string> row{
         util::fmt(sim::toSeconds(tp.t), 3),
-        util::fmt(tp.p99Us, 1),
-        util::fmt(tp.p99Us / qosUs, 4),
-        util::fmt(tp.loadFraction, 4),
+        util::fmt(primary.p99Us, 1),
+        util::fmt(primary.p99Us / qosUs, 4),
+        util::fmt(primary.loadFraction, 4),
         core::decisionName(tp.decision.kind),
         std::to_string(tp.partitionWays)};
     std::vector<std::string> variant(columns.size(), "-");

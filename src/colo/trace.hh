@@ -25,9 +25,9 @@ namespace colo {
  * per interval close. Columns: t_s, p99_us, p99_over_qos, load,
  * decision, partition_ways, then per app: <name>_variant,
  * <name>_reclaimed, and per additional service: <name>_p99_us,
- * <name>_load. The base p99/load columns always refer to the primary
- * (first) service. With `admission_enabled`, per service:
- * <name>_shed, <name>_qdelay_us; with `budget_enabled`:
+ * <name>_load. The base p99/load columns always read the primary
+ * service, `TimePoint::services[0]`. With `admission_enabled`, per
+ * service: <name>_shed, <name>_qdelay_us; with `budget_enabled`:
  * budget_quality_used, budget_shed_used, node_quality_slice,
  * node_shed_slice.
  *

@@ -39,19 +39,19 @@ const char *
 decisionEventName(Decision::Kind kind)
 {
     switch (kind) {
-      case Decision::Kind::None:
+    case Decision::Kind::None:
         return "decision:none";
-      case Decision::Kind::SwitchToMost:
+    case Decision::Kind::SwitchToMost:
         return "decision:switch-to-most";
-      case Decision::Kind::ReclaimCore:
+    case Decision::Kind::ReclaimCore:
         return "decision:reclaim-core";
-      case Decision::Kind::ReturnCore:
+    case Decision::Kind::ReturnCore:
         return "decision:return-core";
-      case Decision::Kind::StepDown:
+    case Decision::Kind::StepDown:
         return "decision:step-down";
-      case Decision::Kind::GrowPartition:
+    case Decision::Kind::GrowPartition:
         return "decision:grow-partition";
-      case Decision::Kind::ShrinkPartition:
+    case Decision::Kind::ShrinkPartition:
         return "decision:shrink-partition";
     }
     return "decision:unknown";

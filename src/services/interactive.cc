@@ -23,11 +23,11 @@ std::string_view
 serviceNameView(ServiceKind kind)
 {
     switch (kind) {
-      case ServiceKind::Nginx:
+    case ServiceKind::Nginx:
         return "nginx";
-      case ServiceKind::Memcached:
+    case ServiceKind::Memcached:
         return "memcached";
-      case ServiceKind::MongoDb:
+    case ServiceKind::MongoDb:
         return "mongodb";
     }
     return "unknown";
@@ -46,7 +46,7 @@ defaultConfig(ServiceKind kind)
     c.kind = kind;
     c.name = serviceName(kind);
     switch (kind) {
-      case ServiceKind::Nginx:
+    case ServiceKind::Nginx:
         // Front-end webserver serving 1KB static HTML; QoS 10 ms.
         c.qosUs = 10e3;
         c.saturationQps = 700e3;
@@ -58,7 +58,7 @@ defaultConfig(ServiceKind kind)
         c.backlogToUs = 1.5e5;
         c.maxBacklogSec = 0.08;
         break;
-      case ServiceKind::Memcached:
+    case ServiceKind::Memcached:
         // In-memory KV store, 5M items; QoS 200 us — the strictest
         // target and the most contention-sensitive service.
         c.qosUs = 200.0;
@@ -71,7 +71,7 @@ defaultConfig(ServiceKind kind)
         c.backlogToUs = 8.0e4;
         c.maxBacklogSec = 0.015;
         break;
-      case ServiceKind::MongoDb:
+    case ServiceKind::MongoDb:
         // Persistent NoSQL store, 178 GB dataset; QoS 100 ms. The
         // I/O-bound service: large latency floor, and the lowest
         // per-channel sensitivity, but a real base colocation cost

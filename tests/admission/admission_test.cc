@@ -288,16 +288,17 @@ expectIdenticalResults(const colo::ColoResult &a,
                        const std::vector<colo::TimePoint> &ta,
                        const std::vector<colo::TimePoint> &tb)
 {
-    EXPECT_EQ(a.overallP99Us, b.overallP99Us);
-    EXPECT_EQ(a.steadyP99Us, b.steadyP99Us);
-    EXPECT_EQ(a.meanIntervalP99Us, b.meanIntervalP99Us);
-    EXPECT_EQ(a.qosMetFraction, b.qosMetFraction);
+    EXPECT_EQ(a.services[0].overallP99Us, b.services[0].overallP99Us);
+    EXPECT_EQ(a.services[0].steadyP99Us, b.services[0].steadyP99Us);
+    EXPECT_EQ(a.services[0].meanIntervalP99Us,
+              b.services[0].meanIntervalP99Us);
+    EXPECT_EQ(a.services[0].qosMetFraction, b.services[0].qosMetFraction);
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
     ASSERT_FALSE(ta.empty());
     ASSERT_EQ(ta.size(), tb.size());
     for (std::size_t i = 0; i < ta.size(); ++i) {
-        EXPECT_EQ(ta[i].p99Us, tb[i].p99Us);
-        EXPECT_EQ(ta[i].loadFraction, tb[i].loadFraction);
+        EXPECT_EQ(ta[i].services[0].loadFraction,
+                  tb[i].services[0].loadFraction);
         ASSERT_EQ(ta[i].services.size(), tb[i].services.size());
         for (std::size_t s = 0; s < ta[i].services.size(); ++s)
             EXPECT_EQ(ta[i].services[s].p99Us, tb[i].services[s].p99Us);

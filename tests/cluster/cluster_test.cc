@@ -45,12 +45,7 @@ constexpr sim::Time kS = sim::kSecond;
 void
 expectIdenticalColo(const colo::ColoResult &a, const colo::ColoResult &b)
 {
-    EXPECT_EQ(a.service, b.service);
     EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.overallP99Us, b.overallP99Us);
-    EXPECT_EQ(a.steadyP99Us, b.steadyP99Us);
-    EXPECT_EQ(a.meanIntervalP99Us, b.meanIntervalP99Us);
-    EXPECT_EQ(a.qosMetFraction, b.qosMetFraction);
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
     EXPECT_EQ(a.typicalCoresReclaimed, b.typicalCoresReclaimed);
     ASSERT_EQ(a.services.size(), b.services.size());
@@ -83,8 +78,6 @@ expectIdenticalPoints(const std::vector<colo::TimePoint> &a,
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].t, b[i].t);
-        EXPECT_EQ(a[i].p99Us, b[i].p99Us);
-        EXPECT_EQ(a[i].loadFraction, b[i].loadFraction);
         EXPECT_EQ(a[i].variantOf, b[i].variantOf);
         EXPECT_EQ(a[i].reclaimed, b[i].reclaimed);
         ASSERT_EQ(a[i].services.size(), b[i].services.size());
@@ -950,7 +943,8 @@ TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
     std::vector<std::string> service_names;
     for (const auto &svc : dst.services)
         service_names.push_back(svc.name);
-    colo::CsvTimelineSink sink(os, cfg.apps, service_names, dst.qosUs,
+    colo::CsvTimelineSink sink(os, cfg.apps, service_names,
+                               dst.services[0].qosUs,
                                dst.admissionEnabled, dst.budgetEnabled);
     Cluster cl(cfg);
     cl.setTimelineSink(mig.to, &sink);

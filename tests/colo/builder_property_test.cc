@@ -66,14 +66,14 @@ invalidAdmissionDraw(util::SplitMix64 &sm)
     admission::AdmissionConfig cfg;
     cfg.enabled = true;
     switch (sm.next() % 3) {
-      case 0:
+    case 0:
         cfg.queueBoundQos =
             -static_cast<double>(sm.next() % 100) / 10.0;
         break;
-      case 1:
+    case 1:
         cfg.batchSize = -static_cast<int>(sm.next() % 5);
         break;
-      default:
+    default:
         cfg.batchTimeoutUs = 0.0;
         break;
     }
@@ -112,19 +112,32 @@ invalidScenarioDraw(util::SplitMix64 &sm)
     const double load = bad[sm.next() % 3];
     const bool base = sm.next() % 2 == 0;
     switch (sm.next() % 4) {
-      case 0:
+    case 0:
         return colo::Scenario::constant(load);
-      case 1:
+    case 1:
         return base ? colo::Scenario::step(load, 0.5, 10 * kS)
                     : colo::Scenario::step(0.5, load, 10 * kS);
-      case 2:
+    case 2:
         return base ? colo::Scenario::flashCrowd(load, 0.9, 10 * kS,
                                                  kS, kS, kS)
                     : colo::Scenario::flashCrowd(0.5, load, 10 * kS,
                                                  kS, kS, kS);
-      default:
+    default:
         return colo::Scenario::diurnal(load, 0.2, 60 * kS);
     }
+}
+
+/** The FatalError text `check` throws ("" when it does not throw). */
+template <typename Check>
+std::string
+fatalText(Check check)
+{
+    try {
+        check();
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 TEST(BuilderPropertyTest, RandomInvalidColoConfigsFailValidation)
@@ -134,19 +147,19 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsFailValidation)
         colo::ColoConfig cfg;
         cfg.services.push_back({services::ServiceKind::Memcached,
                                 colo::Scenario::constant(loadDraw(sm))});
-        const auto kind = sm.next() % 9;
+        const auto kind = sm.next() % 10;
         switch (kind) {
-          case 0: { // duplicate app
+        case 0: { // duplicate app
             const auto apps = pickApps(sm, 1);
             cfg.apps = {apps[0], apps[0]};
             break;
-          }
-          case 1: { // unknown catalog name
+        }
+        case 1: { // unknown catalog name
             cfg.apps = {"no-such-app-" +
                         std::to_string(sm.next() % 1000)};
             break;
-          }
-          case 2: { // out-of-range initial variant
+        }
+        case 2: { // out-of-range initial variant
             cfg.apps = pickApps(sm, 1);
             const auto &prof = approx::findProfile(cfg.apps[0]);
             const int bad = sm.next() % 2 == 0
@@ -155,54 +168,59 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsFailValidation)
                 : -1 - static_cast<int>(sm.next() % 3);
             cfg.initialVariants = {bad};
             break;
-          }
-          case 3: { // duplicate resolved service name
+        }
+        case 3: { // duplicate resolved service name
             cfg.services.push_back(
                 {services::ServiceKind::Memcached,
                  colo::Scenario::constant(loadDraw(sm))});
             cfg.apps = pickApps(sm, 1);
             break;
-          }
-          case 4: { // fair-core starvation: too many tenants
+        }
+        case 4: { // fair-core starvation: too many tenants
             cfg.services.push_back(
                 {services::ServiceKind::Nginx,
                  colo::Scenario::constant(loadDraw(sm))});
             cfg.apps = pickApps(sm, 15 + sm.next() % 8); // >= 15 starves
             break;
-          }
-          case 5: { // non-positive timing
+        }
+        case 5: { // non-positive timing
             cfg.apps = pickApps(sm, 1);
             switch (sm.next() % 3) {
-              case 0:
+            case 0:
                 cfg.tick = -static_cast<sim::Time>(sm.next() % 5);
                 break;
-              case 1:
+            case 1:
                 cfg.decisionInterval = 0;
                 break;
-              default:
+            default:
                 cfg.maxDuration =
                     -static_cast<sim::Time>(sm.next() % 100);
                 break;
             }
             break;
-          }
-          case 6: { // decision interval shorter than the tick
+        }
+        case 6: { // decision interval shorter than the tick
             cfg.apps = pickApps(sm, 1);
             cfg.tick = 10 * sim::kMillisecond;
             cfg.decisionInterval = sim::kMillisecond;
             break;
-          }
-          case 7: { // out-of-range admission field
+        }
+        case 7: { // out-of-range admission field
             cfg.apps = pickApps(sm, 1);
             cfg.admission = invalidAdmissionDraw(sm);
             break;
-          }
-          default: { // non-finite or negative scenario load
+        }
+        case 8: { // no interactive service, with or without apps
+            cfg.services.clear();
+            cfg.apps = pickApps(sm, sm.next() % 3);
+            break;
+        }
+        default: { // non-finite or negative scenario load
             cfg.services.push_back({services::ServiceKind::Nginx,
                                     invalidScenarioDraw(sm), "bad-load"});
             cfg.apps = pickApps(sm, 1);
             break;
-          }
+        }
         }
         EXPECT_THROW(colo::checkConfig(cfg), util::FatalError)
             << "invalid colo config class " << kind << " (iteration "
@@ -210,6 +228,18 @@ TEST(BuilderPropertyTest, RandomInvalidColoConfigsFailValidation)
         EXPECT_THROW(colo::Engine engine(cfg), util::FatalError)
             << "invalid colo config class " << kind << " (iteration "
             << iter << ") must fail at construction";
+        if (kind == 8) {
+            const char *const named =
+                "needs at least one interactive service";
+            EXPECT_NE(fatalText([&] { colo::checkConfig(cfg); })
+                          .find(named),
+                      std::string::npos)
+                << "iteration " << iter;
+            EXPECT_NE(fatalText([&] { colo::Engine engine(cfg); })
+                          .find(named),
+                      std::string::npos)
+                << "iteration " << iter;
+        }
     }
 }
 
@@ -243,19 +273,6 @@ TEST(BuilderPropertyTest, RandomValidColoConfigsValidateAndConstruct)
     }
 }
 
-/** The FatalError text `check` throws ("" when it does not throw). */
-template <typename Check>
-std::string
-fatalText(Check check)
-{
-    try {
-        check();
-    } catch (const util::FatalError &e) {
-        return e.what();
-    }
-    return "";
-}
-
 TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
 {
     // colo::checkRunConfig is the one check of the settings a cluster
@@ -283,38 +300,38 @@ TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
         const std::size_t kind = sm.next() % std::size(classes);
         const std::size_t app = sm.next() % shared.apps.size();
         switch (kind) {
-          case 0:
+        case 0:
             shared.tick = -static_cast<sim::Time>(sm.next() % 5);
             break;
-          case 1:
+        case 1:
             shared.decisionInterval =
                 -static_cast<sim::Time>(sm.next() % 5);
             break;
-          case 2:
+        case 2:
             shared.maxDuration = -static_cast<sim::Time>(sm.next() % 100);
             break;
-          case 3:
+        case 3:
             shared.decisionInterval =
                 1 + static_cast<sim::Time>(sm.next() % (shared.tick - 1));
             break;
-          case 4:
+        case 4:
             shared.admission = invalidAdmissionDraw(sm);
             break;
-          case 5:
+        case 5:
             shared.apps.push_back(shared.apps[app]);
             break;
-          case 6:
+        case 6:
             shared.apps.push_back("no-such-app-" +
                                   std::to_string(sm.next() % 1000));
             break;
-          default: {
+        default: {
             shared.initialVariants.assign(shared.apps.size(), 0);
             const auto &prof = approx::findProfile(shared.apps[app]);
             shared.initialVariants[app] =
                 static_cast<int>(prof.variants.size()) +
                 static_cast<int>(sm.next() % 4);
             break;
-          }
+        }
         }
 
         colo::ColoConfig node;
@@ -354,14 +371,14 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
                                      loadDraw(sm)));
         }
         switch (kind) {
-          case 0: // no nodes at all
+        case 0: // no nodes at all
             builder.apps(pickApps(sm, 1));
             break;
-          case 1: // a node without any service
+        case 1: // a node without any service
             builder.nodes(1 + sm.next() % 3);
             builder.apps(pickApps(sm, 1));
             break;
-          case 2: { // duplicate node names
+        case 2: { // duplicate node names
             builder.node("twin").service(
                 services::ServiceKind::Nginx,
                 colo::Scenario::constant(loadDraw(sm)));
@@ -370,34 +387,34 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
                 colo::Scenario::constant(loadDraw(sm)));
             builder.apps(pickApps(sm, 1));
             break;
-          }
-          case 3: // epoch shorter than the decision interval
+        }
+        case 3: // epoch shorter than the decision interval
             builder.apps(pickApps(sm, 1));
             builder.decisionInterval(kS).epoch(
                 kS / (2 + sm.next() % 8));
             break;
-          case 4: // bad timing
+        case 4: // bad timing
             builder.apps(pickApps(sm, 1));
             switch (sm.next() % 4) {
-              case 0:
+            case 0:
                 builder.tick(0);
                 break;
-              case 1:
+            case 1:
                 builder.epoch(
                     -static_cast<sim::Time>(sm.next() % 50));
                 break;
-              case 2:
+            case 2:
                 // Interval shorter than one simulation tick.
                 builder.tick(10 * sim::kMillisecond)
                     .decisionInterval(sim::kMillisecond)
                     .epoch(sim::kMillisecond);
                 break;
-              default:
+            default:
                 builder.maxDuration(0);
                 break;
             }
             break;
-          case 5: // unknown or duplicate app
+        case 5: // unknown or duplicate app
             if (sm.next() % 2 == 0) {
                 builder.app("bogus-" +
                             std::to_string(sm.next() % 1000));
@@ -406,31 +423,31 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
                 builder.app(apps[0]).app(apps[0]);
             }
             break;
-          case 6: { // out-of-range initial variant
+        case 6: { // out-of-range initial variant
             const auto apps = pickApps(sm, 1);
             const auto &prof = approx::findProfile(apps[0]);
             builder.app(apps[0],
                         static_cast<int>(prof.variants.size()) +
                             static_cast<int>(sm.next() % 4));
             break;
-          }
-          case 7: { // out-of-range admission field
+        }
+        case 7: { // out-of-range admission field
             builder.apps(pickApps(sm, 1));
             builder.admission(invalidAdmissionDraw(sm));
             break;
-          }
-          case 8: { // out-of-range budget field
+        }
+        case 8: { // out-of-range budget field
             builder.apps(pickApps(sm, 1));
             builder.budget(invalidBudgetDraw(sm));
             break;
-          }
-          case 10: { // non-finite or negative scenario load
+        }
+        case 10: { // non-finite or negative scenario load
             builder.node("bad-load").service(
                 services::ServiceKind::Nginx, invalidScenarioDraw(sm));
             builder.apps(pickApps(sm, 1));
             break;
-          }
-          default: { // budget without a cluster (single node)
+        }
+        default: { // budget without a cluster (single node)
             builder.node("solo").service(
                 services::ServiceKind::Memcached,
                 colo::Scenario::constant(loadDraw(sm)));
@@ -440,7 +457,7 @@ TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
                 static_cast<double>(sm.next() % 100) / 100.0,
                 static_cast<double>(sm.next() % 100) / 100.0);
             break;
-          }
+        }
         }
         EXPECT_THROW(builder.build(), util::FatalError)
             << "invalid cluster config class " << kind
@@ -499,18 +516,18 @@ TEST(BuilderPropertyTest, RandomBudgetPolicyTyposThrow)
     for (int iter = 0; iter < 60; ++iter) {
         std::string typo = names[sm.next() % names.size()];
         switch (sm.next() % 4) {
-          case 0: // drop a character
+        case 0: // drop a character
             typo.erase(sm.next() % typo.size(), 1);
             break;
-          case 1: // mutate a character
+        case 1: // mutate a character
             typo[sm.next() % typo.size()] =
                 static_cast<char>('a' + sm.next() % 26);
             break;
-          case 2: // wrong case on a character
+        case 2: // wrong case on a character
             typo[sm.next() % typo.size()] = static_cast<char>(
                 std::toupper(typo[sm.next() % typo.size()]));
             break;
-          default: // trailing garbage
+        default: // trailing garbage
             typo += static_cast<char>('a' + sm.next() % 26);
             break;
         }

@@ -77,8 +77,7 @@ TEST(ConfigValidationTest, RejectsOutOfRangeInitialVariant)
 TEST(ConfigValidationTest, RejectsMismatchedRawVariantList)
 {
     // The same pass guards raw configs handed to the engine.
-    ColoConfig cfg;
-    cfg.apps = {"canneal", "bayesian"};
+    ColoConfig cfg = oneTenant({"canneal", "bayesian"});
     cfg.initialVariants = {1};
     EXPECT_THROW(Engine e(cfg), util::FatalError);
 
@@ -217,11 +216,23 @@ TEST(ScenarioLoadValidationTest, RejectsBadTraceLoads)
 
 TEST(ScenarioLoadValidationTest, RejectsBadLegacyLoadFraction)
 {
+    // makeColoConfig's load fraction becomes its one tenant's
+    // constant scenario, so a bad value fails that tenant's scenario
+    // check, with the message a hand-built tenant gets.
     for (const double bad : kBadLoads) {
         const ColoConfig cfg = makeColoConfig(
             services::ServiceKind::Memcached, {"canneal"},
             core::RuntimeKind::Pliant, 1, bad);
-        EXPECT_THROW(checkConfig(cfg), util::FatalError) << bad;
+        try {
+            checkConfig(cfg);
+            ADD_FAILURE() << "load " << bad << " was accepted";
+        } catch (const util::FatalError &err) {
+            EXPECT_NE(std::string(err.what())
+                          .find("service 'memcached': constant scenario "
+                                "load must be finite and non-negative"),
+                      std::string::npos)
+                << err.what();
+        }
         EXPECT_THROW(Engine engine(cfg), util::FatalError) << bad;
     }
 }
@@ -243,7 +254,7 @@ TEST(ServiceNamingTest, SameKindShardsRunUnderDistinctNames)
     const ColoResult r = engine.run();
 
     ASSERT_EQ(r.services.size(), 2u);
-    EXPECT_EQ(r.service, "mc-a");
+    EXPECT_EQ(r.services[0].name, "mc-a");
     EXPECT_EQ(r.services[0].name, "mc-a");
     EXPECT_EQ(r.services[1].name, "mc-b");
     // Both shards keep memcached's QoS target.

@@ -76,10 +76,10 @@ TEST(EngineRegressionTest, PliantSingleAppMatchesPreRefactorNumbers)
         services::ServiceKind::Memcached, {"canneal"},
         core::RuntimeKind::Pliant, 33));
     const ColoResult &r = rec.result;
-    EXPECT_PINNED(r.overallP99Us, 851.65302665005822);
-    EXPECT_PINNED(r.steadyP99Us, 247.62057575172005);
-    EXPECT_PINNED(r.meanIntervalP99Us, 166.11821731330028);
-    EXPECT_PINNED(r.qosMetFraction, 0.80000000000000004);
+    EXPECT_PINNED(r.services[0].overallP99Us, 851.65302665005822);
+    EXPECT_PINNED(r.services[0].steadyP99Us, 247.62057575172005);
+    EXPECT_PINNED(r.services[0].meanIntervalP99Us, 166.11821731330028);
+    EXPECT_PINNED(r.services[0].qosMetFraction, 0.80000000000000004);
     EXPECT_EQ(rec.points.size(), 25u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 1);
     EXPECT_EQ(r.typicalCoresReclaimed, 1);
@@ -87,8 +87,8 @@ TEST(EngineRegressionTest, PliantSingleAppMatchesPreRefactorNumbers)
     EXPECT_PINNED(r.apps[0].inaccuracy, 0.047484937659885089);
     EXPECT_PINNED(r.apps[0].relativeExecTime, 0.64949999999999997);
     EXPECT_EQ(r.apps[0].switches, 1);
-    EXPECT_PINNED(rec.points.back().p99Us, 141.09470936694575);
-    EXPECT_PINNED(rec.points.back().loadFraction,
+    EXPECT_PINNED(rec.points.back().services[0].p99Us, 141.09470936694575);
+    EXPECT_PINNED(rec.points.back().services[0].loadFraction,
                   0.80775416712913262);
 }
 
@@ -98,10 +98,10 @@ TEST(EngineRegressionTest, PliantTwoAppMatchesPreRefactorNumbers)
         services::ServiceKind::Nginx, {"canneal", "bayesian"},
         core::RuntimeKind::Pliant, 7));
     const ColoResult &r = rec.result;
-    EXPECT_PINNED(r.overallP99Us, 71431.775438696568);
-    EXPECT_PINNED(r.steadyP99Us, 37851.119005662069);
-    EXPECT_PINNED(r.meanIntervalP99Us, 10963.174573611705);
-    EXPECT_PINNED(r.qosMetFraction, 0.76923076923076927);
+    EXPECT_PINNED(r.services[0].overallP99Us, 71431.775438696568);
+    EXPECT_PINNED(r.services[0].steadyP99Us, 37851.119005662069);
+    EXPECT_PINNED(r.services[0].meanIntervalP99Us, 10963.174573611705);
+    EXPECT_PINNED(r.services[0].qosMetFraction, 0.76923076923076927);
     EXPECT_EQ(rec.points.size(), 26u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 2);
     ASSERT_EQ(r.apps.size(), 2u);
@@ -120,9 +120,9 @@ TEST(EngineRegressionTest, LearnedRuntimeMatchesPreRefactorNumbers)
         services::ServiceKind::MongoDb, {"snp"},
         core::RuntimeKind::Learned, 5));
     const ColoResult &r = rec.result;
-    EXPECT_PINNED(r.overallP99Us, 115045.78570774179);
-    EXPECT_PINNED(r.steadyP99Us, 88699.240896317351);
-    EXPECT_PINNED(r.qosMetFraction, 0.80645161290322576);
+    EXPECT_PINNED(r.services[0].overallP99Us, 115045.78570774179);
+    EXPECT_PINNED(r.services[0].steadyP99Us, 88699.240896317351);
+    EXPECT_PINNED(r.services[0].qosMetFraction, 0.80645161290322576);
     EXPECT_EQ(rec.points.size(), 31u);
     ASSERT_EQ(r.apps.size(), 1u);
     EXPECT_PINNED(r.apps[0].inaccuracy, 0.019704575919043815);
@@ -135,10 +135,10 @@ TEST(EngineRegressionTest, PreciseBaselineMatchesPreRefactorNumbers)
         services::ServiceKind::Memcached, {"canneal"},
         core::RuntimeKind::Precise, 11));
     const ColoResult &r = rec.result;
-    EXPECT_PINNED(r.overallP99Us, 1604.9142869211935);
-    EXPECT_PINNED(r.steadyP99Us, 1688.660206917443);
-    EXPECT_PINNED(r.meanIntervalP99Us, 1279.8011361988601);
-    EXPECT_DOUBLE_EQ(r.qosMetFraction, 0.0);
+    EXPECT_PINNED(r.services[0].overallP99Us, 1604.9142869211935);
+    EXPECT_PINNED(r.services[0].steadyP99Us, 1688.660206917443);
+    EXPECT_PINNED(r.services[0].meanIntervalP99Us, 1279.8011361988601);
+    EXPECT_DOUBLE_EQ(r.services[0].qosMetFraction, 0.0);
     EXPECT_EQ(rec.points.size(), 40u);
     EXPECT_EQ(r.maxCoresReclaimedTotal, 0);
 }
@@ -175,55 +175,33 @@ TEST(EngineRegressionTest, TickEqualsIntervalMatchesPinnedNumbers)
         const Recorded rec =
             runRecorded(timedConfig(sim::kSecond, sim::kSecond, 97));
         const ColoResult &r = rec.result;
-        EXPECT_PINNED(r.overallP99Us, 644.74054555285534);
-        EXPECT_PINNED(r.steadyP99Us, 748.93817300929595);
-        EXPECT_PINNED(r.meanIntervalP99Us, 182.63372773105155);
-        EXPECT_PINNED(r.qosMetFraction, 0.92592592592592593);
+        EXPECT_PINNED(r.services[0].overallP99Us, 644.74054555285534);
+        EXPECT_PINNED(r.services[0].steadyP99Us, 748.93817300929595);
+        EXPECT_PINNED(r.services[0].meanIntervalP99Us, 182.63372773105155);
+        EXPECT_PINNED(r.services[0].qosMetFraction, 0.92592592592592593);
         EXPECT_PINNED(r.services[1].steadyP99Us, 10728.90993491353);
         EXPECT_EQ(rec.points.size(), 27u);
         ASSERT_EQ(r.apps.size(), 2u);
         EXPECT_PINNED(r.apps[0].inaccuracy, 0.042445655858211404);
         EXPECT_PINNED(r.apps[1].relativeExecTime, 0.47272727272727272);
-        EXPECT_PINNED(rec.points.back().p99Us, 139.50079256746542);
+        EXPECT_PINNED(rec.points.back().services[0].p99Us, 139.50079256746542);
     }
     {
         const Recorded rec = runRecorded(
             timedConfig(30 * sim::kMillisecond,
                         100 * sim::kMillisecond, 97));
         const ColoResult &r = rec.result;
-        EXPECT_PINNED(r.overallP99Us, 136.58744641724022);
-        EXPECT_PINNED(r.steadyP99Us, 138.32483014282232);
-        EXPECT_PINNED(r.meanIntervalP99Us, 122.94136577855339);
-        EXPECT_PINNED(r.qosMetFraction, 0.98299319727891155);
+        EXPECT_PINNED(r.services[0].overallP99Us, 136.58744641724022);
+        EXPECT_PINNED(r.services[0].steadyP99Us, 138.32483014282232);
+        EXPECT_PINNED(r.services[0].meanIntervalP99Us, 122.94136577855339);
+        EXPECT_PINNED(r.services[0].qosMetFraction, 0.98299319727891155);
         EXPECT_PINNED(r.services[1].steadyP99Us, 7379.4402634833223);
         EXPECT_EQ(rec.points.size(), 294u);
         ASSERT_EQ(r.apps.size(), 2u);
         EXPECT_PINNED(r.apps[0].inaccuracy, 0.044088545496259006);
         EXPECT_PINNED(r.apps[1].relativeExecTime, 0.49036363636363633);
-        EXPECT_PINNED(rec.points.back().p99Us, 106.69601850602263);
+        EXPECT_PINNED(rec.points.back().services[0].p99Us, 106.69601850602263);
     }
-}
-
-TEST(EngineRegressionTest, ExplicitConstantTenantEqualsLegacyConfig)
-{
-    // A one-entry services list with a constant scenario must be
-    // bit-identical to the legacy service/loadFraction fields.
-    ColoConfig legacy;
-    legacy.service = services::ServiceKind::Memcached;
-    legacy.apps = {"canneal"};
-    legacy.seed = 33;
-
-    ColoConfig modern = legacy;
-    modern.services = {{services::ServiceKind::Memcached,
-                        Scenario::constant(legacy.loadFraction)}};
-
-    const Recorded a = runRecorded(legacy), b = runRecorded(modern);
-    EXPECT_EQ(a.result.overallP99Us, b.result.overallP99Us);
-    EXPECT_EQ(a.result.steadyP99Us, b.result.steadyP99Us);
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (std::size_t i = 0; i < a.points.size(); ++i)
-        EXPECT_EQ(a.points[i].p99Us, b.points[i].p99Us);
-    EXPECT_EQ(a.result.apps[0].inaccuracy, b.result.apps[0].inaccuracy);
 }
 
 /** Exact structural equality of two recorded (byte-identical) runs. */
@@ -231,12 +209,7 @@ void
 expectIdentical(const Recorded &ra, const Recorded &rb)
 {
     const ColoResult &a = ra.result, &b = rb.result;
-    EXPECT_EQ(a.service, b.service);
     EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.overallP99Us, b.overallP99Us);
-    EXPECT_EQ(a.steadyP99Us, b.steadyP99Us);
-    EXPECT_EQ(a.meanIntervalP99Us, b.meanIntervalP99Us);
-    EXPECT_EQ(a.qosMetFraction, b.qosMetFraction);
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
     EXPECT_EQ(a.typicalCoresReclaimed, b.typicalCoresReclaimed);
     ASSERT_EQ(a.services.size(), b.services.size());
@@ -260,8 +233,6 @@ expectIdentical(const Recorded &ra, const Recorded &rb)
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) {
         EXPECT_EQ(pa[i].t, pb[i].t);
-        EXPECT_EQ(pa[i].p99Us, pb[i].p99Us);
-        EXPECT_EQ(pa[i].loadFraction, pb[i].loadFraction);
         ASSERT_EQ(pa[i].services.size(), pb[i].services.size());
         for (std::size_t s = 0; s < pa[i].services.size(); ++s) {
             EXPECT_EQ(pa[i].services[s].p99Us, pb[i].services[s].p99Us);
@@ -319,13 +290,10 @@ TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
         EXPECT_EQ(r.services[1].name, "nginx");
         EXPECT_DOUBLE_EQ(r.services[0].qosUs, 200.0);
         EXPECT_DOUBLE_EQ(r.services[1].qosUs, 10e3);
-        // Scalar fields mirror the primary service.
-        EXPECT_EQ(r.qosMetFraction, r.services[0].qosMetFraction);
-        EXPECT_EQ(r.steadyP99Us, r.services[0].steadyP99Us);
         // Timeline carries one slice per service.
         for (const auto &tp : rec.points) {
             ASSERT_EQ(tp.services.size(), 2u);
-            EXPECT_EQ(tp.p99Us, tp.services[0].p99Us);
+            EXPECT_GT(tp.services[0].p99Us, 0.0);
             EXPECT_GT(tp.services[1].p99Us, 0.0);
         }
     }
@@ -359,10 +327,10 @@ TEST(EngineMultiServiceTest, ScenarioLoadShowsUpInTheTimeline)
     int n_before = 0, n_after = 0;
     for (const auto &tp : runRecorded(cfg).points) {
         if (tp.t <= 20 * s) {
-            before += tp.loadFraction;
+            before += tp.services[0].loadFraction;
             ++n_before;
         } else {
-            after += tp.loadFraction;
+            after += tp.services[0].loadFraction;
             ++n_after;
         }
     }
@@ -399,8 +367,9 @@ TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
 
 TEST(EngineValidationTest, RejectsDuplicateApps)
 {
-    ColoConfig cfg;
-    cfg.apps = {"canneal", "canneal"};
+    const ColoConfig cfg =
+        makeColoConfig(services::ServiceKind::Memcached,
+                       {"canneal", "canneal"}, core::RuntimeKind::Pliant);
     EXPECT_THROW(Engine e(cfg), util::FatalError);
 }
 
@@ -419,13 +388,13 @@ TEST(EngineValidationTest, RejectsConfigsLeavingServicesNoCores)
     // nothing is left for the service — the old harness died deep
     // inside InteractiveService with an obscure message; the engine
     // must reject the config up front.
-    ColoConfig cfg;
-    cfg.apps = {"canneal",    "bayesian",     "snp",
-                "kmeans",     "raytrace",     "glimmer",
-                "fluidanimate", "water_spatial", "water_nsquared",
-                "streamcluster", "plsa",      "scalparc",
-                "hmmer",      "fasta",        "birch",
-                "semphy"};
+    const ColoConfig cfg = makeColoConfig(
+        services::ServiceKind::Memcached,
+        {"canneal", "bayesian", "snp", "kmeans", "raytrace", "glimmer",
+         "fluidanimate", "water_spatial", "water_nsquared",
+         "streamcluster", "plsa", "scalparc", "hmmer", "fasta", "birch",
+         "semphy"},
+        core::RuntimeKind::Pliant);
     EXPECT_THROW(Engine e(cfg), util::FatalError);
 }
 
@@ -435,8 +404,9 @@ TEST(EngineValidationTest, RejectsNonPositiveTickWithItsOwnMessage)
     // raised: nothing built before checkConfig may reject the tick
     // first with a different error.
     for (const sim::Time tick : {sim::Time{0}, sim::Time{-1}}) {
-        ColoConfig cfg;
-        cfg.apps = {"canneal"};
+        ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                        {"canneal"},
+                                        core::RuntimeKind::Pliant);
         cfg.tick = tick;
         try {
             Engine e(cfg);

@@ -32,11 +32,20 @@ TEST(FairShareTest, SplitsUsableCores)
     EXPECT_EQ(Engine::fairShare(spec, 3, 1), 4);
 }
 
-TEST(ExperimentTest, RequiresAtLeastOneApp)
+TEST(ExperimentTest, RequiresAtLeastOneService)
 {
+    // An app-less node is legal; a tenant-less one is not.
     ColoConfig cfg;
-    cfg.apps = {};
-    EXPECT_THROW(Engine exp(cfg), util::FatalError);
+    cfg.apps = {"canneal"};
+    try {
+        Engine exp(cfg);
+        ADD_FAILURE() << "a config without services was accepted";
+    } catch (const util::FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "needs at least one interactive service"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(ExperimentTest, RunsToTaskCompletion)
@@ -60,11 +69,12 @@ TEST(ExperimentTest, DeterministicForSeed)
     TimelineRecorder ta, tb;
     const ColoResult a = runRecorded(cfg, ta);
     const ColoResult b = runRecorded(cfg, tb);
-    EXPECT_DOUBLE_EQ(a.overallP99Us, b.overallP99Us);
+    EXPECT_DOUBLE_EQ(a.services[0].overallP99Us, b.services[0].overallP99Us);
     EXPECT_DOUBLE_EQ(a.apps[0].inaccuracy, b.apps[0].inaccuracy);
     ASSERT_EQ(ta.points.size(), tb.points.size());
     for (std::size_t i = 0; i < ta.points.size(); ++i)
-        EXPECT_DOUBLE_EQ(ta.points[i].p99Us, tb.points[i].p99Us);
+        EXPECT_DOUBLE_EQ(ta.points[i].services[0].p99Us,
+                         tb.points[i].services[0].p99Us);
 }
 
 TEST(ExperimentTest, DifferentSeedsDiffer)
@@ -75,7 +85,7 @@ TEST(ExperimentTest, DifferentSeedsDiffer)
     const ColoResult b = runColocation(
         services::ServiceKind::Nginx, {"canneal"},
         core::RuntimeKind::Pliant, 2);
-    EXPECT_NE(a.overallP99Us, b.overallP99Us);
+    EXPECT_NE(a.services[0].overallP99Us, b.services[0].overallP99Us);
 }
 
 TEST(ExperimentTest, PreciseBaselineNeverActuates)
@@ -124,16 +134,15 @@ TEST(ExperimentTest, TimelineInvariants)
         EXPECT_LE(tp.variantOf[1], most_bayes);
         EXPECT_GE(tp.reclaimed[0], 0);
         EXPECT_GE(tp.reclaimed[1], 0);
-        EXPECT_GT(tp.p99Us, 0.0);
+        EXPECT_GT(tp.services[0].p99Us, 0.0);
     }
 }
 
 TEST(ExperimentTest, MultiAppUsesSmallerFairShare)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::MongoDb;
-    cfg.apps = {"scalparc", "fasta", "hmmer"};
-    cfg.seed = 4;
+    const ColoConfig cfg = makeColoConfig(
+        services::ServiceKind::MongoDb, {"scalparc", "fasta", "hmmer"},
+        core::RuntimeKind::Pliant, 4);
     Engine exp(cfg);
     const ColoResult r = exp.run();
     EXPECT_EQ(r.apps.size(), 3u);
@@ -146,8 +155,8 @@ TEST(ExperimentTest, QosMetFractionWithinUnit)
     const ColoResult r = runColocation(
         services::ServiceKind::MongoDb, {"snp"},
         core::RuntimeKind::Pliant, 5);
-    EXPECT_GE(r.qosMetFraction, 0.0);
-    EXPECT_LE(r.qosMetFraction, 1.0);
+    EXPECT_GE(r.services[0].qosMetFraction, 0.0);
+    EXPECT_LE(r.services[0].qosMetFraction, 1.0);
 }
 
 TEST(ExperimentTest, InaccuracyWithinCatalogBudget)
@@ -174,9 +183,8 @@ TEST(ExperimentTest, ApproximationAloneFlagConsistent)
 
 TEST(ExperimentTest, MaxDurationCapsRunaway)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"plsa"};
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                    {"plsa"}, core::RuntimeKind::Pliant);
     cfg.maxDuration = 3 * sim::kSecond;
     TimelineRecorder recorder;
     const ColoResult r = runRecorded(cfg, recorder);
@@ -186,11 +194,10 @@ TEST(ExperimentTest, MaxDurationCapsRunaway)
 
 TEST(ExperimentTest, DecisionIntervalControlsTimelineDensity)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"raytrace"};
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                    {"raytrace"},
+                                    core::RuntimeKind::Pliant, 8);
     cfg.decisionInterval = 2 * sim::kSecond;
-    cfg.seed = 8;
     TimelineRecorder coarse;
     runRecorded(cfg, coarse);
 
@@ -204,11 +211,10 @@ TEST(ExperimentTest, DecisionIntervalControlsTimelineDensity)
 
 TEST(ExperimentTest, ImpactAwareArbiterRuns)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Nginx;
-    cfg.apps = {"canneal", "snp"};
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Nginx,
+                                    {"canneal", "snp"},
+                                    core::RuntimeKind::Pliant, 9);
     cfg.arbiter = core::ArbiterKind::ImpactAware;
-    cfg.seed = 9;
     Engine exp(cfg);
     const ColoResult r = exp.run();
     EXPECT_EQ(r.apps.size(), 2u);

@@ -92,7 +92,7 @@ TEST(LearnedAblationTest, VectorBeatsWorstRatioBaselineOnMaxRatio)
     // worst-service ratio, strictly lower quality loss, no-worse QoS.
     EXPECT_LT(worstMeanRatio(vec), worstMeanRatio(sca));
     EXPECT_LT(vec.apps[0].inaccuracy, sca.apps[0].inaccuracy);
-    EXPECT_GE(vec.qosMetFraction, sca.qosMetFraction);
+    EXPECT_GE(vec.services[0].qosMetFraction, sca.services[0].qosMetFraction);
 
     // Exact pins (deterministic runs).
     EXPECT_PINNED(worstMeanRatio(vec), 0.78325918797550498);
@@ -116,8 +116,8 @@ TEST(LearnedAblationTest, VectorRecoversPrecisionAfterTransients)
     // the transiently sacrificed quality back (~10x lower final
     // inaccuracy) because it can see that EVERY tenant clears the
     // target at the shallower variant.
-    EXPECT_DOUBLE_EQ(vec.qosMetFraction, 1.0);
-    EXPECT_DOUBLE_EQ(sca.qosMetFraction, 1.0);
+    EXPECT_DOUBLE_EQ(vec.services[0].qosMetFraction, 1.0);
+    EXPECT_DOUBLE_EQ(sca.services[0].qosMetFraction, 1.0);
     EXPECT_LT(vec.apps[0].inaccuracy, sca.apps[0].inaccuracy / 5.0);
 
     EXPECT_PINNED(vec.apps[0].inaccuracy, 0.00069000757668006164);
@@ -147,11 +147,11 @@ TEST(LearnedAblationTest, ScalarFlagIsByteInvisibleWithOneService)
     ASSERT_FALSE(ta.empty());
     ASSERT_EQ(ta.size(), tb.size());
     for (std::size_t i = 0; i < ta.size(); ++i) {
-        EXPECT_EQ(ta[i].p99Us, tb[i].p99Us);
+        EXPECT_EQ(ta[i].services[0].p99Us, tb[i].services[0].p99Us);
         EXPECT_EQ(ta[i].variantOf, tb[i].variantOf);
     }
     EXPECT_EQ(a.apps[0].inaccuracy, b.apps[0].inaccuracy);
-    EXPECT_EQ(a.overallP99Us, b.overallP99Us);
+    EXPECT_EQ(a.services[0].overallP99Us, b.services[0].overallP99Us);
 }
 
 } // namespace

@@ -21,12 +21,9 @@ ColoConfig
 sampleConfig(core::RuntimeKind kind = core::RuntimeKind::Pliant,
              bool partitioning = false)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"canneal"};
-    cfg.runtime = kind;
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                    {"canneal"}, kind, 33);
     cfg.enableCachePartitioning = partitioning;
-    cfg.seed = 33;
     return cfg;
 }
 
@@ -106,10 +103,9 @@ TEST(TraceTest, SummaryCsvRoundTripsKeyFields)
 
 TEST(TraceTest, MultiAppColumnsPerApp)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Nginx;
-    cfg.apps = {"canneal", "bayesian"};
-    cfg.seed = 34;
+    const ColoConfig cfg = makeColoConfig(
+        services::ServiceKind::Nginx, {"canneal", "bayesian"},
+        core::RuntimeKind::Pliant, 34);
     std::istringstream is(timelineCsv(cfg));
     std::string header;
     std::getline(is, header);
@@ -150,10 +146,9 @@ TEST(TraceTest, SummaryCsvForAppLessNodeHasNoNan)
 
 TEST(TraceTest, TimelineCsvBytesArePinned)
 {
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"canneal"};
-    cfg.seed = 37;
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,
+                                    {"canneal"},
+                                    core::RuntimeKind::Pliant, 37);
     cfg.maxDuration = 12 * sim::kSecond;
     EXPECT_EQ(timelineCsv(cfg),
         "t_s,p99_us,p99_over_qos,load,decision,partition_ways,"
@@ -239,14 +234,13 @@ TEST(PartitionIntegrationTest, PartitionedRunStillMeetsQos)
     // NGINX is the LLC-sensitive service here, so cache isolation is
     // an effective lever for it (for memcached the runtime's
     // futility detection falls through to cores instead).
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Nginx;
-    cfg.apps = {"canneal"};
+    ColoConfig cfg = makeColoConfig(services::ServiceKind::Nginx,
+                                    {"canneal"},
+                                    core::RuntimeKind::Pliant, 33);
     cfg.enableCachePartitioning = true;
-    cfg.seed = 33;
     Engine exp(cfg);
     const ColoResult r = exp.run();
-    EXPECT_LE(r.meanIntervalP99Us, 1.10 * r.qosUs);
+    EXPECT_LE(r.services[0].meanIntervalP99Us, 1.10 * r.services[0].qosUs);
     EXPECT_GT(r.maxPartitionWays, 0);
 }
 
@@ -260,7 +254,7 @@ TEST(LearnedIntegrationTest, LearnedRuntimeControlsTheColocation)
     EXPECT_LE(r.apps[0].inaccuracy, 0.06);
     // And it should do clearly better than the precise baseline.
     const ColoResult precise = sampleRun(core::RuntimeKind::Precise);
-    EXPECT_LT(r.steadyP99Us, precise.steadyP99Us);
+    EXPECT_LT(r.services[0].steadyP99Us, precise.services[0].steadyP99Us);
 }
 
 TEST(LearnedIntegrationTest, LearnedSacrificesLessQualityThanPliant)
@@ -270,11 +264,9 @@ TEST(LearnedIntegrationTest, LearnedSacrificesLessQualityThanPliant)
     // easy colocation its quality loss should not exceed Pliant's by
     // much (and is typically lower).
     const ColoConfig base = [] {
-        ColoConfig c;
-        c.service = services::ServiceKind::MongoDb;
-        c.apps = {"bayesian"};
-        c.seed = 35;
-        return c;
+        return makeColoConfig(services::ServiceKind::MongoDb,
+                              {"bayesian"}, core::RuntimeKind::Pliant,
+                              35);
     }();
     ColoConfig pl = base;
     pl.runtime = core::RuntimeKind::Pliant;

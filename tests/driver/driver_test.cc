@@ -202,8 +202,9 @@ renderColoTable(const std::vector<colo::ColoResult> &results)
     util::TextTable t({"cell", "p99/QoS", "cores", "inacc"});
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
+        const colo::ServiceOutcome &svc = r.services[0];
         t.addRow({std::to_string(i),
-                  util::fmt(r.steadyP99Us / r.qosUs, 4),
+                  util::fmt(svc.steadyP99Us / svc.qosUs, 4),
                   std::to_string(r.maxCoresReclaimedTotal),
                   r.apps.empty()
                       ? "-"
@@ -231,13 +232,11 @@ TEST(DriverDeterminismTest, Fig1StyleSweepMatchesSerialByteForByte)
         for (const auto &v : catalog[p].variants) {
             for (auto kind : {services::ServiceKind::Nginx,
                               services::ServiceKind::Memcached}) {
-                colo::ColoConfig cfg;
-                cfg.service = kind;
-                cfg.apps = {catalog[p].name};
-                cfg.runtime = core::RuntimeKind::Precise;
+                colo::ColoConfig cfg = colo::makeColoConfig(
+                    kind, {catalog[p].name}, core::RuntimeKind::Precise,
+                    7);
                 cfg.initialVariants = {v.index};
                 cfg.maxDuration = 10 * sim::kSecond;
-                cfg.seed = 7;
                 configs.push_back(cfg);
             }
         }

@@ -39,7 +39,7 @@ TEST_P(PreciseViolatesTest, RepresentativeAppsViolateQos)
     for (const char *app :
          {"canneal", "streamcluster", "bayesian", "plsa"}) {
         const ColoResult r = precise(GetParam(), app);
-        EXPECT_GT(r.steadyP99Us, r.qosUs)
+        EXPECT_GT(r.services[0].steadyP99Us, r.services[0].qosUs)
             << serviceName(GetParam()) << " + " << app;
     }
 }
@@ -51,9 +51,9 @@ TEST_P(PreciseViolatesTest, PliantRestoresQos)
         const ColoResult r = pliant(GetParam(), app);
         // Fig. 5 criterion: the reported (interval-mean) tail is at
         // or below QoS once the control loop is active.
-        EXPECT_LE(r.meanIntervalP99Us, 1.10 * r.qosUs)
+        EXPECT_LE(r.services[0].meanIntervalP99Us, 1.10 * r.services[0].qosUs)
             << serviceName(GetParam()) << " + " << app;
-        EXPECT_GT(r.qosMetFraction, 0.6)
+        EXPECT_GT(r.services[0].qosMetFraction, 0.6)
             << serviceName(GetParam()) << " + " << app;
     }
 }
@@ -70,8 +70,8 @@ TEST(PaperClaimsTest, PliantBeatsPreciseOnTailLatency)
 {
     for (auto svc : {ServiceKind::Nginx, ServiceKind::Memcached,
                      ServiceKind::MongoDb}) {
-        const double prec = precise(svc, "canneal").steadyP99Us;
-        const double plia = pliant(svc, "canneal").steadyP99Us;
+        const double prec = precise(svc, "canneal").services[0].steadyP99Us;
+        const double plia = pliant(svc, "canneal").services[0].steadyP99Us;
         EXPECT_LT(plia, prec) << serviceName(svc);
     }
 }
@@ -155,11 +155,9 @@ TEST(PaperClaimsTest, MultiAppColocationSharesSacrifice)
     // Section 6.3 / Fig. 6: with two approximate apps, the
     // round-robin arbiter spreads quality loss; neither app should
     // bear a disproportionate burden.
-    ColoConfig cfg;
-    cfg.service = ServiceKind::Memcached;
-    cfg.apps = {"canneal", "bayesian"};
-    cfg.seed = 13;
-    Engine exp(cfg);
+    Engine exp(makeColoConfig(ServiceKind::Memcached,
+                              {"canneal", "bayesian"},
+                              core::RuntimeKind::Pliant, 13));
     const ColoResult r = exp.run();
     ASSERT_EQ(r.apps.size(), 2u);
     // Both within their own budgets; neither at zero while the other
@@ -178,7 +176,7 @@ TEST(PaperClaimsTest, LowLoadNeedsNoApproximation)
     const ColoResult r = runColocation(
         ServiceKind::MongoDb, {"scalparc"}, core::RuntimeKind::Pliant,
         11, 0.40);
-    EXPECT_GT(r.qosMetFraction, 0.9);
+    EXPECT_GT(r.services[0].qosMetFraction, 0.9);
     EXPECT_LT(r.apps[0].inaccuracy, 0.01);
 }
 
@@ -189,17 +187,15 @@ TEST(PaperClaimsTest, ExtremeLoadCannotBeSavedByApproximation)
     const ColoResult r = runColocation(
         ServiceKind::Memcached, {"canneal"}, core::RuntimeKind::Pliant,
         11, 1.0);
-    EXPECT_GT(r.steadyP99Us, r.qosUs);
+    EXPECT_GT(r.services[0].steadyP99Us, r.services[0].qosUs);
 }
 
 TEST(PaperClaimsTest, CoarseDecisionIntervalsProlongViolations)
 {
     // Fig. 9: decision intervals above one second leave the service
     // in violation for longer.
-    ColoConfig fine;
-    fine.service = ServiceKind::Memcached;
-    fine.apps = {"canneal"};
-    fine.seed = 17;
+    ColoConfig fine = makeColoConfig(ServiceKind::Memcached, {"canneal"},
+                                     core::RuntimeKind::Pliant, 17);
     fine.decisionInterval = sim::kSecond;
 
     ColoConfig coarse = fine;
@@ -207,8 +203,8 @@ TEST(PaperClaimsTest, CoarseDecisionIntervalsProlongViolations)
 
     Engine fexp(fine);
     Engine cexp(coarse);
-    const double f = fexp.run().steadyP99Us;
-    const double c = cexp.run().steadyP99Us;
+    const double f = fexp.run().services[0].steadyP99Us;
+    const double c = cexp.run().services[0].steadyP99Us;
     EXPECT_LT(f, c);
 }
 

@@ -151,9 +151,9 @@ TEST(ObsEngineTest, EnablingMetricsDoesNotPerturbTheSimulation)
     EXPECT_TRUE(b.obsEnabled);
 
     // Simulated outputs are exactly unchanged...
-    EXPECT_EQ(a.steadyP99Us, b.steadyP99Us);
-    EXPECT_EQ(a.overallP99Us, b.overallP99Us);
-    EXPECT_EQ(a.qosMetFraction, b.qosMetFraction);
+    EXPECT_EQ(a.services[0].steadyP99Us, b.services[0].steadyP99Us);
+    EXPECT_EQ(a.services[0].overallP99Us, b.services[0].overallP99Us);
+    EXPECT_EQ(a.services[0].qosMetFraction, b.services[0].qosMetFraction);
     EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
     // ...down to the byte level of the timeline CSV (which carries
     // no obs columns).
