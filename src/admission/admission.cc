@@ -129,7 +129,9 @@ AdmissionQueue::shedFractionFor(double arrivals, double capacity_req,
             return 0.0;
         const double over = (fill - kShedThreshold) /
                             (1.0 - kShedThreshold);
-        return std::min(1.0, kShedAggressiveness * over);
+        const double shed = std::min(1.0, kShedAggressiveness * over);
+        // A budget slice caps deliberate shedding here too.
+        return shedCap >= 0.0 ? std::min(shed, shedCap) : shed;
     }
 
     case AdmissionKind::QosShed: {

@@ -86,7 +86,10 @@ struct BudgetConfig
      * fractions the cluster may spend. A node's slice replaces its
      * local admission::kMaxShedFraction clamp, so a slice above the
      * per-node default is a hot node spending entitlement its quiet
-     * peers are not using.
+     * peers are not using. The slices cap deliberate shedding only:
+     * the "shed used" a run reports (TimePoint, ColoResult and
+     * ClusterResult budgetShedUsed) also counts drop-tail overflow of
+     * a full buffer, so it can exceed this budget.
      */
     double shedBudget = 0.0;
 

@@ -164,7 +164,8 @@ struct ClusterResult
      * policy's name, and the cluster-wide usage — sums over nodes of
      * the per-node post-warmup means of quality-in-use and
      * worst-tenant shed fraction, comparable against the global
-     * budgets.
+     * budgets. Shed used counts drop-tail overflow too, so it can
+     * exceed the shed budget, which caps deliberate shedding only.
      */
     bool budgetEnabled = false;
     std::string budgetPolicy;

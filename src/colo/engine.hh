@@ -223,7 +223,10 @@ struct TimePoint
      * Budget accounting at this interval close, sampled only when
      * the node holds a budget slice (neutral otherwise): summed
      * current-variant inaccuracy of unfinished apps, the worst
-     * per-service shed fraction, and the caps in force.
+     * per-service shed fraction, and the caps in force. The shed
+     * fraction counts every shed request, drop-tail overflow
+     * included, so it can exceed the shed cap: the cap binds
+     * deliberate shedding only.
      */
     double budgetQualityUsed = 0.0;
     double budgetShedUsed = 0.0;
@@ -337,7 +340,9 @@ struct ColoResult
     /**
      * Budget rollups (neutral without a slice): mean quality-in-use
      * and worst-tenant shed fraction over post-warmup intervals,
-     * plus the final caps in force when the run ended.
+     * plus the final caps in force when the run ended. Shed used
+     * counts drop-tail overflow too, so it can exceed the shed cap,
+     * which binds deliberate shedding only.
      */
     double budgetQualityUsed = 0.0;
     double budgetShedUsed = 0.0;

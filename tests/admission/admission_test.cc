@@ -9,9 +9,7 @@
  *    the QoS feedback and relief floor), batching amortization, and
  *    jitter determinism;
  *  - config validation (every invalid field throws);
- *  - the disabled-is-inert regression: a config whose admission
- *    fields are set but not enabled is byte-identical to a default
- *    config — the pre-admission engine;
+ *  - a budget slice caps deliberate shedding under every policy;
  *  - engine integration: counters flow into ServiceReport /
  *    ServiceOutcome / the timeline, and the CSV writers grow their
  *    columns only when admission ran;
@@ -21,6 +19,11 @@
  *    QoS-guided shedding strictly beats the approximate-only
  *    baseline on worst-service QoS *and* on app quality, without
  *    touching a single core.
+ *
+ * That a disabled front-end with every field set is byte-identical
+ * to the default config, and reports neutral counters, is checked
+ * over random configs by the equivalence harness in
+ * tests/colo/builder_property_test.cc.
  */
 
 #include "admission/admission.hh"
@@ -138,6 +141,35 @@ TEST(AdmissionQueueTest, ProbabilisticShedEngagesAboveThreshold)
         out = q.tick(1.2, 1.0, kTick);
     EXPECT_GT(out.shedFraction, 0.0);
     EXPECT_LT(q.queueDepthRequests(), q.queueBoundRequests());
+}
+
+TEST(AdmissionQueueTest, ShedCapClampsProbabilisticShed)
+{
+    // A budget slice caps every deliberate shed, whatever the policy;
+    // a slice of 0 disarms it. Only a tick that leaves the buffer full
+    // may shed past the cap (drop-tail overflow). 1 ms ticks at a
+    // slight overload fill the buffer over a few ticks, so the policy
+    // wants to shed well before it overflows.
+    constexpr sim::Time kShortTick = sim::kMillisecond;
+    for (const double cap : {0.0, 0.05}) {
+        AdmissionQueue capped = makeQueue(
+            enabledConfig(AdmissionKind::ProbabilisticShed));
+        AdmissionQueue uncapped = makeQueue(
+            enabledConfig(AdmissionKind::ProbabilisticShed));
+        capped.setShedCap(cap);
+        bool binds = false;
+        for (int i = 0; i < 300; ++i) {
+            const double shed =
+                capped.tick(0.95, 1.0, kShortTick).shedFraction;
+            const double unclamped =
+                uncapped.tick(0.95, 1.0, kShortTick).shedFraction;
+            if (capped.queueDepthRequests() >= capped.queueBoundRequests())
+                continue;
+            EXPECT_LE(shed, cap) << "cap " << cap << ", tick " << i;
+            binds |= unclamped > cap;
+        }
+        EXPECT_TRUE(binds) << "cap " << cap << " never bound";
+    }
 }
 
 TEST(AdmissionQueueTest, QosShedGatesOnFeedbackAndReliefFloor)
@@ -280,64 +312,6 @@ runRecorded(const colo::ColoConfig &cfg, colo::TimelineRecorder &recorder)
     colo::Engine engine(cfg);
     engine.setTimelineSink(&recorder);
     return engine.run();
-}
-
-void
-expectIdenticalResults(const colo::ColoResult &a,
-                       const colo::ColoResult &b,
-                       const std::vector<colo::TimePoint> &ta,
-                       const std::vector<colo::TimePoint> &tb)
-{
-    EXPECT_EQ(a.services[0].overallP99Us, b.services[0].overallP99Us);
-    EXPECT_EQ(a.services[0].steadyP99Us, b.services[0].steadyP99Us);
-    EXPECT_EQ(a.services[0].meanIntervalP99Us,
-              b.services[0].meanIntervalP99Us);
-    EXPECT_EQ(a.services[0].qosMetFraction, b.services[0].qosMetFraction);
-    EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
-    ASSERT_FALSE(ta.empty());
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-        EXPECT_EQ(ta[i].services[0].loadFraction,
-                  tb[i].services[0].loadFraction);
-        ASSERT_EQ(ta[i].services.size(), tb[i].services.size());
-        for (std::size_t s = 0; s < ta[i].services.size(); ++s)
-            EXPECT_EQ(ta[i].services[s].p99Us, tb[i].services[s].p99Us);
-    }
-    ASSERT_EQ(a.apps.size(), b.apps.size());
-    for (std::size_t i = 0; i < a.apps.size(); ++i) {
-        EXPECT_EQ(a.apps[i].inaccuracy, b.apps[i].inaccuracy);
-        EXPECT_EQ(a.apps[i].relativeExecTime,
-                  b.apps[i].relativeExecTime);
-        EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
-    }
-}
-
-TEST(AdmissionEngineTest, DisabledAdmissionIsByteIdenticalToDefault)
-{
-    // Populating every admission field while leaving enabled=false
-    // must not perturb a single byte of the run: the disabled config
-    // space is exactly the pre-admission engine.
-    colo::ColoConfig plain = frontierConfig();
-    colo::ColoConfig loaded = frontierConfig();
-    loaded.admission.policy = AdmissionKind::QosShed;
-    loaded.admission.batching = BatchingKind::Adaptive;
-    loaded.admission.queueBoundQos = 1.0;
-    loaded.admission.batchSize = 4;
-    loaded.admission.batchTimeoutUs = 100.0;
-    ASSERT_FALSE(loaded.admission.enabled);
-
-    colo::TimelineRecorder ta, tb;
-    const colo::ColoResult a = runRecorded(plain, ta);
-    const colo::ColoResult b = runRecorded(loaded, tb);
-    EXPECT_FALSE(a.admissionEnabled);
-    EXPECT_FALSE(b.admissionEnabled);
-    expectIdenticalResults(a, b, ta.points, tb.points);
-    // And the neutral counter values survive into the outcomes.
-    for (const auto &svc : a.services) {
-        EXPECT_EQ(svc.shedFraction, 0.0);
-        EXPECT_EQ(svc.meanQueueDelayUs, 0.0);
-        EXPECT_EQ(svc.meanBatchSize, 1.0);
-    }
 }
 
 TEST(AdmissionEngineTest, InvalidAdmissionConfigFailsAtConstruction)

@@ -5,11 +5,7 @@
  *  - builder/config validation (zero-node clusters, service-less
  *    nodes, bad epochs, duplicate node names and the exact text that
  *    names the first repeat, bad loads);
- *  - the regression contract: a single-node Cluster is byte-identical
- *    to a bare colo::Engine run of the same node config;
- *  - thread-count invariance: a 3-node QoS-aware placement run (with
- *    migrations) is byte-identical at 1 and 6 worker threads, both
- *    inside one Cluster and across a runClusters batch;
+ *  - every shared setting reaches every node config;
  *  - placement semantics: static round-robin and least-loaded LPT
  *    assignments, QoS-aware migration's fixed thresholds and
  *    cooldown on hand-built node states, and pressure-driven
@@ -17,6 +13,12 @@
  *    exactly once;
  *  - tick accounting: a run that stops at app completion reports
  *    the ticks its nodes executed, not the horizon's.
+ *
+ * The byte-identity contracts (a single-node Cluster equals a bare
+ * colo::Engine of nodeConfig(0); runs are identical at any pool
+ * thread count, inside one Cluster and across a runClusters batch)
+ * are checked over random configs by the equivalence harness in
+ * tests/colo/builder_property_test.cc.
  */
 
 #include "cluster/cluster.hh"
@@ -31,7 +33,6 @@
 
 #include "approx/profile.hh"
 #include "colo/trace.hh"
-#include "driver/pool.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -40,82 +41,6 @@ using namespace pliant;
 using namespace pliant::cluster;
 
 constexpr sim::Time kS = sim::kSecond;
-
-/** Exact structural equality of two node results. */
-void
-expectIdenticalColo(const colo::ColoResult &a, const colo::ColoResult &b)
-{
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
-    EXPECT_EQ(a.typicalCoresReclaimed, b.typicalCoresReclaimed);
-    ASSERT_EQ(a.services.size(), b.services.size());
-    for (std::size_t s = 0; s < a.services.size(); ++s) {
-        EXPECT_EQ(a.services[s].name, b.services[s].name);
-        EXPECT_EQ(a.services[s].overallP99Us,
-                  b.services[s].overallP99Us);
-        EXPECT_EQ(a.services[s].steadyP99Us, b.services[s].steadyP99Us);
-        EXPECT_EQ(a.services[s].meanIntervalP99Us,
-                  b.services[s].meanIntervalP99Us);
-        EXPECT_EQ(a.services[s].qosMetFraction,
-                  b.services[s].qosMetFraction);
-    }
-    ASSERT_EQ(a.apps.size(), b.apps.size());
-    for (std::size_t i = 0; i < a.apps.size(); ++i) {
-        EXPECT_EQ(a.apps[i].name, b.apps[i].name);
-        EXPECT_EQ(a.apps[i].finished, b.apps[i].finished);
-        EXPECT_EQ(a.apps[i].inaccuracy, b.apps[i].inaccuracy);
-        EXPECT_EQ(a.apps[i].relativeExecTime,
-                  b.apps[i].relativeExecTime);
-        EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
-    }
-}
-
-/** Exact equality of two recorded per-interval series. */
-void
-expectIdenticalPoints(const std::vector<colo::TimePoint> &a,
-                      const std::vector<colo::TimePoint> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].t, b[i].t);
-        EXPECT_EQ(a[i].variantOf, b[i].variantOf);
-        EXPECT_EQ(a[i].reclaimed, b[i].reclaimed);
-        ASSERT_EQ(a[i].services.size(), b[i].services.size());
-        for (std::size_t s = 0; s < a[i].services.size(); ++s) {
-            EXPECT_EQ(a[i].services[s].p99Us, b[i].services[s].p99Us);
-            EXPECT_EQ(a[i].services[s].loadFraction,
-                      b[i].services[s].loadFraction);
-        }
-    }
-}
-
-/** Exact structural equality of two cluster results. */
-void
-expectIdenticalCluster(const ClusterResult &a, const ClusterResult &b)
-{
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.placement, b.placement);
-    EXPECT_EQ(a.worstServiceRatio, b.worstServiceRatio);
-    EXPECT_EQ(a.meanQosMetFraction, b.meanQosMetFraction);
-    EXPECT_EQ(a.meanInaccuracy, b.meanInaccuracy);
-    EXPECT_EQ(a.meanRelativeExecTime, b.meanRelativeExecTime);
-    EXPECT_EQ(a.appsFinished, b.appsFinished);
-    EXPECT_EQ(a.appsTotal, b.appsTotal);
-    EXPECT_EQ(a.totalMaxCoresReclaimed, b.totalMaxCoresReclaimed);
-    ASSERT_EQ(a.migrations.size(), b.migrations.size());
-    for (std::size_t i = 0; i < a.migrations.size(); ++i) {
-        EXPECT_EQ(a.migrations[i].t, b.migrations[i].t);
-        EXPECT_EQ(a.migrations[i].app, b.migrations[i].app);
-        EXPECT_EQ(a.migrations[i].from, b.migrations[i].from);
-        EXPECT_EQ(a.migrations[i].to, b.migrations[i].to);
-    }
-    ASSERT_EQ(a.nodes.size(), b.nodes.size());
-    for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-        EXPECT_EQ(a.nodes[i].name, b.nodes[i].name);
-        EXPECT_EQ(a.nodes[i].seed, b.nodes[i].seed);
-        expectIdenticalColo(a.nodes[i].result, b.nodes[i].result);
-    }
-}
 
 /** A cluster run plus every node's recorded per-interval series. */
 struct RecordedCluster
@@ -135,39 +60,6 @@ runRecorded(ClusterConfig cfg)
         cl.setTimelineSink(i, &out.nodes[i]);
     out.result = cl.run();
     return out;
-}
-
-/**
- * runClusters() with every node recorded: each cluster runs its nodes
- * serially inside its batch worker, as runClusters runs it.
- */
-std::vector<RecordedCluster>
-runRecorded(const std::vector<ClusterConfig> &configs, unsigned threads)
-{
-    return driver::parallelMap(configs, threads, [](const ClusterConfig &cfg) {
-        ClusterConfig serial = cfg;
-        serial.threads = 1;
-        return runRecorded(std::move(serial));
-    });
-}
-
-/** Exact equality of two recorded cluster runs, series included. */
-void
-expectIdenticalCluster(const RecordedCluster &a, const RecordedCluster &b)
-{
-    expectIdenticalCluster(a.result, b.result);
-    ASSERT_EQ(a.nodes.size(), b.nodes.size());
-    for (std::size_t i = 0; i < a.nodes.size(); ++i)
-        expectIdenticalPoints(a.nodes[i].points, b.nodes[i].points);
-}
-
-/** Run `node_cfg` on a bare engine, recording its series. */
-colo::ColoResult
-runBare(const colo::ColoConfig &node_cfg, colo::TimelineRecorder &recorder)
-{
-    colo::Engine bare(node_cfg);
-    bare.setTimelineSink(&recorder);
-    return bare.run();
 }
 
 /**
@@ -367,42 +259,6 @@ TEST(ClusterValidationTest, ConstructorRejectsBadLoads)
     }
 }
 
-TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
-{
-    const ClusterConfig cfg =
-        ClusterConfigBuilder()
-            .node("solo")
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::flashCrowd(0.60, 0.95, 30 * kS,
-                                                3 * kS, 20 * kS,
-                                                10 * kS))
-            .service(services::ServiceKind::Nginx,
-                     colo::Scenario::constant(0.65))
-            .apps({"canneal", "bayesian"})
-            .runtime(core::RuntimeKind::Pliant)
-            .epoch(5 * kS)
-            .maxDuration(120 * kS)
-            .seed(71)
-            .build();
-
-    Cluster cl(cfg);
-    // The equivalent bare run: same node config, same derived seed.
-    const colo::ColoConfig node_cfg = cl.nodeConfig(0);
-    EXPECT_EQ(node_cfg.seed, Cluster::nodeSeed(71, 0));
-
-    colo::TimelineRecorder bare_series, node_series;
-    const colo::ColoResult direct = runBare(node_cfg, bare_series);
-
-    cl.setTimelineSink(0, &node_series);
-    const ClusterResult r = cl.run();
-    ASSERT_EQ(r.nodes.size(), 1u);
-    EXPECT_TRUE(r.migrations.empty());
-    expectIdenticalColo(r.nodes[0].result, direct);
-    // The element-wise series comparison is non-vacuous.
-    EXPECT_FALSE(bare_series.points.empty());
-    expectIdenticalPoints(node_series.points, bare_series.points);
-}
-
 TEST(ClusterNodeConfigTest, EverySharedSettingReachesEveryNode)
 {
     // One row per colo::RunConfig field a node takes unchanged from
@@ -495,154 +351,6 @@ TEST(ClusterNodeConfigTest, EverySharedSettingReachesEveryNode)
         apps_seen += node.apps.size();
     }
     EXPECT_EQ(apps_seen, cfg.apps.size());
-}
-
-TEST(ClusterDeterminismTest, QosAwareSweepIdenticalAt1And6Threads)
-{
-    const auto one = runRecorded(acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Precise, 1));
-    const auto many = runRecorded(acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Precise, 6));
-    // The run must actually exercise the migration path for this to
-    // pin anything interesting.
-    EXPECT_FALSE(one.result.migrations.empty());
-    expectIdenticalCluster(one, many);
-}
-
-TEST(ClusterDeterminismTest, LearnedRunWithMigrationIdenticalAt1And6Threads)
-{
-    // The vector-conditioned learned arbiter carries per-task model
-    // state across the migration this cluster performs; both the
-    // model transfer and the relief predictions feeding the QoS-aware
-    // policy must stay byte-identical at any worker thread count.
-    const auto one = runRecorded(acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Learned, 1));
-    const auto many = runRecorded(acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Learned, 6));
-    // The run must exercise the migration (and thus the learned
-    // model checkpoint/restore path) for this to pin anything.
-    EXPECT_FALSE(one.result.migrations.empty());
-    expectIdenticalCluster(one, many);
-}
-
-TEST(ClusterDeterminismTest, LearnedSweepBatchIdenticalAt1And6Threads)
-{
-    // The same learned cluster, batched at two thread counts with
-    // every node recorded, next to its scalar-conditioned ablation
-    // twin.
-    ClusterConfig vec = acceptanceConfig(PlacementKind::QosAware,
-                                         core::RuntimeKind::Learned, 1);
-    ClusterConfig scalar = vec;
-    scalar.learnedVector = false;
-    const std::vector<ClusterConfig> configs = {vec, scalar};
-
-    const auto one = runRecorded(configs, 1);
-    const auto many = runRecorded(configs, 6);
-    ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-        // Every node's series must be recorded for this to pin it.
-        for (const auto &node : one[i].nodes)
-            EXPECT_FALSE(node.points.empty());
-        expectIdenticalCluster(one[i], many[i]);
-    }
-    // runClusters is the same parallel map without the recorders.
-    const auto batch = runClusters(configs, 6);
-    ASSERT_EQ(batch.size(), one.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdenticalCluster(batch[i], one[i].result);
-}
-
-TEST(ClusterDeterminismTest, BatchSweepIdenticalAt1And6Threads)
-{
-    std::vector<ClusterConfig> configs;
-    for (auto placement : {PlacementKind::Static,
-                           PlacementKind::LeastLoaded,
-                           PlacementKind::QosAware})
-        configs.push_back(acceptanceConfig(
-            placement, core::RuntimeKind::Pliant, 1));
-
-    const auto one = runRecorded(configs, 1);
-    const auto many = runRecorded(configs, 6);
-    ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-        // Every node's series must be recorded for this to pin it.
-        for (const auto &node : one[i].nodes)
-            EXPECT_FALSE(node.points.empty());
-        expectIdenticalCluster(one[i], many[i]);
-    }
-    // runClusters is the same parallel map without the recorders.
-    const auto batch = runClusters(configs, 6);
-    ASSERT_EQ(batch.size(), one.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdenticalCluster(batch[i], one[i].result);
-}
-
-TEST(ClusterDeterminismTest, AdmissionRunIdenticalAt1And6Threads)
-{
-    // The admission front-end adds per-tenant queue state (SplitMix64
-    // arrival jitter, gate state, interval counters) that must stay
-    // byte-identical at any worker thread count, migrations included.
-    ClusterConfig one_cfg = acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Precise, 1);
-    one_cfg.admission.enabled = true;
-    one_cfg.admission.policy = admission::AdmissionKind::QosShed;
-    ClusterConfig many_cfg = one_cfg;
-    many_cfg.threads = 6;
-
-    const auto one = runRecorded(one_cfg);
-    const auto many = runRecorded(many_cfg);
-    // The crowd must actually engage both subsystems for this to pin
-    // anything: requests shed on some node, and a migration.
-    EXPECT_FALSE(one.result.migrations.empty());
-    double max_shed = 0.0;
-    for (const auto &node : one.result.nodes)
-        for (const auto &svc : node.result.services)
-            max_shed = std::max(max_shed, svc.shedFraction);
-    EXPECT_GT(max_shed, 0.0);
-    expectIdenticalCluster(one, many);
-}
-
-TEST(ClusterRegressionTest, SingleNodeClusterWithAdmissionEqualsBareEngine)
-{
-    const ClusterConfig cfg =
-        ClusterConfigBuilder()
-            .node("solo")
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::flashCrowd(0.45, 1.15, 10 * kS,
-                                                3 * kS, 25 * kS,
-                                                5 * kS))
-            .service(services::ServiceKind::Nginx,
-                     colo::Scenario::constant(0.45))
-            .apps({"canneal", "bayesian"})
-            .runtime(core::RuntimeKind::Pliant)
-            .admission(admission::AdmissionKind::QosShed)
-            .epoch(5 * kS)
-            .maxDuration(120 * kS)
-            .seed(71)
-            .build();
-
-    Cluster cl(cfg);
-    const colo::ColoConfig node_cfg = cl.nodeConfig(0);
-    EXPECT_TRUE(node_cfg.admission.enabled);
-
-    colo::TimelineRecorder bare_series, node_series;
-    const colo::ColoResult direct = runBare(node_cfg, bare_series);
-
-    cl.setTimelineSink(0, &node_series);
-    const ClusterResult r = cl.run();
-    ASSERT_EQ(r.nodes.size(), 1u);
-    expectIdenticalColo(r.nodes[0].result, direct);
-    expectIdenticalPoints(node_series.points, bare_series.points);
-    // The admission rollups are part of the contract too.
-    ASSERT_EQ(r.nodes[0].result.services.size(),
-              direct.services.size());
-    for (std::size_t s = 0; s < direct.services.size(); ++s) {
-        EXPECT_EQ(r.nodes[0].result.services[s].shedFraction,
-                  direct.services[s].shedFraction);
-        EXPECT_EQ(r.nodes[0].result.services[s].meanQueueDelayUs,
-                  direct.services[s].meanQueueDelayUs);
-    }
-    EXPECT_GT(direct.services[0].shedFraction, 0.0);
 }
 
 TEST(ClusterPlacementTest, StaticAssignsRoundRobin)

@@ -7,8 +7,9 @@
  *    fixed configs (captured before the engine extraction), so the
  *    refactor provably did not move any figure;
  *  - the acceptance scenario: memcached + nginx sharing a box with
- *    two approximate apps through a flash crowd, run through
- *    runColocations, byte-identical at 1 and 6 worker threads;
+ *    two approximate apps through a flash crowd (its thread-count
+ *    invariance is the equivalence harness's, in
+ *    builder_property_test.cc);
  *  - config validation (bad fair-core splits, duplicate tenants);
  *  - the close schedule: no decision interval holds more than
  *    ceil(interval / tick) ticks, the bound each tenant's monitor
@@ -24,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/pool.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -59,15 +59,6 @@ runRecorded(const ColoConfig &cfg)
     out.result = engine.run();
     out.points = std::move(recorder.points);
     return out;
-}
-
-/** runColocations() with every run recorded. */
-std::vector<Recorded>
-runRecorded(const std::vector<ColoConfig> &configs, unsigned threads)
-{
-    return driver::parallelMap(configs, threads, [](const ColoConfig &cfg) {
-        return runRecorded(cfg);
-    });
 }
 
 TEST(EngineRegressionTest, PliantSingleAppMatchesPreRefactorNumbers)
@@ -204,46 +195,6 @@ TEST(EngineRegressionTest, TickEqualsIntervalMatchesPinnedNumbers)
     }
 }
 
-/** Exact structural equality of two recorded (byte-identical) runs. */
-void
-expectIdentical(const Recorded &ra, const Recorded &rb)
-{
-    const ColoResult &a = ra.result, &b = rb.result;
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.maxCoresReclaimedTotal, b.maxCoresReclaimedTotal);
-    EXPECT_EQ(a.typicalCoresReclaimed, b.typicalCoresReclaimed);
-    ASSERT_EQ(a.services.size(), b.services.size());
-    for (std::size_t s = 0; s < a.services.size(); ++s) {
-        EXPECT_EQ(a.services[s].name, b.services[s].name);
-        EXPECT_EQ(a.services[s].overallP99Us, b.services[s].overallP99Us);
-        EXPECT_EQ(a.services[s].steadyP99Us, b.services[s].steadyP99Us);
-        EXPECT_EQ(a.services[s].meanIntervalP99Us,
-                  b.services[s].meanIntervalP99Us);
-        EXPECT_EQ(a.services[s].qosMetFraction,
-                  b.services[s].qosMetFraction);
-    }
-    ASSERT_EQ(a.apps.size(), b.apps.size());
-    for (std::size_t i = 0; i < a.apps.size(); ++i) {
-        EXPECT_EQ(a.apps[i].inaccuracy, b.apps[i].inaccuracy);
-        EXPECT_EQ(a.apps[i].relativeExecTime,
-                  b.apps[i].relativeExecTime);
-        EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
-    }
-    const std::vector<TimePoint> &pa = ra.points, &pb = rb.points;
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-        EXPECT_EQ(pa[i].t, pb[i].t);
-        ASSERT_EQ(pa[i].services.size(), pb[i].services.size());
-        for (std::size_t s = 0; s < pa[i].services.size(); ++s) {
-            EXPECT_EQ(pa[i].services[s].p99Us, pb[i].services[s].p99Us);
-            EXPECT_EQ(pa[i].services[s].loadFraction,
-                      pb[i].services[s].loadFraction);
-        }
-        EXPECT_EQ(pa[i].variantOf, pb[i].variantOf);
-        EXPECT_EQ(pa[i].reclaimed, pb[i].reclaimed);
-    }
-}
-
 /** The acceptance config: memcached + nginx, two approximate apps,
  * a flash crowd hitting memcached mid-run. */
 std::vector<ColoConfig>
@@ -265,25 +216,10 @@ acceptanceConfigs()
     return configs;
 }
 
-TEST(EngineMultiServiceTest, FlashCrowdSweepIdenticalAt1And6Threads)
-{
-    const auto configs = acceptanceConfigs();
-
-    const auto one = runRecorded(configs, 1);
-    const auto many = runRecorded(configs, 6);
-    ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        expectIdentical(one[i], many[i]);
-    // runColocations is the same parallel map without the recorder.
-    const auto batch = runColocations(configs, 6);
-    ASSERT_EQ(batch.size(), one.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdentical({batch[i], one[i].points}, one[i]);
-}
-
 TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
 {
-    for (const auto &rec : runRecorded(acceptanceConfigs(), 0)) {
+    for (const ColoConfig &cfg : acceptanceConfigs()) {
+        const Recorded rec = runRecorded(cfg);
         const ColoResult &r = rec.result;
         ASSERT_EQ(r.services.size(), 2u);
         EXPECT_EQ(r.services[0].name, "memcached");
@@ -343,8 +279,10 @@ TEST(EngineMultiServiceTest, ScenarioLoadShowsUpInTheTimeline)
 TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
 {
     // Both tenants live inside the service-side way partition; the
-    // runtime may isolate ways before reclaiming cores, and the run
-    // must stay deterministic across thread counts.
+    // runtime may isolate ways before reclaiming cores. The
+    // equivalence harness (builder_property_test.cc) runs this config
+    // as its fixed input: identical at 1 and 3 worker threads and
+    // under every other transform.
     const sim::Time s = sim::kSecond;
     ColoConfig cfg = makeMultiServiceConfig(
         {{services::ServiceKind::Nginx, Scenario::constant(0.70)},
@@ -353,15 +291,12 @@ TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
     cfg.enableCachePartitioning = true;
     cfg.maxDuration = 120 * s;
 
-    const auto one = runRecorded({cfg}, 1);
-    const auto many = runRecorded({cfg}, 6);
-    expectIdentical(one[0], many[0]);
-
-    const ColoResult &r = one[0].result;
+    const Recorded rec = runRecorded(cfg);
+    const ColoResult &r = rec.result;
     ASSERT_EQ(r.services.size(), 2u);
     // The LLC-sensitive primary drives the partition lever.
     EXPECT_GT(r.maxPartitionWays, 0);
-    for (const auto &tp : one[0].points)
+    for (const auto &tp : rec.points)
         EXPECT_LE(tp.partitionWays, cfg.spec.llcWays);
 }
 
