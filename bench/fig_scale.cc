@@ -17,9 +17,9 @@
  *    equal — double-for-double — between the serial run and an
  *    N-thread node pool.
  *
- * Like perf_tick, the configuration is frozen: the committed
- * BENCH_scale.json is generated with --quick (the CI shape) and the
- * schema checker hard-fails if any deterministic field moves.
+ * The configuration is frozen: the committed BENCH_scale.json is
+ * generated with --quick (the CI shape) and the schema checker
+ * hard-fails if any deterministic field moves.
  * `ticks` counts the node-ticks the nodes executed: the full 60 s
  * run stops near 40 s, once every app has finished.
  *

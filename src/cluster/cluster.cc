@@ -242,8 +242,11 @@ Cluster::applyMigration(const MigrationDecision &decision,
         engines[decision.to]->advanceUntil(
             now, /*keep_services_running=*/true);
         engines[decision.to]->attachApp(state);
+        // Both clocks now sit on the first tick at or past the
+        // barrier, where the detach and attach roster changes are
+        // stamped; the migration carries that same time.
         out.migrations.push_back(
-            {now, decision.app, decision.from, decision.to});
+            {src.now(), decision.app, decision.from, decision.to});
         if (metrics)
             metrics->add(mid.migrations);
         if (tracer) {

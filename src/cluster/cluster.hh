@@ -102,7 +102,12 @@ struct ClusterConfig : colo::RunConfig
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 
-/** One recorded migration. */
+/**
+ * One recorded migration. `t` is the node clock at the move: the
+ * first tick at or past the epoch barrier, the time both nodes stamp
+ * on the roster change (the barrier itself when the tick divides the
+ * epoch).
+ */
 struct MigrationEvent
 {
     sim::Time t = 0;

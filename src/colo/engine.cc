@@ -743,11 +743,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 const double p99 = reports[s].interval.p99Us;
                 acc.sumP99All += p99;
                 ++acc.nAll;
-                if (post_warmup) {
-                    acc.sumP99Post += p99;
-                    ++acc.nPost;
+                if (post_warmup)
                     acc.post.add(p99);
-                }
             }
             maxTotalReclaimed =
                 std::max(maxTotalReclaimed, total_reclaimed);
@@ -984,10 +981,9 @@ Engine::finalize()
         }
 
         const SvcAccum &acc = svcAccum[s];
-        const double sum_p99 =
-            acc.nPost > 0 ? acc.sumP99Post : acc.sumP99All;
-        const std::size_t n_intervals =
-            acc.nPost > 0 ? acc.nPost : acc.nAll;
+        const bool any_post = acc.post.count() > 0;
+        const double sum_p99 = any_post ? acc.post.sum() : acc.sumP99All;
+        const std::size_t n_intervals = any_post ? acc.post.count() : acc.nAll;
         out.meanIntervalP99Us = n_intervals == 0
             ? 0.0
             : sum_p99 / static_cast<double>(n_intervals);

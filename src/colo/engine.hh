@@ -640,11 +640,12 @@ class Engine
      */
     struct SvcAccum
     {
-        double sumP99Post = 0.0; ///< post-warmup interval p99 sum
-        std::size_t nPost = 0;
         double sumP99All = 0.0; ///< whole-run fallback sum
         std::size_t nAll = 0;
-        /** Post-warmup interval p99 distribution (new rollup). */
+        /**
+         * Post-warmup interval p99 distribution; finalize() takes the
+         * mean interval p99 from its plain chronological sum().
+         */
         util::RunningStats post;
     };
 

@@ -343,6 +343,14 @@ TEST(AdmissionEngineTest, CountersFlowIntoOutcomesAndTimeline)
     }
     EXPECT_TRUE(any_shed);
     EXPECT_TRUE(any_delay);
+
+    // With adaptive batching on a 120 s horizon the run lasts 3981
+    // ticks.
+    cfg.admission.batching = BatchingKind::Adaptive;
+    cfg.maxDuration = 120 * kS;
+    colo::Engine adaptive(cfg);
+    adaptive.run();
+    EXPECT_EQ(adaptive.now(), 3981 * cfg.tick);
 }
 
 TEST(AdmissionEngineTest, CsvColumnsAppearOnlyWhenAdmissionRan)

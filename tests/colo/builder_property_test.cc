@@ -849,6 +849,7 @@ expectSame(const std::string &want, const std::string &got,
 struct Coverage
 {
     std::size_t migrations = 0;
+    std::size_t offTickMigrations = 0; ///< tick does not divide the epoch
     std::size_t learnedMigrations = 0;
     bool shed = false;
     bool partitionWays = false;
@@ -996,17 +997,16 @@ TEST(EquivalenceHarnessTest, ClusterDrawsMatchUnderEveryTransform)
         for (std::size_t n = 0; n < ref.result.nodes.size(); ++n)
             checkNode({ref.result.nodes[n].result, ref.timeline[n]}, draw,
                       seen);
-        // Each move is a roster change on both sinks: the app leaves
-        // the source and joins the destination. A node clock stops at
-        // the first tick at or past the barrier, so the change is
-        // stamped up to one tick after the migration's t.
+        // Each move is a roster change on both sinks, stamped at the
+        // migration's t: the app leaves the source and joins the
+        // destination.
         for (const cluster::MigrationEvent &m : ref.result.migrations) {
             for (const auto &[node, joins] :
                  {std::pair(m.from, false), std::pair(m.to, true)}) {
                 const auto &rosters = ref.timeline[node].rosters;
                 EXPECT_TRUE(std::any_of(
                     rosters.begin(), rosters.end(), [&](const auto &ev) {
-                        return ev.t >= m.t && ev.t < m.t + cfg.tick &&
+                        return ev.t == m.t &&
                                std::count(ev.apps.begin(), ev.apps.end(),
                                           m.app) == joins;
                     }))
@@ -1015,6 +1015,8 @@ TEST(EquivalenceHarnessTest, ClusterDrawsMatchUnderEveryTransform)
             }
         }
         seen.migrations += ref.result.migrations.size();
+        if (cfg.epoch % cfg.tick != 0)
+            seen.offTickMigrations += ref.result.migrations.size();
         if (cfg.runtime == core::RuntimeKind::Learned)
             seen.learnedMigrations += ref.result.migrations.size();
         if (cfg.budget.enabled)
@@ -1037,6 +1039,8 @@ TEST(EquivalenceHarnessTest, ClusterDrawsMatchUnderEveryTransform)
                        "runClusters on " + std::to_string(threads));
     }
     EXPECT_GT(seen.migrations, 0u) << "no draw migrated an app";
+    EXPECT_GT(seen.offTickMigrations, 0u)
+        << "no draw migrated with a tick that does not divide its epoch";
     EXPECT_GT(seen.learnedMigrations, 0u)
         << "no Learned draw migrated (the model checkpoint path)";
     EXPECT_TRUE(seen.shed) << "no draw shed a request";

@@ -81,6 +81,14 @@ TEST(EngineRegressionTest, PliantSingleAppMatchesPreRefactorNumbers)
     EXPECT_PINNED(rec.points.back().services[0].p99Us, 141.09470936694575);
     EXPECT_PINNED(rec.points.back().services[0].loadFraction,
                   0.80775416712913262);
+
+    // Fig. 5's memcached + canneal cell (seed 31) runs 2598 ticks.
+    const ColoConfig fig5 = makeColoConfig(
+        services::ServiceKind::Memcached, {"canneal"},
+        core::RuntimeKind::Pliant, 31);
+    Engine engine(fig5);
+    engine.run();
+    EXPECT_EQ(engine.now(), 2598 * fig5.tick);
 }
 
 TEST(EngineRegressionTest, PliantTwoAppMatchesPreRefactorNumbers)
@@ -233,6 +241,28 @@ TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
             EXPECT_GT(tp.services[1].p99Us, 0.0);
         }
     }
+
+    // Eight tenants, the first two crowded, on the same apps and
+    // seed: every tenant is reported and the run lasts 3520 ticks.
+    const sim::Time s = sim::kSecond;
+    std::vector<ServiceSpec> specs;
+    for (int i = 0; i < 8; ++i) {
+        ServiceSpec spec;
+        spec.kind = i % 2 == 0 ? services::ServiceKind::Memcached
+                               : services::ServiceKind::Nginx;
+        spec.name = (i % 2 == 0 ? "mc-" : "ngx-") + std::to_string(i);
+        spec.scenario = i < 2 ? Scenario::flashCrowd(0.45, 0.95, 20 * s,
+                                                     3 * s, 20 * s, 10 * s)
+                              : Scenario::constant(0.45);
+        specs.push_back(std::move(spec));
+    }
+    ColoConfig wide = makeMultiServiceConfig(
+        std::move(specs), {"canneal", "bayesian"}, core::RuntimeKind::Pliant,
+        71);
+    wide.maxDuration = 120 * s;
+    Engine engine(wide);
+    EXPECT_EQ(engine.run().services.size(), 8u);
+    EXPECT_EQ(engine.now(), 3520 * wide.tick);
 }
 
 TEST(EngineMultiServiceTest, PliantImprovesOnPreciseUnderFlashCrowd)

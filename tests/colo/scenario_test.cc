@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace {
 
@@ -308,6 +309,66 @@ TEST(ScenarioTraceTest, LoadsCrlfLineEndings)
     EXPECT_DOUBLE_EQ(s.loadAt(0), 0.4);
     EXPECT_NEAR(s.loadAt(15 * kS), 0.6, 1e-12);
     EXPECT_DOUBLE_EQ(s.loadAt(60 * kS), 0.5);
+}
+
+TEST(ScenarioTraceTest, MutatedCsvFailsLoudlyOrLoadsAValidTrace)
+{
+    // Deterministic edits of a valid file (header, comment, CRLF
+    // line): byte flips, inserts and deletes, and whole fields
+    // replaced by a non-finite value or another row's time. Each
+    // mutant must either throw FatalError or load knots whose times
+    // strictly increase and whose loads are finite and >= 0.
+    const std::string valid =
+        "t_s,load\n# ramp\n0,0.4\r\n12.5,0.9\n30,6e-1\n";
+    const std::string bytes = "0123456789,.-+eE#\r\n\t ";
+    const char *const fragments[] = {"inf", "-inf", "nan", "NAN", "0", "30"};
+    util::SplitMix64 sm(0xC5F0AD5u);
+    std::size_t rejected = 0, loaded = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::string text = valid;
+        for (std::uint64_t edits = 1 + sm.next() % 3; edits > 0; --edits) {
+            const std::size_t at = sm.next() % text.size();
+            const char byte = bytes[sm.next() % bytes.size()];
+            switch (sm.next() % 4) {
+            case 0: // flip
+                text[at] = byte;
+                break;
+            case 1:
+                text.insert(at, 1, byte);
+                break;
+            case 2:
+                text.erase(at, 1);
+                break;
+            default: {
+                const std::size_t from = text.find_last_of(",\r\n", at) + 1;
+                const std::size_t to = text.find_first_of(",\r\n", from);
+                text.replace(from, to - from, fragments[sm.next() % 6]);
+                break;
+            }
+            }
+        }
+        const std::string mutant = "mutant " + std::to_string(i) + ": " +
+                                   ::testing::PrintToString(text);
+        std::istringstream in(text);
+        try {
+            const Scenario s = Scenario::traceFromCsv(in);
+            ++loaded;
+            ASSERT_FALSE(s.points.empty()) << mutant;
+            for (std::size_t k = 0; k < s.points.size(); ++k) {
+                ASSERT_TRUE(std::isfinite(s.points[k].load)) << mutant;
+                ASSERT_GE(s.points[k].load, 0.0) << mutant;
+                if (k > 0) {
+                    ASSERT_GT(s.points[k].t, s.points[k - 1].t) << mutant;
+                }
+            }
+        } catch (const util::FatalError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            FAIL() << mutant << " threw " << e.what();
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(loaded, 0u);
 }
 
 } // namespace
