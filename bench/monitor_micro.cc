@@ -5,8 +5,15 @@
  * 32-sample spans (one tenant tick's worth) with and without the
  * steady-state sketch, each reported per sample; at the interval
  * close, PerformanceMonitor::closeInterval on a filled window.
+ *
+ * The latency samples the monitor is fed are drawn first:
+ * BM_FillLognormal times one stream's Rng::fillLognormal, and
+ * BM_NormalBatches the same lognormal batches for several streams
+ * drawn by one Rng::normalBatches call, as a node's tenant group
+ * draws them. Both report time per sample.
  */
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -90,6 +97,54 @@ BM_ObserveSpan(benchmark::State &state)
     reportPerSample(state, kSpan);
 }
 BENCHMARK(BM_ObserveSpan)->ArgName("steady")->Arg(0)->Arg(1);
+
+/** Lognormal parameters of the sample batches (mu, sigma). */
+constexpr double kMu = 4.6;
+constexpr double kSigma = 0.77;
+
+/** Arg: samples per batch. One stream, one fillLognormal call. */
+void
+BM_FillLognormal(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    pliant::util::Rng rng(17);
+    std::vector<double> buf(n);
+    for (auto _ : state) {
+        rng.fillLognormal(buf.data(), n, kMu, kSigma);
+        benchmark::DoNotOptimize(buf.data());
+    }
+    reportPerSample(state, n);
+}
+BENCHMARK(BM_FillLognormal)->ArgName("samples")->Arg(33)->Arg(61);
+
+/**
+ * Args: streams, samples per stream. One normalBatches call draws
+ * every stream's normals, then each batch is scaled and exponentiated
+ * as fillLognormal does.
+ */
+void
+BM_NormalBatches(benchmark::State &state)
+{
+    const std::size_t streams = static_cast<std::size_t>(state.range(0));
+    const std::size_t n = static_cast<std::size_t>(state.range(1));
+    std::vector<pliant::util::Rng> rngs;
+    for (std::size_t k = 0; k < streams; ++k)
+        rngs.emplace_back(17 + k);
+    std::vector<double> buf(streams * n);
+    std::vector<pliant::util::Rng::NormalRequest> requests;
+    for (std::size_t k = 0; k < streams; ++k)
+        requests.push_back({&rngs[k], buf.data() + k * n, n});
+    for (auto _ : state) {
+        pliant::util::Rng::normalBatches(requests);
+        for (double &x : buf)
+            x = std::exp(kMu + kSigma * x);
+        benchmark::DoNotOptimize(buf.data());
+    }
+    reportPerSample(state, streams * n);
+}
+BENCHMARK(BM_NormalBatches)
+    ->ArgNames({"streams", "samples"})
+    ->ArgsProduct({{1, 2, 8, 10}, {33, 61}});
 
 /**
  * Arg: window size. Times only closeInterval (mean, p50 and p99 of

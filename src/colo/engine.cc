@@ -34,6 +34,14 @@ constexpr sim::Time kWarmup = 5 * sim::kSecond;
 constexpr std::size_t kMaxWindowSamples = 4096;
 
 /**
+ * Tenants whose normals one Rng::normalBatches() call draws: each
+ * gets a kMaxNormalsPerTick slot of a group buffer of at most 512
+ * normals (4 KiB, on the stack).
+ */
+constexpr std::size_t kGroupTenants =
+    512 / services::kMaxNormalsPerTick;
+
+/**
  * A tenant monitor's window budget: the most samples one decision
  * interval can offer, capped at kMaxWindowSamples. The close
  * schedule (nextDecision += interval, checked after each tick) puts
@@ -593,38 +601,61 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
         //    inflation, overload piling up in the explicit queue),
         //    the service tick, and the monitoring side (end-to-end
         //    latency = queue+batch wait at the front door plus the
-        //    interference-inflated service time). The peer-pressure
-        //    buffer is sized once, so after warmup the whole phase
-        //    is heap-allocation-free.
-        for (std::size_t s = 0; s < tenants.size(); ++s) {
-            auto &ten = tenants[s];
-            std::size_t k = 0;
-            for (std::size_t o = 0; o < tenants.size(); ++o)
-                if (o != s)
-                    peerPressure[k++] = svcPressure[o];
-            const auto contention = interference.contentionMulti(
-                svcPressure[s], peerPressure, taskPressure, partition);
-            inflationBuf[s] = interference.inflation(
-                contention, ten.service->config().sensitivity);
+        //    interference-inflated service time). Tenants go in
+        //    groups of kGroupTenants: every tenant of a group
+        //    prepares its tick, one normalBatches() call draws all
+        //    their normals (each from its own stream, so the values
+        //    are those of a tenant-by-tenant loop), then each
+        //    finishes in order. The peer-pressure buffer is sized
+        //    once and the group lives on the stack, so after warmup
+        //    the whole phase is heap-allocation-free.
+        double normals[kGroupTenants * services::kMaxNormalsPerTick];
+        util::Rng::NormalRequest group[kGroupTenants];
+        for (std::size_t first = 0; first < tenants.size();
+             first += kGroupTenants) {
+            const std::size_t size =
+                std::min(kGroupTenants, tenants.size() - first);
+            for (std::size_t g = 0; g < size; ++g) {
+                const std::size_t s = first + g;
+                auto &ten = tenants[s];
+                std::size_t k = 0;
+                for (std::size_t o = 0; o < tenants.size(); ++o)
+                    if (o != s)
+                        peerPressure[k++] = svcPressure[o];
+                const auto contention = interference.contentionMulti(
+                    svcPressure[s], peerPressure, taskPressure,
+                    partition);
+                inflationBuf[s] = interference.inflation(
+                    contention, ten.service->config().sensitivity);
 
-            if (ten.admission) {
-                const double capacity =
-                    static_cast<double>(ten.service->cores()) /
-                    static_cast<double>(ten.fairCores) /
-                    inflationBuf[s];
-                ten.admOut = ten.admission->tick(ten.rawLoad,
-                                                 capacity, cfg.tick);
-                ten.service->setBaseLoad(ten.admOut.dispatchedLoad);
+                if (ten.admission) {
+                    const double capacity =
+                        static_cast<double>(ten.service->cores()) /
+                        static_cast<double>(ten.fairCores) /
+                        inflationBuf[s];
+                    ten.admOut = ten.admission->tick(
+                        ten.rawLoad, capacity, cfg.tick);
+                    ten.service->setBaseLoad(ten.admOut.dispatchedLoad);
+                }
+
+                group[g] = {
+                    &ten.service->sampleRng(),
+                    normals + g * services::kMaxNormalsPerTick,
+                    ten.service->prepareTick(cfg.tick, inflationBuf[s])};
             }
-
-            ten.service->tick(cfg.tick, inflationBuf[s], tickBuf);
-            if (ten.admission)
-                for (double &sample : tickBuf.sampleUs)
-                    sample += ten.admOut.queueDelayUs;
-            ten.monitor->observe(tickBuf.sampleUs, tick_start >= warmup);
-            ten.lastLoad = tickBuf.offeredLoad;
-            if (metrics)
-                metrics->add(mid.samples, tickBuf.sampleUs.size());
+            util::Rng::normalBatches(std::span(group, size));
+            for (std::size_t g = 0; g < size; ++g) {
+                auto &ten = tenants[first + g];
+                ten.service->finishTick(group[g].dst, tickBuf);
+                if (ten.admission)
+                    for (double &sample : tickBuf.sampleUs)
+                        sample += ten.admOut.queueDelayUs;
+                ten.monitor->observe(tickBuf.sampleUs,
+                                     tick_start >= warmup);
+                ten.lastLoad = tickBuf.offeredLoad;
+                if (metrics)
+                    metrics->add(mid.samples, tickBuf.sampleUs.size());
+            }
         }
 
         if (time_phases)

@@ -133,17 +133,25 @@ void
 InteractiveService::tick(sim::Time dt, double inflation,
                          ServiceTickResult &res)
 {
-    res.sampleUs.clear();
-    res.inflation = std::max(1.0, inflation);
-    res.offeredLoad = workload.tick(dt);
+    double normals[kMaxNormalsPerTick];
+    rng.normalBatch(normals, prepareTick(dt, inflation));
+    finishTick(normals, res);
+}
+
+std::size_t
+InteractiveService::prepareTick(sim::Time dt, double inflation)
+{
+    pending.inflation = std::max(1.0, inflation);
+    pending.offeredLoad = workload.tick(dt);
 
     // Effective utilization: offered load, scaled by how far the
     // current core allocation is from the fair allocation, and by
     // the contention-driven service-time inflation.
     const double core_ratio = static_cast<double>(cfg.fairCores) /
                               static_cast<double>(coreCount);
-    const double rho = res.offeredLoad * core_ratio * res.inflation;
-    res.rho = rho;
+    const double rho =
+        pending.offeredLoad * core_ratio * pending.inflation;
+    pending.rho = rho;
 
     // Backlog dynamics: overload accumulates unserved work which
     // drains once utilization drops below 1 again.
@@ -164,34 +172,45 @@ InteractiveService::tick(sim::Time dt, double inflation,
 
     // Transient spike contribution from the backlog.
     p99 += backlogSec * cfg.backlogToUs;
+    pending.p99Us = p99;
+
+    const double offered_qps = pending.offeredLoad * cfg.saturationQps;
+    pending.samples = static_cast<std::size_t>(std::min(
+        static_cast<double>(kMaxSamplesPerTick),
+        std::max(8.0, offered_qps * dt_s * 0.01)));
+    return fastTable ? 1 : 1 + pending.samples;
+}
+
+void
+InteractiveService::finishTick(const double *normals,
+                               ServiceTickResult &res)
+{
+    res.offeredLoad = pending.offeredLoad;
+    res.rho = pending.rho;
+    res.inflation = pending.inflation;
 
     // Mild measurement/run-to-run noise (the hoisted parameters of
     // lognormalMeanCv(1.0, 0.03); same draw, same arithmetic).
-    p99 *= std::exp(noiseMu + noiseSd * rng.normal());
+    const double p99 =
+        pending.p99Us * std::exp(noiseMu + noiseSd * normals[0]);
     res.p99Us = p99;
 
     // Emit sampled request latencies whose distribution has the
-    // analytic p99: lognormal with p99/p50 = tailToMedian. The
-    // draws are batched into the (engine-owned, tick-reused) sample
-    // buffer in one pass — same stream, same values as the old
-    // per-sample scalar loop, but with the Box-Muller pairs laid
-    // out contiguously and the scale-and-exp sweep over a flat
-    // array.
+    // analytic p99: lognormal with p99/p50 = tailToMedian, in the
+    // (engine-owned, tick-reused) sample buffer — the arithmetic of
+    // Rng::fillLognormal over normals[1..].
     const double mu = std::log(p99) - kZ99 * sampleSigma;
-    const double offered_qps = res.offeredLoad * cfg.saturationQps;
-    const std::size_t n_samples = static_cast<std::size_t>(std::min(
-        static_cast<double>(kMaxSamplesPerTick),
-        std::max(8.0, offered_qps * dt_s * 0.01)));
+    const std::size_t n = pending.samples;
     // Full-size on first use, so a later tick with more samples (a
     // load excursion) never grows a reused buffer.
     res.sampleUs.reserve(kMaxSamplesPerTick);
-    res.sampleUs.resize(n_samples);
-    if (fastTable)
-        rng.fillLognormalFast(res.sampleUs.data(), n_samples, mu,
-                              *fastTable);
-    else
-        rng.fillLognormal(res.sampleUs.data(), n_samples, mu,
-                          sampleSigma);
+    res.sampleUs.resize(n);
+    if (fastTable) {
+        rng.fillLognormalFast(res.sampleUs.data(), n, mu, *fastTable);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        res.sampleUs[i] = std::exp(mu + sampleSigma * normals[1 + i]);
 }
 
 approx::PressureVector

@@ -17,6 +17,12 @@
  * queueing contribution; overload (rho > 1) accumulates a bounded
  * backlog that produces the transient latency spikes visible in the
  * paper's Fig. 4 timelines.
+ *
+ * A tick runs in two halves so that a node can draw all of its
+ * tenants' normals in one Rng::normalBatches() call: prepareTick()
+ * advances the load and backlog and says how many normals the tick
+ * needs, and finishTick() turns those normals into the noisy tail
+ * and the latency samples. tick() is the two halves back to back.
  */
 
 #ifndef PLIANT_SERVICES_INTERACTIVE_HH
@@ -43,6 +49,12 @@ namespace services {
  * at most k * kMaxSamplesPerTick samples.
  */
 constexpr std::size_t kMaxSamplesPerTick = 60;
+
+/**
+ * Most standard normals one tick consumes: the measurement-noise
+ * normal plus one per latency sample.
+ */
+constexpr std::size_t kMaxNormalsPerTick = kMaxSamplesPerTick + 1;
 
 /** The three interactive services the paper evaluates. */
 enum class ServiceKind { Nginx, Memcached, MongoDb };
@@ -131,7 +143,9 @@ class InteractiveService
 
     /**
      * Advance one tick under the given service-time inflation factor
-     * (computed by the InterferenceModel from co-runner pressure).
+     * (computed by the InterferenceModel from co-runner pressure):
+     * prepareTick(), the normals drawn from sampleRng() by
+     * normalBatch(), then finishTick().
      */
     ServiceTickResult tick(sim::Time dt, double inflation);
 
@@ -140,6 +154,26 @@ class InteractiveService
      * reusing its sampleUs capacity across ticks.
      */
     void tick(sim::Time dt, double inflation, ServiceTickResult &out);
+
+    /**
+     * First half of a tick: advance the offered load and the backlog
+     * and fix the tick's analytic tail before noise. Returns how
+     * many standard normals the tick consumes from sampleRng() (at
+     * most kMaxNormalsPerTick): the noise normal, then one per
+     * sample, or only the noise normal under fastSampling.
+     */
+    std::size_t prepareTick(sim::Time dt, double inflation);
+
+    /**
+     * Second half of a tick: fill `out` from the pending tick and
+     * the normals prepareTick() asked for, in stream order. Under
+     * fastSampling the samples then draw their uniforms from
+     * sampleRng(), as the one-call tick did.
+     */
+    void finishTick(const double *normals, ServiceTickResult &out);
+
+    /** The stream a tick's normals come from. */
+    util::Rng &sampleRng() { return rng; }
 
     /** Re-target the workload's mean offered-load fraction. */
     void setBaseLoad(double load) { workload.setBaseLoad(load); }
@@ -153,6 +187,17 @@ class InteractiveService
     util::Rng rng;
     int coreCount;
     double backlogSec = 0.0;
+
+    /** What prepareTick() leaves for finishTick(). */
+    struct PendingTick
+    {
+        double offeredLoad = 0.0;
+        double rho = 0.0;
+        double inflation = 1.0;
+        double p99Us = 0.0; ///< before the measurement noise
+        std::size_t samples = 0;
+    };
+    PendingTick pending;
 
     /**
      * Per-tick constants hoisted out of the sample loop (computed

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pliant {
@@ -136,7 +137,9 @@ class SplitMix64
  * guaranteed to consume the stream bit-identically to n scalar
  * normal() calls (spare included), which is what lets hot loops
  * batch their draws without changing a single sampled value (pinned
- * by the stream-parity tests).
+ * by the stream-parity tests). normalBatches() is the third consumer
+ * that keeps the invariant: it serves several distinct streams at
+ * once, and gives each exactly what its own normalBatch() would.
  */
 class Rng
 {
@@ -207,8 +210,8 @@ class Rng
      * Standard normal via Box-Muller (one value per call).
      *
      * See the class comment: the spare makes this stream call-order
-     * dependent, and normalBatch() is the only other consumer that
-     * preserves it.
+     * dependent, and normalBatch() and normalBatches() are the only
+     * other consumers that preserve it.
      */
     double normal()
     {
@@ -254,10 +257,34 @@ class Rng
         }
     }
 
+    /** One stream's share of a normalBatches() call. */
+    struct NormalRequest
+    {
+        Rng *rng;
+        double *dst;   ///< receives n standard normals
+        std::size_t n;
+    };
+
+    /**
+     * For each request, fill dst[0..n) exactly as
+     * `rng->normalBatch(dst, n)` would — same values, same pending
+     * spare afterwards, bit for bit — but issue the Box-Muller
+     * sincos() calls of all requests in ascending angle order (a
+     * 64-bucket counting sort). glibc's sincos() branches on the
+     * argument's range, so it runs about twice as slow on random
+     * angles (mispredicted branches) as on sorted ones; the more
+     * pairs one call sorts, the more of that it saves.
+     * Each stream's uniforms are still drawn in its own order; only
+     * the pure per-pair arithmetic is reordered. The streams must be
+     * distinct and the destinations must not overlap.
+     */
+    static void normalBatches(std::span<const NormalRequest> requests);
+
     /**
      * Fill dst[0..n) with exp(mu + sigma * z), z standard normal —
-     * the lognormal sample batch the interactive-service model draws
-     * every tick. Bit-identical to the scalar loop
+     * one stream's lognormal sample batch (an interactive-service
+     * tick applies the same arithmetic to normals its engine drew
+     * with normalBatches()). Bit-identical to the scalar loop
      * `dst[i] = exp(mu + sigma * normal())` (same stream, same
      * arithmetic), but the normals land in dst in one pass so the
      * scale-and-exp sweep runs over a contiguous array.
@@ -321,22 +348,43 @@ class Rng
     }
 
     /**
-     * One Box-Muller transform: `first` receives the cosine leg
-     * (what a fresh normal() call returns), `second` the sine leg
-     * (what becomes the spare). glibc's sincos() computes both legs
-     * through the same kernels as sin()/cos(), so the combined call
-     * is bit-identical to the two separate ones (pinned by the
-     * engine regression suites) while sharing the argument
-     * reduction.
+     * One Box-Muller transform from the next two uniforms: `first`
+     * receives the cosine leg (what a fresh normal() call returns),
+     * `second` the sine leg (what becomes the spare). The three
+     * steps below are the whole pair formula; normalBatches() runs
+     * the same three on a group of pairs, one pass per step.
      */
     void boxMullerPair(double &first, double &second)
     {
-        double u1 = uniform();
+        const double u1 = uniform();
+        const double u2 = uniform();
+        boxMullerLegs(boxMullerRadius(u1), boxMullerAngle(u2), first,
+                      second);
+    }
+
+    /** Radius sqrt(-2 ln u1) of a pair (u1 = 0 clamped to 2^-53). */
+    static double boxMullerRadius(double u1)
+    {
         if (u1 <= 0.0)
             u1 = 0x1.0p-53;
-        const double u2 = uniform();
-        const double r = std::sqrt(-2.0 * std::log(u1));
-        const double theta = 6.283185307179586476925286766559 * u2;
+        return std::sqrt(-2.0 * std::log(u1));
+    }
+
+    /** Angle 2 pi u2 of a pair. */
+    static double boxMullerAngle(double u2)
+    {
+        return 6.283185307179586476925286766559 * u2;
+    }
+
+    /**
+     * The two legs of a pair. glibc's sincos() computes both through
+     * the same kernels as sin()/cos(), so the combined call is
+     * bit-identical to the two separate ones (pinned by the engine
+     * regression suites) while sharing the argument reduction.
+     */
+    static void boxMullerLegs(double r, double theta, double &first,
+                              double &second)
+    {
 #if defined(__GLIBC__)
         double sin_leg, cos_leg;
         ::sincos(theta, &sin_leg, &cos_leg);

@@ -369,6 +369,9 @@ class P2Quantile
         // Markers above cell k shift right. positions[0] never moves,
         // nor does desired[0] (its increment is 0); desired[4] gains
         // exactly 1 — each update is bit-identical to the loop form.
+        // Integer positions make the shifts plain adds of a compare;
+        // as doubles, gcc turns them into a branch on k == 0, which
+        // a lognormal stream takes about half the time.
         positions[1] += (k < 1);
         positions[2] += (k < 2);
         positions[3] += (k < 3);
@@ -379,7 +382,8 @@ class P2Quantile
         desired[4] += 1;
 
         for (int i = 1; i <= 3; ++i) {
-            const double d = desired[i] - positions[i];
+            const double d =
+                desired[i] - static_cast<double>(positions[i]);
             const bool up = d >= 1 && positions[i + 1] - positions[i] > 1;
             const bool down = d <= -1 && positions[i - 1] - positions[i] < -1;
             if (up || down) {
@@ -464,9 +468,9 @@ class P2Quantile
         desired[4] = n;
         positions[0] = 1;
         for (int i = 1; i < 5; ++i) {
-            double p = std::floor(desired[i] + 0.5);
+            auto p = static_cast<std::int64_t>(std::floor(desired[i] + 0.5));
             p = std::max(p, positions[i - 1] + 1);
-            p = std::min(p, n - static_cast<double>(4 - i));
+            p = std::min(p, static_cast<std::int64_t>(count_) - (4 - i));
             positions[i] = p;
         }
     }
@@ -492,27 +496,35 @@ class P2Quantile
     std::size_t count() const { return count_; }
 
   private:
+    /** positions[a] - positions[b] as a double (exact). */
+    double gap(int a, int b) const
+    {
+        return static_cast<double>(positions[a] - positions[b]);
+    }
+
     double parabolic(int i, int sign) const
     {
         const double d = static_cast<double>(sign);
-        return heights[i] + d / (positions[i + 1] - positions[i - 1]) *
-            ((positions[i] - positions[i - 1] + d) *
-                 (heights[i + 1] - heights[i]) /
-                 (positions[i + 1] - positions[i]) +
-             (positions[i + 1] - positions[i] - d) *
-                 (heights[i] - heights[i - 1]) /
-                 (positions[i] - positions[i - 1]));
+        return heights[i] + d / gap(i + 1, i - 1) *
+            ((gap(i, i - 1) + d) * (heights[i + 1] - heights[i]) /
+                 gap(i + 1, i) +
+             (gap(i + 1, i) - d) * (heights[i] - heights[i - 1]) /
+                 gap(i, i - 1));
     }
 
     double linear(int i, int sign) const
     {
         return heights[i] + sign * (heights[i + sign] - heights[i]) /
-            (positions[i + sign] - positions[i]);
+            gap(i + sign, i);
     }
 
     double q;
     double heights[5] = {};
-    double positions[5] = {};
+    /**
+     * Marker positions: whole numbers, so they are kept as integers
+     * and converted (exactly) only where the formulas above divide.
+     */
+    std::int64_t positions[5] = {};
     double desired[5] = {};
     double increments[5] = {};
     std::size_t count_ = 0;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -258,6 +259,17 @@ TEST(ScenarioTraceTest, RejectsMalformedCsv)
         std::istringstream in(text);
         EXPECT_THROW(Scenario::traceFromCsv(in), util::FatalError)
             << text;
+    }
+
+    // The loader's own finiteness check names the CSV line; the knot
+    // check behind it in Scenario::trace() names only a point index.
+    std::istringstream inf_load("0,0.5\n10,inf\n");
+    try {
+        Scenario::traceFromCsv(inf_load);
+        ADD_FAILURE() << "a non-finite load loaded";
+    } catch (const util::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
     }
 
     EXPECT_THROW(Scenario::traceFromCsvFile("/nonexistent/trace.csv"),

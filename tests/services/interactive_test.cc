@@ -5,6 +5,9 @@
 
 #include "services/interactive.hh"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/exact_percentile.hh"
@@ -255,6 +258,61 @@ TEST(InteractiveServiceTest, ReusedResultBufferMatchesFreshResult)
         for (std::size_t j = 0; j < fresh.sampleUs.size(); ++j)
             EXPECT_EQ(reused.sampleUs[j], fresh.sampleUs[j]);
     }
+}
+
+/**
+ * Two halves of a tick with every service's normals drawn by one
+ * normalBatches call (the engine's tenant group) must equal tick()
+ * on a twin service, bit for bit, tick after tick.
+ */
+void
+expectSplitTickMatchesTick(bool fast_sampling)
+{
+    std::vector<InteractiveService> split, whole;
+    for (ServiceKind kind : {ServiceKind::Memcached, ServiceKind::Nginx,
+                             ServiceKind::MongoDb, ServiceKind::Memcached}) {
+        ServiceConfig cfg = defaultConfig(kind);
+        cfg.fastSampling = fast_sampling;
+        // Load noise and bursts move the sample count between ticks,
+        // so the streams' spare parity keeps changing.
+        WorkloadConfig wl;
+        wl.loadFraction = 0.5 + 0.1 * static_cast<double>(split.size());
+        const std::uint64_t seed = 31 + split.size();
+        split.emplace_back(cfg, wl, seed);
+        whole.emplace_back(cfg, wl, seed);
+    }
+    double normals[4][kMaxNormalsPerTick];
+    ServiceTickResult got, want;
+    for (int t = 0; t < 300; ++t) {
+        const double inflation = 1.0 + 0.002 * t;
+        std::vector<pliant::util::Rng::NormalRequest> group;
+        for (std::size_t k = 0; k < split.size(); ++k) {
+            const std::size_t n =
+                split[k].prepareTick(10 * sim::kMillisecond, inflation);
+            ASSERT_LE(n, kMaxNormalsPerTick);
+            group.push_back({&split[k].sampleRng(), normals[k], n});
+        }
+        pliant::util::Rng::normalBatches(group);
+        for (std::size_t k = 0; k < split.size(); ++k) {
+            split[k].finishTick(normals[k], got);
+            whole[k].tick(10 * sim::kMillisecond, inflation, want);
+            ASSERT_EQ(got.offeredLoad, want.offeredLoad) << t << "/" << k;
+            ASSERT_EQ(got.rho, want.rho) << t << "/" << k;
+            ASSERT_EQ(got.inflation, want.inflation) << t << "/" << k;
+            ASSERT_EQ(got.p99Us, want.p99Us) << t << "/" << k;
+            ASSERT_EQ(got.sampleUs, want.sampleUs) << t << "/" << k;
+        }
+    }
+}
+
+TEST(InteractiveServiceTest, GroupedSplitTickMatchesTick)
+{
+    expectSplitTickMatchesTick(false);
+}
+
+TEST(InteractiveServiceTest, GroupedSplitTickMatchesTickFastSampling)
+{
+    expectSplitTickMatchesTick(true);
 }
 
 TEST(InteractiveServiceTest, DeterministicForSeed)

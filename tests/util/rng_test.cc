@@ -6,8 +6,11 @@
 #include "util/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,6 +194,83 @@ TEST(RngTest, FillLognormalMatchesScalarLognormal)
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], std::exp(mu + sigma * scalar.normal()));
     EXPECT_EQ(batch.normal(), scalar.normal());
+}
+
+/** Bit pattern of a double, so comparisons are exact (NaN-proof). */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/**
+ * Run normalBatches over `streams` with the given counts and check
+ * every request against normalBatch on a copy of its stream, bit for
+ * bit, then the next normal() and uniform() of every stream.
+ */
+void
+expectBatchesMatchPerStream(std::vector<Rng> streams,
+                            const std::vector<std::size_t> &counts,
+                            const std::string &label)
+{
+    std::vector<Rng> reference = streams;
+    std::vector<std::vector<double>> got(streams.size());
+    std::vector<Rng::NormalRequest> requests;
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+        got[k].assign(counts[k], -1.0);
+        requests.push_back({&streams[k], got[k].data(), counts[k]});
+    }
+    Rng::normalBatches(requests);
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+        std::vector<double> want(counts[k]);
+        reference[k].normalBatch(want.data(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(bits(got[k][i]), bits(want[i]))
+                << label << ", stream " << k << ", normal " << i;
+        ASSERT_EQ(bits(streams[k].normal()), bits(reference[k].normal()))
+            << label << ", stream " << k << ": next normal()";
+        ASSERT_EQ(bits(streams[k].uniform()),
+                  bits(reference[k].uniform()))
+            << label << ", stream " << k << ": next uniform()";
+    }
+}
+
+TEST(RngTest, NormalBatchesMatchPerStreamNormalBatch)
+{
+    // Random groups of 1-12 streams, 0-61 normals each (the engine's
+    // tenant groups are up to 8 x 61), some entering with a pending
+    // spare. 12 x 61 normals is past the internal pair capacity, so
+    // the larger groups also run the mid-group flush.
+    SplitMix64 sm(20261019);
+    bool flushed = false;
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t n_streams = 1 + sm.next() % 12;
+        std::vector<Rng> streams;
+        std::vector<std::size_t> counts;
+        std::size_t total = 0;
+        for (std::size_t k = 0; k < n_streams; ++k) {
+            streams.emplace_back(sm.next());
+            // An odd number of scalar draws leaves a spare pending.
+            for (std::uint64_t d = sm.next() % 4; d > 0; --d)
+                streams.back().normal();
+            counts.push_back(sm.next() % 2 == 0 ? 61 : sm.next() % 62);
+            total += counts.back();
+        }
+        flushed = flushed || total > 600;
+        expectBatchesMatchPerStream(std::move(streams), counts,
+                                    "trial " + std::to_string(trial));
+    }
+    EXPECT_TRUE(flushed) << "no trial went past the pair capacity";
+}
+
+TEST(RngTest, NormalBatchesFlushInsideOneLongRequest)
+{
+    // One request past the pair capacity on its own, beside an empty
+    // and an odd one: the flush lands in the middle of a stream.
+    std::vector<Rng> streams{Rng(5), Rng(6), Rng(7)};
+    streams[1].normal();
+    expectBatchesMatchPerStream(streams, {1001, 0, 3}, "long request");
+    expectBatchesMatchPerStream(streams, {0, 0, 0}, "empty requests");
 }
 
 // ---------------------------------------------------------------------
