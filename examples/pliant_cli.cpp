@@ -11,7 +11,6 @@
  *              [--runtime precise|pliant|learned]
  *              [--learned-scalar]
  *              [--load 0.78] [--interval-s 1.0] [--seed 1]
- *              [--fast-sampling]
  *              [--cache-partitioning] [--csv timeline|summary]
  *              [--nodes N] [--placement static|least-loaded|qos-aware]
  *              [--epoch-s 5.0]
@@ -37,9 +36,6 @@
  * and --placement decides where the apps land (and, for qos-aware,
  * whether they migrate at --epoch-s boundaries). --placement and
  * --epoch-s without --nodes N > 1 are an error, as is --csv with it.
- * --fast-sampling switches the latency samplers to the
- * quantile-table path, which is faster but NOT byte-identical —
- * never use it when diffing against pinned output.
  * --admission / --batching enable the request-level admission
  * front-end on every tenant: queueing delay composes into the
  * monitored tails, shed/batch counters appear in the tables and CSV
@@ -95,7 +91,6 @@ usageLine(const char *argv0)
            " [--apps a,b,...] [--runtime precise|pliant|learned]"
            " [--learned-scalar]"
            " [--load F] [--interval-s S] [--seed N]"
-           " [--fast-sampling]"
            " [--cache-partitioning] [--csv timeline|summary]"
            " [--nodes N] [--placement static|least-loaded|qos-aware]"
            " [--epoch-s S]"
@@ -337,8 +332,6 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             cfg.seed =
                 util::parseFlag<std::uint64_t>(arg, next(), usage_line);
-        } else if (arg == "--fast-sampling") {
-            cfg.fastSampling = true;
         } else if (arg == "--cache-partitioning") {
             cfg.enableCachePartitioning = true;
         } else if (arg == "--nodes") {

@@ -702,13 +702,6 @@ ClusterConfigBuilder::threads(unsigned threads)
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::fastSampling(bool enable)
-{
-    cfg.fastSampling = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::observability(obs::ObsConfig obs_cfg)
 {
     cfg.observability = obs_cfg;

@@ -268,9 +268,6 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &seed(std::uint64_t seed);
     ClusterConfigBuilder &threads(unsigned threads);
 
-    /** Table-driven samplers on every node (NOT byte-identical). */
-    ClusterConfigBuilder &fastSampling(bool enable = true);
-
     /** Observability knobs, cluster layer + every node (default off). */
     ClusterConfigBuilder &observability(obs::ObsConfig cfg);
 

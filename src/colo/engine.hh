@@ -145,15 +145,6 @@ struct RunConfig
     admission::AdmissionConfig admission;
 
     /**
-     * Opt into the table-driven samplers (Rng::fillLognormalFast)
-     * for every interactive tenant. Statistically equivalent but
-     * deliberately NOT byte-identical to the exact Box-Muller
-     * stream, so golden-pinned runs must leave it off; the KS and
-     * moment tests pin its distributional accuracy instead.
-     */
-    bool fastSampling = false;
-
-    /**
      * Observability knobs (src/obs/): a metrics registry recording
      * deterministic simulation counters plus wall-time profiling,
      * and span tracing via Engine::setTrace(). Default-off, and off

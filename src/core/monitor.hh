@@ -43,9 +43,12 @@ class PerformanceMonitor
      * @param sample_budget max retained samples per decision interval
      *        (at least 16), reserved up front. Past it the window
      *        keeps a uniform reservoir subsample. The engine passes
-     *        min(4096, ceil(interval / tick) * kMaxSamplesPerTick):
-     *        no interval offers more, so the reservoir never runs and
-     *        the window holds exactly what a 4096 window would, at a
+     *        min(4096, ceil(interval / tick) * kMaxSamplesPerTick),
+     *        the most an interval can offer capped at 4096. Below the
+     *        cap the reservoir never runs; at it (the paper's 10 ms
+     *        tick and 1 s interval) memcached and nginx intervals
+     *        offer more and the reservoir subsamples. Either way the
+     *        window holds exactly what a 4096 window would, at a
      *        fraction of the memory when the interval is few ticks.
      * @param seed stream for the subsampling decisions.
      */

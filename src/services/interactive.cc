@@ -109,10 +109,6 @@ InteractiveService::InteractiveService(ServiceConfig config,
     const double noise_sigma2 = std::log(1.0 + noise_cv * noise_cv);
     noiseMu = std::log(1.0) - 0.5 * noise_sigma2;
     noiseSd = std::sqrt(noise_sigma2);
-
-    if (cfg.fastSampling)
-        fastTable =
-            std::make_unique<util::LognormalQuantileTable>(sampleSigma);
 }
 
 void
@@ -133,14 +129,16 @@ void
 InteractiveService::tick(sim::Time dt, double inflation,
                          ServiceTickResult &res)
 {
+    const PendingTick pending = prepareTick(dt, inflation);
     double normals[kMaxNormalsPerTick];
-    rng.normalBatch(normals, prepareTick(dt, inflation));
-    finishTick(normals, res);
+    rng.normalBatch(normals, pending.normals());
+    finishTick(pending, normals, res);
 }
 
-std::size_t
+PendingTick
 InteractiveService::prepareTick(sim::Time dt, double inflation)
 {
+    PendingTick pending;
     pending.inflation = std::max(1.0, inflation);
     pending.offeredLoad = workload.tick(dt);
 
@@ -178,12 +176,13 @@ InteractiveService::prepareTick(sim::Time dt, double inflation)
     pending.samples = static_cast<std::size_t>(std::min(
         static_cast<double>(kMaxSamplesPerTick),
         std::max(8.0, offered_qps * dt_s * 0.01)));
-    return fastTable ? 1 : 1 + pending.samples;
+    return pending;
 }
 
 void
-InteractiveService::finishTick(const double *normals,
-                               ServiceTickResult &res)
+InteractiveService::finishTick(const PendingTick &pending,
+                               const double *normals,
+                               ServiceTickResult &res) const
 {
     res.offeredLoad = pending.offeredLoad;
     res.rho = pending.rho;
@@ -205,10 +204,6 @@ InteractiveService::finishTick(const double *normals,
     // load excursion) never grows a reused buffer.
     res.sampleUs.reserve(kMaxSamplesPerTick);
     res.sampleUs.resize(n);
-    if (fastTable) {
-        rng.fillLognormalFast(res.sampleUs.data(), n, mu, *fastTable);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         res.sampleUs[i] = std::exp(mu + sampleSigma * normals[1 + i]);
 }

@@ -20,16 +20,17 @@
  *
  * A tick runs in two halves so that a node can draw all of its
  * tenants' normals in one Rng::normalBatches() call: prepareTick()
- * advances the load and backlog and says how many normals the tick
- * needs, and finishTick() turns those normals into the noisy tail
- * and the latency samples. tick() is the two halves back to back.
+ * advances the load and backlog and returns the tick's PendingTick,
+ * which says how many normals it needs, and finishTick() turns that
+ * pending tick and its normals into the noisy tail and the latency
+ * samples. Every normal is an exact Box-Muller draw from the
+ * service's own stream. tick() is the two halves back to back.
  */
 
 #ifndef PLIANT_SERVICES_INTERACTIVE_HH
 #define PLIANT_SERVICES_INTERACTIVE_HH
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,7 +53,7 @@ constexpr std::size_t kMaxSamplesPerTick = 60;
 
 /**
  * Most standard normals one tick consumes: the measurement-noise
- * normal plus one per latency sample.
+ * normal plus one per latency sample (PendingTick::normals()).
  */
 constexpr std::size_t kMaxNormalsPerTick = kMaxSamplesPerTick + 1;
 
@@ -100,16 +101,6 @@ struct ServiceConfig
 
     /** Maximum backlog the open-loop clients sustain, in seconds. */
     double maxBacklogSec = 0.5;
-
-    /**
-     * Draw the per-request latency samples through the quantile
-     * table (Rng::fillLognormalFast) instead of exact Box-Muller.
-     * Statistically equivalent but NOT byte-identical — the fast
-     * stream consumes one uniform per sample — so the default stays
-     * off and every golden-pinned configuration keeps the exact
-     * sampler (see ColoConfig.fastSampling).
-     */
-    bool fastSampling = false;
 };
 
 /** Default configuration for each of the three services. */
@@ -123,6 +114,22 @@ struct ServiceTickResult
     double inflation = 1.0;   ///< service-time inflation applied
     double p99Us = 0.0;       ///< analytic tail estimate this tick
     std::vector<double> sampleUs; ///< sampled request latencies
+};
+
+/**
+ * What prepareTick() hands finishTick(): the tick's load, its
+ * analytic tail before the measurement noise, and its sample count.
+ */
+struct PendingTick
+{
+    double offeredLoad = 0.0;
+    double rho = 0.0;
+    double inflation = 1.0;
+    double p99Us = 0.0; ///< before the measurement noise
+    std::size_t samples = 0;
+
+    /** Normals the tick consumes: the noise normal, one per sample. */
+    std::size_t normals() const { return 1 + samples; }
 };
 
 /**
@@ -157,20 +164,19 @@ class InteractiveService
 
     /**
      * First half of a tick: advance the offered load and the backlog
-     * and fix the tick's analytic tail before noise. Returns how
-     * many standard normals the tick consumes from sampleRng() (at
-     * most kMaxNormalsPerTick): the noise normal, then one per
-     * sample, or only the noise normal under fastSampling.
+     * and fix the tick's analytic tail before noise. The returned
+     * tick consumes pending.normals() standard normals from
+     * sampleRng() (at most kMaxNormalsPerTick).
      */
-    std::size_t prepareTick(sim::Time dt, double inflation);
+    PendingTick prepareTick(sim::Time dt, double inflation);
 
     /**
-     * Second half of a tick: fill `out` from the pending tick and
-     * the normals prepareTick() asked for, in stream order. Under
-     * fastSampling the samples then draw their uniforms from
-     * sampleRng(), as the one-call tick did.
+     * Second half of a tick: fill `out` from `pending` and the
+     * pending.normals() normals drawn for it, in stream order. Reads
+     * only those and the service's fixed configuration.
      */
-    void finishTick(const double *normals, ServiceTickResult &out);
+    void finishTick(const PendingTick &pending, const double *normals,
+                    ServiceTickResult &out) const;
 
     /** The stream a tick's normals come from. */
     util::Rng &sampleRng() { return rng; }
@@ -188,17 +194,6 @@ class InteractiveService
     int coreCount;
     double backlogSec = 0.0;
 
-    /** What prepareTick() leaves for finishTick(). */
-    struct PendingTick
-    {
-        double offeredLoad = 0.0;
-        double rho = 0.0;
-        double inflation = 1.0;
-        double p99Us = 0.0; ///< before the measurement noise
-        std::size_t samples = 0;
-    };
-    PendingTick pending;
-
     /**
      * Per-tick constants hoisted out of the sample loop (computed
      * once in the constructor with the exact expressions the loop
@@ -210,13 +205,6 @@ class InteractiveService
     double sampleSigma = 0.0;
     double noiseMu = 0.0;
     double noiseSd = 0.0;
-
-    /**
-     * Sigma-matched lognormal quantile table, built only when
-     * cfg.fastSampling opts in (null otherwise — the exact sampler
-     * needs no table).
-     */
-    std::unique_ptr<util::LognormalQuantileTable> fastTable;
 };
 
 } // namespace services

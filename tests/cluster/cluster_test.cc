@@ -289,7 +289,6 @@ TEST(ClusterNodeConfigTest, EverySharedSettingReachesEveryNode)
         PLIANT_SAME_FIELD(admission.queueBoundQos),
         PLIANT_SAME_FIELD(admission.batchSize),
         PLIANT_SAME_FIELD(admission.batchTimeoutUs),
-        PLIANT_SAME_FIELD(fastSampling),
         PLIANT_SAME_FIELD(observability.metrics),
         PLIANT_SAME_FIELD(observability.traceTickPhases),
     };
@@ -318,7 +317,6 @@ TEST(ClusterNodeConfigTest, EverySharedSettingReachesEveryNode)
     cfg.admission.queueBoundQos = 3.0;
     cfg.admission.batchSize = 8;
     cfg.admission.batchTimeoutUs = 250.0;
-    cfg.fastSampling = true;
     cfg.observability.metrics = true;
     cfg.observability.traceTickPhases = true;
 

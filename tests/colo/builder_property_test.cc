@@ -716,8 +716,7 @@ class Render
     // The drawn settings, for failure messages.
     PLIANT_FIELDS(colo::RunConfig, apps, initialVariants, runtime, arbiter,
                   learnedVector, decisionInterval, tick, maxDuration, seed,
-                  enableCachePartitioning, admission, fastSampling,
-                  observability)
+                  enableCachePartitioning, admission, observability)
     PLIANT_FIELDS(admission::AdmissionConfig, enabled, policy, batching,
                   queueBoundQos, batchSize, batchTimeoutUs)
     PLIANT_FIELDS(obs::ObsConfig, metrics, traceTickPhases)

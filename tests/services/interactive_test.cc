@@ -265,14 +265,12 @@ TEST(InteractiveServiceTest, ReusedResultBufferMatchesFreshResult)
  * normalBatches call (the engine's tenant group) must equal tick()
  * on a twin service, bit for bit, tick after tick.
  */
-void
-expectSplitTickMatchesTick(bool fast_sampling)
+TEST(InteractiveServiceTest, GroupedSplitTickMatchesTick)
 {
     std::vector<InteractiveService> split, whole;
     for (ServiceKind kind : {ServiceKind::Memcached, ServiceKind::Nginx,
                              ServiceKind::MongoDb, ServiceKind::Memcached}) {
-        ServiceConfig cfg = defaultConfig(kind);
-        cfg.fastSampling = fast_sampling;
+        const ServiceConfig cfg = defaultConfig(kind);
         // Load noise and bursts move the sample count between ticks,
         // so the streams' spare parity keeps changing.
         WorkloadConfig wl;
@@ -282,19 +280,21 @@ expectSplitTickMatchesTick(bool fast_sampling)
         whole.emplace_back(cfg, wl, seed);
     }
     double normals[4][kMaxNormalsPerTick];
+    PendingTick pending[4];
     ServiceTickResult got, want;
     for (int t = 0; t < 300; ++t) {
         const double inflation = 1.0 + 0.002 * t;
         std::vector<pliant::util::Rng::NormalRequest> group;
         for (std::size_t k = 0; k < split.size(); ++k) {
-            const std::size_t n =
+            pending[k] =
                 split[k].prepareTick(10 * sim::kMillisecond, inflation);
-            ASSERT_LE(n, kMaxNormalsPerTick);
-            group.push_back({&split[k].sampleRng(), normals[k], n});
+            ASSERT_LE(pending[k].normals(), kMaxNormalsPerTick);
+            group.push_back(
+                {&split[k].sampleRng(), normals[k], pending[k].normals()});
         }
         pliant::util::Rng::normalBatches(group);
         for (std::size_t k = 0; k < split.size(); ++k) {
-            split[k].finishTick(normals[k], got);
+            split[k].finishTick(pending[k], normals[k], got);
             whole[k].tick(10 * sim::kMillisecond, inflation, want);
             ASSERT_EQ(got.offeredLoad, want.offeredLoad) << t << "/" << k;
             ASSERT_EQ(got.rho, want.rho) << t << "/" << k;
@@ -303,16 +303,6 @@ expectSplitTickMatchesTick(bool fast_sampling)
             ASSERT_EQ(got.sampleUs, want.sampleUs) << t << "/" << k;
         }
     }
-}
-
-TEST(InteractiveServiceTest, GroupedSplitTickMatchesTick)
-{
-    expectSplitTickMatchesTick(false);
-}
-
-TEST(InteractiveServiceTest, GroupedSplitTickMatchesTickFastSampling)
-{
-    expectSplitTickMatchesTick(true);
 }
 
 TEST(InteractiveServiceTest, DeterministicForSeed)

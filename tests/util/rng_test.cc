@@ -5,7 +5,6 @@
 
 #include "util/rng.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -271,161 +270,6 @@ TEST(RngTest, NormalBatchesFlushInsideOneLongRequest)
     streams[1].normal();
     expectBatchesMatchPerStream(streams, {1001, 0, 3}, "long request");
     expectBatchesMatchPerStream(streams, {0, 0, 0}, "empty requests");
-}
-
-// ---------------------------------------------------------------------
-// Fast-sampling path (inverseNormalCdf, quantile tables,
-// normalBatchFast). Deliberately NOT bit-identical to Box-Muller, so
-// these tests pin distributional accuracy and stream discipline
-// instead of exact values.
-// ---------------------------------------------------------------------
-
-using pliant::util::inverseNormalCdf;
-using pliant::util::LognormalQuantileTable;
-using pliant::util::NormalQuantileTable;
-
-/** Standard normal CDF via the complementary error function. */
-double
-normalCdf(double x)
-{
-    return 0.5 * std::erfc(-x / std::sqrt(2.0));
-}
-
-TEST(FastSamplingTest, InverseNormalCdfRoundTrips)
-{
-    // Phi(Phi^-1(p)) == p to near machine precision, including well
-    // into the tails Acklam's central polynomial alone would miss.
-    for (double p : {1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.25, 0.5,
-                     0.75, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6,
-                     1.0 - 1e-9}) {
-        const double x = inverseNormalCdf(p);
-        EXPECT_NEAR(normalCdf(x), p, 1e-12 + 1e-9 * p) << "p=" << p;
-    }
-    // Known quantiles.
-    EXPECT_EQ(inverseNormalCdf(0.5), 0.0);
-    EXPECT_NEAR(inverseNormalCdf(0.975), 1.959963984540054, 1e-12);
-    EXPECT_NEAR(inverseNormalCdf(0.5 + 0.682689492137086 / 2), 1.0,
-                1e-12);
-}
-
-TEST(FastSamplingTest, InverseNormalCdfIsAntisymmetric)
-{
-    // Tolerance floor: 1 - p itself rounds to half an ulp of 1.0,
-    // which maps through the tail density to ~2e-9 of x at p = 1e-8.
-    for (double p : {1e-8, 1e-4, 0.03, 0.2, 0.45}) {
-        EXPECT_NEAR(inverseNormalCdf(p), -inverseNormalCdf(1.0 - p),
-                    1e-8)
-            << "p=" << p;
-    }
-    // Degenerate inputs clamp instead of producing infinities.
-    EXPECT_TRUE(std::isfinite(inverseNormalCdf(0.0)));
-    EXPECT_TRUE(std::isfinite(inverseNormalCdf(1.0)));
-}
-
-TEST(FastSamplingTest, NormalQuantileTableTracksExactInverse)
-{
-    const NormalQuantileTable &table = NormalQuantileTable::shared();
-    for (int i = 1; i < 2000; ++i) {
-        const double u = static_cast<double>(i) / 2000.0;
-        const double exact = inverseNormalCdf(u);
-        // Interpolation error peaks where the inverse CDF is most
-        // curved (just inside the tail cutover); 4096 knots keep it
-        // below 1e-2 everywhere and far tighter in the center.
-        EXPECT_NEAR(table.sample(u), exact, 1e-2) << "u=" << u;
-        if (u >= 0.1 && u <= 0.9) {
-            EXPECT_NEAR(table.sample(u), exact, 1e-4) << "u=" << u;
-        }
-    }
-    // The outer tail mass is evaluated exactly, not interpolated.
-    for (double u : {1e-7, 1e-5, 1.0 - 1e-5, 1.0 - 1e-7})
-        EXPECT_EQ(table.sample(u), inverseNormalCdf(u)) << "u=" << u;
-}
-
-TEST(FastSamplingTest, LognormalQuantileTableMatchesClosedForm)
-{
-    const double sigma = 0.42;
-    const LognormalQuantileTable table(sigma);
-    EXPECT_EQ(table.sigma(), sigma);
-    for (int i = 1; i < 1000; ++i) {
-        const double u = static_cast<double>(i) / 1000.0;
-        const double exact = std::exp(sigma * inverseNormalCdf(u));
-        const double got = table.sample(u);
-        EXPECT_NEAR(got, exact, 3e-3 * exact + 1e-6) << "u=" << u;
-    }
-    for (double u : {1e-6, 1.0 - 1e-6})
-        EXPECT_EQ(table.sample(u),
-                  std::exp(sigma * inverseNormalCdf(u)));
-}
-
-TEST(FastSamplingTest, NormalBatchFastPassesKsAndMomentChecks)
-{
-    Rng rng(101);
-    const std::size_t n = 100000;
-    std::vector<double> draws(n);
-    rng.normalBatchFast(draws.data(), n);
-
-    double sum = 0.0, sq = 0.0;
-    for (double x : draws) {
-        sum += x;
-        sq += x * x;
-    }
-    const double mean = sum / static_cast<double>(n);
-    const double var = sq / static_cast<double>(n) - mean * mean;
-    EXPECT_NEAR(mean, 0.0, 0.02);
-    EXPECT_NEAR(var, 1.0, 0.03);
-
-    // Kolmogorov-Smirnov distance against the exact normal CDF. The
-    // 0.1% critical value at n=100k is ~0.0061; 0.01 leaves margin
-    // for the table's interpolation error without masking a broken
-    // sampler (a uniform-vs-normal confusion scores ~0.07+).
-    std::sort(draws.begin(), draws.end());
-    double ks = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double cdf = normalCdf(draws[i]);
-        const double hi =
-            static_cast<double>(i + 1) / static_cast<double>(n) - cdf;
-        const double lo =
-            cdf - static_cast<double>(i) / static_cast<double>(n);
-        ks = std::max(ks, std::max(hi, lo));
-    }
-    EXPECT_LT(ks, 0.01);
-}
-
-TEST(FastSamplingTest, NormalBatchFastConsumesOneUniformPerSample)
-{
-    // The fast path draws exactly n uniforms and leaves a pending
-    // Box-Muller spare untouched — its stream discipline, pinned so
-    // mixing fast and exact sampling stays replayable.
-    Rng fast(42), mirror(42);
-    (void)fast.normal(); // load a spare on both streams
-    (void)mirror.normal();
-
-    double buf[4];
-    fast.normalBatchFast(buf, 4);
-    const NormalQuantileTable &table = NormalQuantileTable::shared();
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(buf[i], table.sample(mirror.uniform())) << i;
-
-    // Both sides now emit the identical cached spare, then stay in
-    // lockstep on the raw stream.
-    EXPECT_EQ(fast.normal(), mirror.normal());
-    EXPECT_EQ(fast.next(), mirror.next());
-}
-
-TEST(FastSamplingTest, FillLognormalFastMatchesTableComposition)
-{
-    const double mu = 1.7, sigma = 0.42;
-    const LognormalQuantileTable table(sigma);
-    Rng fast(11), mirror(11);
-    std::vector<double> got(33);
-    fast.fillLognormalFast(got.data(), got.size(), mu, table);
-    const double scale = std::exp(mu);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i], scale * table.sample(mirror.uniform()))
-            << "index " << i;
-        EXPECT_GT(got[i], 0.0);
-    }
-    EXPECT_EQ(fast.next(), mirror.next());
 }
 
 TEST(RngTest, SatisfiesUniformRandomBitGenerator)
