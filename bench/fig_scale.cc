@@ -3,7 +3,7 @@
  * Datacenter-scale streaming-aggregation sweep: 1000 nodes, 10k
  * interactive tenants, run with per-tick retention OFF so the only
  * per-node state the run accumulates is the online rollups
- * (RunningStats / P² sketches / reservoir — see util/stats.hh and
+ * (plain sums / P² sketches / reservoir — see util/stats.hh and
  * the colo::Engine streaming accumulators).
  *
  * The bench demonstrates two contracts at scale:

@@ -147,8 +147,8 @@ BENCHMARK(BM_NormalBatches)
     ->ArgsProduct({{1, 2, 8, 10}, {33, 61}});
 
 /**
- * Arg: window size. Times only closeInterval (mean, p50 and p99 of
- * the window); refilling the window between closes is untimed. Each
+ * Arg: window size. Times only closeInterval (the p99 of the
+ * window); refilling the window between closes is untimed. Each
  * close reads a different slice of the latency stream.
  */
 void

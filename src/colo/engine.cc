@@ -721,7 +721,6 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                         ten.admission->closeInterval();
                     reports[s].shedFraction = stats.shedFraction();
                     reports[s].queueDelayUs = stats.meanQueueDelayUs;
-                    reports[s].batchSize = stats.meanBatchSize;
                 }
                 if (reports[s].interval.p99Us <= reports[s].qosUs)
                     ++ten.qosMetIntervals;
@@ -779,8 +778,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 const double p99 = reports[s].interval.p99Us;
                 acc.sumP99All += p99;
                 ++acc.nAll;
-                if (post_warmup)
-                    acc.post.add(p99);
+                if (post_warmup) {
+                    acc.sumP99Post += p99;
+                    ++acc.nPost;
+                }
             }
             maxTotalReclaimed =
                 std::max(maxTotalReclaimed, total_reclaimed);
@@ -1007,7 +1008,6 @@ Engine::finalize()
         out.overallP99Us = ten.monitor->longRunP99();
         out.steadySketch = ten.monitor->steadySketch();
         out.steadyP99Us = out.steadySketch.value();
-        out.intervalP99Stats = svcAccum[s].post;
         if (ten.admission) {
             const admission::AdmissionStats life =
                 ten.admission->lifetime();
@@ -1017,9 +1017,9 @@ Engine::finalize()
         }
 
         const SvcAccum &acc = svcAccum[s];
-        const bool any_post = acc.post.count() > 0;
-        const double sum_p99 = any_post ? acc.post.sum() : acc.sumP99All;
-        const std::size_t n_intervals = any_post ? acc.post.count() : acc.nAll;
+        const bool any_post = acc.nPost > 0;
+        const double sum_p99 = any_post ? acc.sumP99Post : acc.sumP99All;
+        const std::size_t n_intervals = any_post ? acc.nPost : acc.nAll;
         out.meanIntervalP99Us = n_intervals == 0
             ? 0.0
             : sum_p99 / static_cast<double>(n_intervals);
@@ -1031,7 +1031,6 @@ Engine::finalize()
     }
 
     result.maxCoresReclaimedTotal = maxTotalReclaimed;
-    result.approximationAloneSufficed = maxTotalReclaimed == 0;
     if (result.budgetEnabled) {
         // Budget rollups: post-warmup means of the interval samples
         // (whole-run fallback for very short runs, mirroring the

@@ -263,14 +263,11 @@ struct ServiceOutcome
     double qosMetFraction = 0.0;
 
     /**
-     * Streaming rollups carried for cross-node aggregation (the CSV
-     * writers ignore them, so adding them moved no golden byte):
-     * Welford stats over the post-warmup per-interval p99 estimates,
-     * and the service's whole-run steady-state P² sketch, mergeable
+     * The service's whole-run steady-state P² sketch, carried for
+     * cross-node aggregation (the CSV writers ignore it): mergeable
      * across nodes/shards via P2Quantile::merge() in a fixed
      * node-order fold (steadyP99Us is this sketch's value()).
      */
-    util::RunningStats intervalP99Stats;
     util::P2Quantile steadySketch{0.99};
 
     /**
@@ -354,9 +351,6 @@ struct ColoResult
      * behind the paper's Fig. 10 breakdown).
      */
     int typicalCoresReclaimed = 0;
-
-    /** Whether approximation alone sufficed (no core ever taken). */
-    bool approximationAloneSufficed = true;
 
     /** Max LLC ways the runtime isolated for the services. */
     int maxPartitionWays = 0;
@@ -625,19 +619,17 @@ class Engine
 
     /**
      * Online rollup state for one interactive tenant, updated at
-     * every interval close. Plain chronological sums (not Welford)
-     * for the mean fields, added in interval order (the golden
-     * numbers pin that order).
+     * every interval close: the interval p99s as plain chronological
+     * sums, added in interval order (the golden numbers pin that
+     * order), over the whole run and past the warmup.
      */
     struct SvcAccum
     {
         double sumP99All = 0.0; ///< whole-run fallback sum
         std::size_t nAll = 0;
-        /**
-         * Post-warmup interval p99 distribution; finalize() takes the
-         * mean interval p99 from its plain chronological sum().
-         */
-        util::RunningStats post;
+        /** Post-warmup sum, the mean interval p99 finalize() reports. */
+        double sumP99Post = 0.0;
+        std::size_t nPost = 0;
     };
 
     ColoConfig cfg;

@@ -17,7 +17,6 @@ PerformanceMonitor::observe(std::span<const double> latencies_us,
                             bool steady_state)
 {
     const std::size_t n = latencies_us.size();
-    offeredCount += n;
     // The window holds min(windowOffered, budget) samples, so the
     // head of the batch appends into the reserved window and only
     // the tail past the budget draws reservoir indices — the same
@@ -49,25 +48,14 @@ PerformanceMonitor::observe(std::span<const double> latencies_us,
 IntervalReport
 PerformanceMonitor::closeInterval()
 {
+    // The window dies with the interval, so select p99 in place: a
+    // min/max pass, a bucket histogram and one compaction leave
+    // nth_element only the bucket that holds the p99 rank. The value
+    // is bit-identical to sorting the window and interpolating
+    // between closest ranks, and 0 for an empty window.
+    static constexpr double kP99[] = {99.0};
     IntervalReport rep;
-    rep.samples = window.size();
-    if (!window.empty()) {
-        double sum = 0.0;
-        for (double l : window)
-            sum += l;
-        // The window dies with the interval, so select the two
-        // percentiles in place (the sum above is taken before the
-        // reorder): a min/max pass, a bucket histogram and one
-        // compaction leave nth_element only the buckets that hold the
-        // p50 and p99 ranks. Values are bit-identical to sorting the
-        // window and interpolating between closest ranks.
-        static constexpr double kPercentiles[] = {50.0, 99.0};
-        double q[2];
-        util::selectPercentiles(window, kPercentiles, q);
-        rep.p50Us = q[0];
-        rep.p99Us = q[1];
-        rep.meanUs = sum / static_cast<double>(window.size());
-    }
+    util::selectPercentiles(window, kP99, {&rep.p99Us, 1});
     window.clear();
     windowOffered = 0;
     return rep;

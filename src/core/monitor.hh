@@ -26,9 +26,6 @@ namespace core {
 struct IntervalReport
 {
     double p99Us = 0.0;
-    double p50Us = 0.0;
-    double meanUs = 0.0;
-    std::size_t samples = 0;
 };
 
 /**
@@ -69,8 +66,8 @@ class PerformanceMonitor
     void observe(double latency_us) { observe({&latency_us, 1}); }
 
     /**
-     * Close the current decision interval: compute the report and
-     * reset the window.
+     * Close the current decision interval: report the window's p99
+     * (0 for an empty window) and reset the window.
      */
     IntervalReport closeInterval();
 
@@ -79,9 +76,6 @@ class PerformanceMonitor
 
     /** The retained samples of the open window, in reservoir order. */
     const std::vector<double> &windowSamples() const { return window; }
-
-    /** Total samples offered (pre-subsampling) since construction. */
-    std::uint64_t offered() const { return offeredCount; }
 
     /** Long-run p99 across the whole run (survives interval resets). */
     double longRunP99() const { return longRun.value(); }
@@ -93,7 +87,6 @@ class PerformanceMonitor
     std::size_t budget;
     util::Rng rng;
     std::vector<double> window;
-    std::uint64_t offeredCount = 0;
     std::uint64_t windowOffered = 0;
     util::P2Quantile longRun{0.99};
     util::P2Quantile steady{0.99};

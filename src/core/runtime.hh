@@ -122,16 +122,14 @@ struct ServiceReport
     /**
      * Admission-control counters for the closing interval, at their
      * neutral values when the admission front-end is disabled: the
-     * fraction of arrivals shed (0), the dispatch-weighted mean
+     * fraction of arrivals shed (0) and the dispatch-weighted mean
      * queue+batch delay already folded into the monitored latencies
-     * (0), and the mean effective batch size (1 = unbatched). The
-     * cluster's placement layer reads shedFraction as a pressure
-     * signal — a node that meets QoS only by turning requests away
-     * is still pressured.
+     * (0). The cluster's placement layer reads shedFraction as a
+     * pressure signal — a node that meets QoS only by turning
+     * requests away is still pressured.
      */
     double shedFraction = 0.0;
     double queueDelayUs = 0.0;
-    double batchSize = 1.0;
 
     /** Tail pressure normalized by the QoS target (1.0 = at QoS). */
     double

@@ -687,11 +687,11 @@ class Render
                   budgetEnabled, obsEnabled, metrics, budgetQualityUsed,
                   budgetShedUsed, budgetQualityCap, budgetShedCap,
                   services, maxCoresReclaimedTotal, typicalCoresReclaimed,
-                  approximationAloneSufficed, maxPartitionWays, apps)
+                  maxPartitionWays, apps)
     PLIANT_FIELDS(colo::ServiceOutcome, name, qosUs, overallP99Us,
                   steadyP99Us, meanIntervalP99Us, qosMetFraction,
-                  intervalP99Stats, steadySketch, shedFraction,
-                  meanQueueDelayUs, meanBatchSize)
+                  steadySketch, shedFraction, meanQueueDelayUs,
+                  meanBatchSize)
     PLIANT_FIELDS(colo::AppOutcome, name, finished, relativeExecTime,
                   inaccuracy, switches, dynrecOverhead, maxCoresReclaimed)
     PLIANT_FIELDS(EngineRun, result, timeline)

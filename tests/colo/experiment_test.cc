@@ -172,15 +172,6 @@ TEST(ExperimentTest, InaccuracyWithinCatalogBudget)
     EXPECT_LE(r.apps[0].inaccuracy, bound);
 }
 
-TEST(ExperimentTest, ApproximationAloneFlagConsistent)
-{
-    const ColoResult r = runColocation(
-        services::ServiceKind::Memcached, {"snp"},
-        core::RuntimeKind::Pliant, 5);
-    EXPECT_EQ(r.approximationAloneSufficed,
-              r.maxCoresReclaimedTotal == 0);
-}
-
 TEST(ExperimentTest, MaxDurationCapsRunaway)
 {
     ColoConfig cfg = makeColoConfig(services::ServiceKind::Memcached,

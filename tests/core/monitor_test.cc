@@ -32,28 +32,18 @@ bitsOf(double x)
 }
 
 /**
- * Closes the interval and checks the report against a reference:
- * the sum in window order, and a sorted copy of the retained window
- * read with sortedPercentile.
+ * Closes the interval and checks its p99 against a sorted copy of
+ * the retained window read with sortedPercentile.
  */
 void
 expectCloseMatchesSortedReference(PerformanceMonitor &m)
 {
-    const std::vector<double> window = m.windowSamples();
-    double sum = 0.0;
-    for (double l : window)
-        sum += l;
-    std::vector<double> sorted = window;
+    std::vector<double> sorted = m.windowSamples();
     std::sort(sorted.begin(), sorted.end());
 
     const IntervalReport r = m.closeInterval();
-    ASSERT_EQ(r.samples, window.size());
     EXPECT_EQ(bitsOf(r.p99Us),
               bitsOf(pliant::test::sortedPercentile(sorted, 99.0)));
-    EXPECT_EQ(bitsOf(r.p50Us),
-              bitsOf(pliant::test::sortedPercentile(sorted, 50.0)));
-    EXPECT_EQ(bitsOf(r.meanUs),
-              bitsOf(sum / static_cast<double>(window.size())));
     EXPECT_EQ(m.windowSize(), 0u);
 }
 
@@ -61,7 +51,6 @@ TEST(MonitorTest, EmptyIntervalReportsZero)
 {
     PerformanceMonitor m;
     const IntervalReport r = m.closeInterval();
-    EXPECT_EQ(r.samples, 0u);
     EXPECT_EQ(r.p99Us, 0.0);
 }
 
@@ -71,11 +60,9 @@ TEST(MonitorTest, KnownDistributionP99)
     // 1..1000 microseconds uniformly.
     for (int i = 1; i <= 1000; ++i)
         m.observe(static_cast<double>(i));
+    EXPECT_EQ(m.windowSize(), 1000u);
     const IntervalReport r = m.closeInterval();
-    EXPECT_EQ(r.samples, 1000u);
     EXPECT_NEAR(r.p99Us, 990.0, 2.0);
-    EXPECT_NEAR(r.p50Us, 500.0, 2.0);
-    EXPECT_NEAR(r.meanUs, 500.5, 1e-9);
 }
 
 TEST(MonitorTest, IntervalResetsWindow)
@@ -83,8 +70,8 @@ TEST(MonitorTest, IntervalResetsWindow)
     PerformanceMonitor m;
     m.observe(100.0);
     m.closeInterval();
-    const IntervalReport r = m.closeInterval();
-    EXPECT_EQ(r.samples, 0u);
+    EXPECT_EQ(m.windowSize(), 0u);
+    EXPECT_EQ(m.closeInterval().p99Us, 0.0);
 }
 
 TEST(MonitorTest, AdaptiveSamplingBoundsMemory)
@@ -93,7 +80,6 @@ TEST(MonitorTest, AdaptiveSamplingBoundsMemory)
     for (int i = 0; i < 100000; ++i)
         m.observe(static_cast<double>(i % 1000));
     EXPECT_EQ(m.windowSize(), 256u);
-    EXPECT_EQ(m.offered(), 100000u);
 }
 
 TEST(MonitorTest, SubsampledP99StillAccurate)
@@ -112,8 +98,7 @@ TEST(MonitorTest, BatchObserve)
 {
     PerformanceMonitor m;
     m.observe(std::vector<double>{1.0, 2.0, 3.0});
-    const IntervalReport r = m.closeInterval();
-    EXPECT_EQ(r.samples, 3u);
+    EXPECT_EQ(m.windowSize(), 3u);
 }
 
 TEST(MonitorTest, LongRunP99SurvivesIntervals)
@@ -180,10 +165,7 @@ struct FeedCase
 void
 expectSameReport(const IntervalReport &got, const IntervalReport &want)
 {
-    EXPECT_EQ(got.samples, want.samples);
     EXPECT_EQ(bitsOf(got.p99Us), bitsOf(want.p99Us));
-    EXPECT_EQ(bitsOf(got.p50Us), bitsOf(want.p50Us));
-    EXPECT_EQ(bitsOf(got.meanUs), bitsOf(want.meanUs));
 }
 
 TEST(MonitorTest, BudgetOfWhatTheIntervalOffersMatches4096Window)
@@ -241,7 +223,6 @@ TEST(MonitorSpanTest, SpanObserveMatchesPerSampleFeed)
                     steady.add(l);
             }
 
-            ASSERT_EQ(span_fed.offered(), scalar_fed.offered());
             ASSERT_EQ(span_fed.windowSamples(),
                       scalar_fed.windowSamples())
                 << "tick " << tick;

@@ -418,9 +418,9 @@ TEST(SelectPercentilesTest, BitIdenticalToSortThenSortedPercentile)
                             Shape::AllEqual, Shape::Sorted,
                             Shape::Reversed}) {
             const std::vector<double> sample = makeSample(sm, n, shape);
-            // The full list, the monitor's pair, a random ascending
+            // The full list, the monitor's p99, a random ascending
             // subset, and one random real percentile.
-            std::vector<std::vector<double>> lists = {kPs, {50.0, 99.0}};
+            std::vector<std::vector<double>> lists = {kPs, {99.0}};
             std::vector<double> subset;
             const std::uint64_t mask = sm.next();
             for (std::size_t k = 0; k < kPs.size(); ++k)
@@ -589,18 +589,20 @@ TEST(SelectPercentilesTest, SignedZerosCompareEqual)
     }
 }
 
-TEST(SelectPercentilesTest, MonitorPairAtEverySizeUpTo600)
+TEST(SelectPercentilesTest, MonitorP99AtEveryWindowSize)
 {
-    // Every bucket count from 4 to 256, with and without a remainder
-    // past the four-lane min/max loop.
+    // The monitor's close selects p99 alone from a window of 1 to
+    // 4096 samples (the engine's window cap): every bucket count,
+    // with and without a remainder past the four-lane min/max loop,
+    // and the degenerate all-equal range.
     constexpr std::uint64_t kSeed = 0x600ULL;
     SplitMix64 sm(kSeed);
-    for (std::size_t n = 1; n <= 600; ++n) {
+    for (std::size_t n = 1; n <= 4096; ++n) {
         SCOPED_TRACE("seed=" + std::to_string(kSeed) +
                      " n=" + std::to_string(n));
-        expectMatchesSort(makeSample(sm, n, Shape::Random), {50.0, 99.0});
-        expectMatchesSort(makeSample(sm, n, Shape::HeavyTies),
-                          {50.0, 99.0});
+        for (Shape shape : {Shape::Random, Shape::HeavyTies,
+                            Shape::AllEqual})
+            expectMatchesSort(makeSample(sm, n, shape), {99.0});
     }
 }
 
