@@ -76,37 +76,41 @@ budgetCases(bool quick)
 cluster::ClusterConfig
 makeConfig(const BudgetCase &bc, bool quick)
 {
-    cluster::ClusterConfigBuilder builder;
+    cluster::ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
+        cluster::NodeSpec node;
         if (n == 0) {
             // The crowded node: past saturation AND past the 50%
             // local shed clamp, so only a cluster-funded shed slice
             // can absorb the excess.
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(
-                                0.60, 1.30, 30 * kS, 3 * kS, 25 * kS,
-                                10 * kS));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::flashCrowd(
+                                         0.60, 1.30, 30 * kS, 3 * kS,
+                                         25 * kS, 10 * kS)});
         } else {
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.60));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::constant(0.60)});
         }
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.65));
+        node.services.push_back({services::ServiceKind::Nginx,
+                                 colo::Scenario::constant(0.65)});
+        cfg.nodes.push_back(std::move(node));
     }
-    builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(cluster::PlacementKind::QosAware)
-        .admission(admission::AdmissionKind::QosShed,
-                   admission::BatchingKind::None)
-        .epoch(5 * kS)
-        .seed(71)
-        .maxDuration((quick ? 90 : 240) * kS);
-    if (bc.policy)
-        builder.budget(*bc.policy, bc.qualityBudget, bc.shedBudget);
-    return builder.build();
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+                "streamcluster"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::QosAware;
+    cfg.admission.enabled = true;
+    cfg.admission.policy = admission::AdmissionKind::QosShed;
+    cfg.epoch = 5 * kS;
+    cfg.seed = 71;
+    cfg.maxDuration = (quick ? 90 : 240) * kS;
+    if (bc.policy) {
+        cfg.budget.enabled = true;
+        cfg.budget.policy = *bc.policy;
+        cfg.budget.qualityBudget = bc.qualityBudget;
+        cfg.budget.shedBudget = bc.shedBudget;
+    }
+    return cfg;
 }
 
 /** Min over nodes of the node's mean service QoS met fraction. */

@@ -31,32 +31,32 @@ makeConfig(cluster::PlacementKind placement, core::RuntimeKind runtime,
            bool quick)
 {
     const sim::Time s = sim::kSecond;
-    cluster::ClusterConfigBuilder builder;
+    cluster::ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
+        cluster::NodeSpec node;
         if (n == 0) {
             // The crowded node: memcached ramps to saturation.
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(
-                                0.60, 0.95, 30 * s, 3 * s, 25 * s,
-                                10 * s));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::flashCrowd(
+                                         0.60, 0.95, 30 * s, 3 * s,
+                                         25 * s, 10 * s)});
         } else {
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.60));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::constant(0.60)});
         }
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.65));
+        node.services.push_back({services::ServiceKind::Nginx,
+                                 colo::Scenario::constant(0.65)});
+        cfg.nodes.push_back(std::move(node));
     }
-    builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(runtime)
-        .placement(placement)
-        .epoch(5 * s)
-        .seed(71);
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+                "streamcluster"};
+    cfg.runtime = runtime;
+    cfg.placement = placement;
+    cfg.epoch = 5 * s;
+    cfg.seed = 71;
     if (quick)
-        builder.maxDuration(90 * s);
-    return builder.build();
+        cfg.maxDuration = 90 * s;
+    return cfg;
 }
 
 } // namespace

@@ -39,31 +39,31 @@ makeConfig(cluster::PlacementKind placement, bool vector_model,
            bool quick)
 {
     const sim::Time s = sim::kSecond;
-    cluster::ClusterConfigBuilder builder;
+    cluster::ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
+        cluster::NodeSpec node;
         if (n == 0) {
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(
-                                0.45, 0.97, 20 * s, 3 * s, 40 * s,
-                                10 * s));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::flashCrowd(
+                                         0.45, 0.97, 20 * s, 3 * s,
+                                         40 * s, 10 * s)});
         } else {
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.45));
+            node.services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::constant(0.45)});
         }
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.45));
+        node.services.push_back({services::ServiceKind::Nginx,
+                                 colo::Scenario::constant(0.45)});
+        cfg.nodes.push_back(std::move(node));
     }
-    builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(core::RuntimeKind::Learned)
-        .learnedVector(vector_model)
-        .placement(placement)
-        .epoch(5 * s)
-        .seed(71);
-    builder.maxDuration((quick ? 90 : 150) * s);
-    return builder.build();
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+                "streamcluster"};
+    cfg.runtime = core::RuntimeKind::Learned;
+    cfg.learnedVector = vector_model;
+    cfg.placement = placement;
+    cfg.epoch = 5 * s;
+    cfg.seed = 71;
+    cfg.maxDuration = (quick ? 90 : 150) * s;
+    return cfg;
 }
 
 } // namespace

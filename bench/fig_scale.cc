@@ -107,9 +107,12 @@ now()
 cluster::ClusterConfig
 scaleConfig(sim::Time horizon, unsigned pool_threads)
 {
-    cluster::ClusterConfigBuilder builder;
+    cluster::ClusterConfig cfg;
+    cfg.nodes.resize(kNodes);
     for (std::size_t n = 0; n < kNodes; ++n) {
-        builder.node();
+        // Exact capacity, as a copied config would have: the cluster
+        // moves these vectors into its node configs.
+        cfg.nodes[n].services.reserve(kServicesPerNode);
         for (std::size_t s = 0; s < kServicesPerNode; ++s) {
             const bool mc = s % 2 == 0;
             // Staggered by (node, slot) so the tenant mix is not
@@ -117,25 +120,25 @@ scaleConfig(sim::Time horizon, unsigned pool_threads)
             // indices (determinism: no clock, no global RNG).
             const double load =
                 0.40 + 0.03 * static_cast<double>((n + s) % 5);
-            builder.service((mc ? "mc-" : "ngx-") + std::to_string(s),
-                            mc ? services::ServiceKind::Memcached
-                               : services::ServiceKind::Nginx,
-                            colo::Scenario::constant(load));
+            cfg.nodes[n].services.push_back(
+                {mc ? services::ServiceKind::Memcached
+                    : services::ServiceKind::Nginx,
+                 colo::Scenario::constant(load),
+                 (mc ? "mc-" : "ngx-") + std::to_string(s)});
         }
     }
-    builder
-        .apps({"canneal", "streamcluster", "bayesian", "kmeans",
-               "snp", "raytrace", "fluidanimate", "water_nsquared",
-               "birch", "genenet", "semphy", "plsa"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(cluster::PlacementKind::Static)
-        .tick(1 * kS)
-        .decisionInterval(1 * kS)
-        .epoch(5 * kS)
-        .maxDuration(horizon)
-        .seed(97)
-        .threads(pool_threads);
-    return builder.build();
+    cfg.apps = {"canneal", "streamcluster", "bayesian", "kmeans",
+                "snp", "raytrace", "fluidanimate", "water_nsquared",
+                "birch", "genenet", "semphy", "plsa"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::Static;
+    cfg.tick = 1 * kS;
+    cfg.decisionInterval = 1 * kS;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = horizon;
+    cfg.seed = 97;
+    cfg.threads = pool_threads;
+    return cfg;
 }
 
 /** One matrix cell: a full cluster run plus its rollups. */

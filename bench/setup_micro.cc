@@ -27,31 +27,32 @@ cluster::ClusterConfig
 scaleShapedConfig(std::size_t nodes)
 {
     constexpr sim::Time kS = sim::kSecond;
-    cluster::ClusterConfigBuilder b;
+    cluster::ClusterConfig cfg;
+    cfg.nodes.resize(nodes);
     for (std::size_t n = 0; n < nodes; ++n) {
-        b.node();
         for (std::size_t s = 0; s < 10; ++s) {
             const bool mc = s % 2 == 0;
             const double load =
                 0.40 + 0.03 * static_cast<double>((n + s) % 5);
-            b.service((mc ? "mc-" : "ngx-") + std::to_string(s),
-                      mc ? services::ServiceKind::Memcached
-                         : services::ServiceKind::Nginx,
-                      colo::Scenario::constant(load));
+            cfg.nodes[n].services.push_back(
+                {mc ? services::ServiceKind::Memcached
+                    : services::ServiceKind::Nginx,
+                 colo::Scenario::constant(load),
+                 (mc ? "mc-" : "ngx-") + std::to_string(s)});
         }
     }
-    b.apps({"canneal", "streamcluster", "bayesian", "kmeans", "snp",
-            "raytrace", "fluidanimate", "water_nsquared", "birch",
-            "genenet", "semphy", "plsa"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(cluster::PlacementKind::Static)
-        .tick(1 * kS)
-        .decisionInterval(1 * kS)
-        .epoch(5 * kS)
-        .maxDuration(12 * kS)
-        .seed(11)
-        .threads(1);
-    return b.build();
+    cfg.apps = {"canneal", "streamcluster", "bayesian", "kmeans",
+                "snp", "raytrace", "fluidanimate", "water_nsquared",
+                "birch", "genenet", "semphy", "plsa"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::Static;
+    cfg.tick = 1 * kS;
+    cfg.decisionInterval = 1 * kS;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = 12 * kS;
+    cfg.seed = 11;
+    cfg.threads = 1;
+    return cfg;
 }
 
 void

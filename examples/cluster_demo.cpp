@@ -37,30 +37,30 @@ main()
         {180 * s, 0.55},
     });
 
-    const cluster::ClusterConfig cfg =
-        cluster::ClusterConfigBuilder()
-            .node("edge")
-            .service("mc-hot", services::ServiceKind::Memcached, burst)
-            .service("mc-cold", services::ServiceKind::Memcached,
-                     colo::Scenario::constant(0.45))
-            .node("mid")
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::constant(0.60))
-            .service(services::ServiceKind::Nginx,
-                     colo::Scenario::constant(0.65))
-            .node("bulk")
-            .service(services::ServiceKind::Memcached,
-                     colo::Scenario::constant(0.55))
-            .service(services::ServiceKind::Nginx,
-                     colo::Scenario::constant(0.60))
-            .apps({"canneal", "bayesian", "snp", "kmeans",
-                   "streamcluster"})
-            .runtime(core::RuntimeKind::Pliant)
-            .placement(cluster::PlacementKind::QosAware)
-            .epoch(5 * s)
-            .maxDuration(180 * s)
-            .seed(4242)
-            .build();
+    cluster::ClusterConfig cfg;
+    cfg.nodes.resize(3);
+    cfg.nodes[0].name = "edge";
+    cfg.nodes[0].services = {
+        {services::ServiceKind::Memcached, burst, "mc-hot"},
+        {services::ServiceKind::Memcached, colo::Scenario::constant(0.45),
+         "mc-cold"},
+    };
+    cfg.nodes[1].name = "mid";
+    cfg.nodes[1].services = {
+        {services::ServiceKind::Memcached, colo::Scenario::constant(0.60)},
+        {services::ServiceKind::Nginx, colo::Scenario::constant(0.65)},
+    };
+    cfg.nodes[2].name = "bulk";
+    cfg.nodes[2].services = {
+        {services::ServiceKind::Memcached, colo::Scenario::constant(0.55)},
+        {services::ServiceKind::Nginx, colo::Scenario::constant(0.60)},
+    };
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "streamcluster"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::QosAware;
+    cfg.epoch = 5 * s;
+    cfg.maxDuration = 180 * s;
+    cfg.seed = 4242;
 
     cluster::Cluster cl(cfg);
     const cluster::ClusterResult r = cl.run();

@@ -267,23 +267,20 @@ AdmissionQueue::tick(double offered_load, double capacity_fraction,
         acc->shed += shed;
         acc->dispatched += dispatched;
         acc->delayWeight += delay_us * dispatched;
-        acc->batchWeight += batch * dispatched;
     }
+    batchWeight += batch * dispatched;
     return out;
 }
 
 AdmissionStats
-AdmissionQueue::finalizeStats(const Accum &acc) const
+AdmissionQueue::finalizeStats(const Accum &acc)
 {
     AdmissionStats out;
     out.arrivedRequests = acc.arrived;
     out.shedRequests = acc.shed;
     out.dispatchedRequests = acc.dispatched;
-    if (acc.dispatched > 0.0) {
+    if (acc.dispatched > 0.0)
         out.meanQueueDelayUs = acc.delayWeight / acc.dispatched;
-        out.meanBatchSize = acc.batchWeight / acc.dispatched;
-    }
-    out.queueDepthRequests = queueReq;
     return out;
 }
 
@@ -299,6 +296,12 @@ AdmissionStats
 AdmissionQueue::lifetime() const
 {
     return finalizeStats(total);
+}
+
+double
+AdmissionQueue::meanBatchSize() const
+{
+    return total.dispatched > 0.0 ? batchWeight / total.dispatched : 1.0;
 }
 
 } // namespace admission

@@ -130,12 +130,6 @@ struct AdmissionStats
     /** Dispatch-weighted mean queue+batch delay, microseconds. */
     double meanQueueDelayUs = 0.0;
 
-    /** Dispatch-weighted mean effective batch size (1 = no batching). */
-    double meanBatchSize = 1.0;
-
-    /** Queue depth (requests) when the interval closed. */
-    double queueDepthRequests = 0.0;
-
     /** Shed / arrived over the interval (0 when nothing arrived). */
     double
     shedFraction() const
@@ -224,6 +218,12 @@ class AdmissionQueue
     /** Lifetime totals (for end-of-run summaries). */
     AdmissionStats lifetime() const;
 
+    /**
+     * Lifetime dispatch-weighted mean effective batch size (1 = no
+     * batching, or nothing dispatched yet).
+     */
+    double meanBatchSize() const;
+
     /** Requests currently waiting. */
     double queueDepthRequests() const { return queueReq; }
 
@@ -292,13 +292,14 @@ class AdmissionQueue
         double shed = 0.0;
         double dispatched = 0.0;
         double delayWeight = 0.0; ///< sum(delayUs * dispatched)
-        double batchWeight = 0.0; ///< sum(batchSize * dispatched)
     };
 
-    AdmissionStats finalizeStats(const Accum &acc) const;
+    static AdmissionStats finalizeStats(const Accum &acc);
 
     Accum window;
     Accum total;
+    /** Lifetime sum(batchSize * dispatched). */
+    double batchWeight = 0.0;
 };
 
 } // namespace admission

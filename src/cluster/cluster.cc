@@ -506,14 +506,6 @@ clusterTable(const std::vector<std::string> &labels,
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::nodes(std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        cfg.nodes.push_back(NodeSpec{});
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::node(std::string name)
 {
     NodeSpec spec;
@@ -526,8 +518,8 @@ NodeSpec &
 ClusterConfigBuilder::lastNode()
 {
     if (cfg.nodes.empty())
-        util::fatal("declare a node (node()/nodes()) before "
-                    "configuring node-scoped properties");
+        util::fatal("declare a node (node()) before configuring "
+                    "node-scoped properties");
     return cfg.nodes.back();
 }
 
@@ -552,42 +544,9 @@ ClusterConfigBuilder::service(std::string name,
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::serviceOnAll(services::ServiceKind kind,
-                                   colo::Scenario scenario)
-{
-    if (cfg.nodes.empty())
-        util::fatal("declare nodes before serviceOnAll()");
-    for (auto &node : cfg.nodes) {
-        colo::ServiceSpec spec;
-        spec.kind = kind;
-        spec.scenario = scenario;
-        node.services.push_back(std::move(spec));
-    }
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::app(const std::string &name)
-{
-    cfg.apps.push_back(name);
-    cfg.initialVariants.push_back(0);
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::app(const std::string &name, int initialVariant)
-{
-    cfg.apps.push_back(name);
-    cfg.initialVariants.push_back(initialVariant);
-    anyVariantPinned = true;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::apps(const std::vector<std::string> &names)
 {
-    for (const auto &name : names)
-        app(name);
+    cfg.apps.insert(cfg.apps.end(), names.begin(), names.end());
     return *this;
 }
 
@@ -595,13 +554,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::runtime(core::RuntimeKind kind)
 {
     cfg.runtime = kind;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::learnedVector(bool enable)
-{
-    cfg.learnedVector = enable;
     return *this;
 }
 
@@ -614,29 +566,12 @@ ClusterConfigBuilder::placement(PlacementKind kind)
 
 ClusterConfigBuilder &
 ClusterConfigBuilder::admission(
-    pliant::admission::AdmissionConfig admission_cfg)
-{
-    cfg.admission = std::move(admission_cfg);
-    cfg.admission.enabled = true;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::admission(
     pliant::admission::AdmissionKind policy,
     pliant::admission::BatchingKind batching)
 {
     cfg.admission.enabled = true;
     cfg.admission.policy = policy;
     cfg.admission.batching = batching;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::budget(pliant::budget::BudgetConfig budget_cfg)
-{
-    cfg.budget = std::move(budget_cfg);
-    cfg.budget.enabled = true;
     return *this;
 }
 
@@ -681,13 +616,6 @@ ClusterConfigBuilder::maxDuration(sim::Time duration)
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::cachePartitioning(bool enable)
-{
-    cfg.enableCachePartitioning = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::seed(std::uint64_t seed)
 {
     cfg.seed = seed;
@@ -701,28 +629,11 @@ ClusterConfigBuilder::threads(unsigned threads)
     return *this;
 }
 
-ClusterConfigBuilder &
-ClusterConfigBuilder::observability(obs::ObsConfig obs_cfg)
-{
-    cfg.observability = obs_cfg;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::observability(bool metrics)
-{
-    cfg.observability.metrics = metrics;
-    return *this;
-}
-
 ClusterConfig
 ClusterConfigBuilder::build() const
 {
-    ClusterConfig built = cfg;
-    if (!anyVariantPinned)
-        built.initialVariants.clear();
-    validateClusterConfig(built);
-    return built;
+    validateClusterConfig(cfg);
+    return cfg;
 }
 
 } // namespace cluster

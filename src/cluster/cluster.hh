@@ -95,10 +95,10 @@ struct ClusterConfig : colo::RunConfig
  * A reported duplicate is always the lowest index whose name recurs
  * later.
  *
- * Runs once per object: ClusterConfigBuilder::build() validates the
- * config it returns, and Cluster's constructor validates the config
- * it receives, then checks per node only what placement decides
- * (fair-core starvation) instead of re-validating node configs.
+ * Cluster's constructor runs it on the config it receives, then
+ * checks per node only what placement decides (fair-core starvation)
+ * instead of re-validating node configs. ClusterConfigBuilder::build()
+ * also runs it, so a built config is validated twice.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 
@@ -188,27 +188,16 @@ struct ClusterResult
 };
 
 /**
- * Fluent builder for ClusterConfig. node() starts a node; service()
- * attaches a tenant to the most recently started node. Example:
- *
- *   ClusterConfig cfg =
- *       ClusterConfigBuilder()
- *           .nodes(3)
- *           .serviceOnAll(services::ServiceKind::Memcached,
- *                         Scenario::constant(0.70))
- *           .apps({"canneal", "bayesian", "snp"})
- *           .placement(PlacementKind::QosAware)
- *           .runtime(core::RuntimeKind::Pliant)
- *           .seed(71)
- *           .build();
+ * Fluent builder for ClusterConfig, kept for the frozen perfbench
+ * (perfbench/main.cc); new code fills ClusterConfig and NodeSpec
+ * directly. node() starts a node; service() attaches a tenant to the
+ * most recently started node; apps() appends names only (no pinned
+ * variants); admission() and budget() enable their layer.
  */
 class ClusterConfigBuilder
 {
   public:
     ClusterConfigBuilder() = default;
-
-    /** Append `count` nodes with default server specs. */
-    ClusterConfigBuilder &nodes(std::size_t count);
 
     /** Start a new node (service() calls attach to it). */
     ClusterConfigBuilder &node(std::string name = "");
@@ -222,40 +211,21 @@ class ClusterConfigBuilder
                                   services::ServiceKind kind,
                                   colo::Scenario scenario);
 
-    /** Attach the same tenant to every node declared so far. */
-    ClusterConfigBuilder &serviceOnAll(services::ServiceKind kind,
-                                       colo::Scenario scenario);
-
-    ClusterConfigBuilder &app(const std::string &name);
-    ClusterConfigBuilder &app(const std::string &name,
-                              int initialVariant);
     ClusterConfigBuilder &apps(const std::vector<std::string> &names);
-
     ClusterConfigBuilder &runtime(core::RuntimeKind kind);
-
-    /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
-    ClusterConfigBuilder &learnedVector(bool enable = true);
     ClusterConfigBuilder &placement(PlacementKind kind);
 
     /**
-     * Enable the admission front-end cluster-wide, with the given
-     * (possibly customized) config or with the given policies and
-     * defaults elsewhere (types spelled via pliant:: because the
-     * method name hides the namespace in class scope).
+     * Enable the admission front-end cluster-wide with the given
+     * policies (types spelled via pliant:: because the method name
+     * hides the namespace in class scope).
      */
-    ClusterConfigBuilder &
-    admission(pliant::admission::AdmissionConfig cfg);
     ClusterConfigBuilder &
     admission(pliant::admission::AdmissionKind policy,
               pliant::admission::BatchingKind batching =
                   pliant::admission::BatchingKind::None);
 
-    /**
-     * Enable cluster-wide budgets (see budget::BudgetConfig; types
-     * spelled via pliant:: because the method name hides the
-     * namespace in class scope, the admission() pattern).
-     */
-    ClusterConfigBuilder &budget(pliant::budget::BudgetConfig cfg);
+    /** Enable cluster-wide budgets (see budget::BudgetConfig). */
     ClusterConfigBuilder &budget(pliant::budget::BudgetPolicy policy,
                                  double quality_budget,
                                  double shed_budget);
@@ -264,15 +234,8 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &decisionInterval(sim::Time interval);
     ClusterConfigBuilder &tick(sim::Time tick);
     ClusterConfigBuilder &maxDuration(sim::Time duration);
-    ClusterConfigBuilder &cachePartitioning(bool enable = true);
     ClusterConfigBuilder &seed(std::uint64_t seed);
     ClusterConfigBuilder &threads(unsigned threads);
-
-    /** Observability knobs, cluster layer + every node (default off). */
-    ClusterConfigBuilder &observability(obs::ObsConfig cfg);
-
-    /** Enable the metrics registry with default knobs. */
-    ClusterConfigBuilder &observability(bool metrics = true);
 
     /** Validate and return the config (throws util::FatalError). */
     ClusterConfig build() const;
@@ -281,7 +244,6 @@ class ClusterConfigBuilder
     NodeSpec &lastNode();
 
     ClusterConfig cfg;
-    bool anyVariantPinned = false;
 };
 
 /**

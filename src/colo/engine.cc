@@ -1013,7 +1013,7 @@ Engine::finalize()
                 ten.admission->lifetime();
             out.shedFraction = life.shedFraction();
             out.meanQueueDelayUs = life.meanQueueDelayUs;
-            out.meanBatchSize = life.meanBatchSize;
+            out.meanBatchSize = ten.admission->meanBatchSize();
         }
 
         const SvcAccum &acc = svcAccum[s];

@@ -221,8 +221,8 @@ TEST(AdmissionQueueTest, BatchingAmortizationRaisesDispatchCapacity)
     // so the batched queue dispatches strictly more...
     EXPECT_GT(batched.lifetime().dispatchedRequests,
               1.1 * plain.lifetime().dispatchedRequests);
-    EXPECT_GT(batched.lifetime().meanBatchSize, 10.0);
-    EXPECT_EQ(plain.lifetime().meanBatchSize, 1.0);
+    EXPECT_GT(batched.meanBatchSize(), 10.0);
+    EXPECT_EQ(plain.meanBatchSize(), 1.0);
     // ... while every dispatched request pays a formation wait.
     AdmissionQueue idle = makeQueue(
         enabledConfig(AdmissionKind::AcceptAll, BatchingKind::Fixed));
@@ -242,8 +242,8 @@ TEST(AdmissionQueueTest, AdaptiveBatchWaitIsTimeoutBounded)
         // the timeout bounds (mean wait <= timeout / 2).
         EXPECT_LE(out.queueDelayUs, cfg.batchTimeoutUs / 2.0 + 1e-9);
     }
-    EXPECT_GT(q.lifetime().meanBatchSize, 1.0);
-    EXPECT_LE(q.lifetime().meanBatchSize, admission::kMaxBatchSize);
+    EXPECT_GT(q.meanBatchSize(), 1.0);
+    EXPECT_LE(q.meanBatchSize(), admission::kMaxBatchSize);
 }
 
 TEST(AdmissionQueueTest, JitterIsDeterministicPerSeed)
@@ -279,7 +279,7 @@ TEST(AdmissionQueueTest, IntervalWindowResetsWhileLifetimeAccumulates)
     EXPECT_GT(first.arrivedRequests, 0.0);
     const admission::AdmissionStats empty = q.closeInterval();
     EXPECT_EQ(empty.arrivedRequests, 0.0);
-    EXPECT_EQ(empty.meanBatchSize, 1.0);
+    EXPECT_EQ(empty.meanQueueDelayUs, 0.0);
     EXPECT_GE(q.lifetime().arrivedRequests, first.arrivedRequests);
 }
 

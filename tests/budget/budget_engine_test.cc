@@ -48,37 +48,34 @@ constexpr double kRelTol = 1e-9;
  * The fig_cluster quick-mode QoS-aware config plus the QosShed
  * admission front-end — exactly the golden_test cluster with
  * admission on, the richest pre-budget configuration (placement
- * migrations AND admission shedding both active).
+ * migrations AND admission shedding both active). Node 0's memcached
+ * takes a flash crowd peaking at `crowd_peak`.
  */
-ClusterConfigBuilder
-admissionClusterBuilder()
+ClusterConfig
+admissionClusterConfig(double crowd_peak = 0.95)
 {
-    ClusterConfigBuilder builder;
+    ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
+        colo::Scenario mc = colo::Scenario::constant(0.60);
         if (n == 0)
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(0.60, 0.95,
-                                                       30 * kS, 3 * kS,
-                                                       25 * kS,
-                                                       10 * kS));
-        else
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.60));
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.65));
+            mc = colo::Scenario::flashCrowd(0.60, crowd_peak, 30 * kS, 3 * kS,
+                                            25 * kS, 10 * kS);
+        NodeSpec node;
+        node.services.push_back({services::ServiceKind::Memcached, mc});
+        node.services.push_back(
+            {services::ServiceKind::Nginx, colo::Scenario::constant(0.65)});
+        cfg.nodes.push_back(std::move(node));
     }
-    builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(PlacementKind::QosAware)
-        .admission(admission::AdmissionKind::QosShed,
-                   admission::BatchingKind::None)
-        .epoch(5 * kS)
-        .seed(71)
-        .maxDuration(90 * kS);
-    return builder;
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+                "streamcluster"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = PlacementKind::QosAware;
+    cfg.admission.enabled = true;
+    cfg.admission.policy = admission::AdmissionKind::QosShed;
+    cfg.epoch = 5 * kS;
+    cfg.seed = 71;
+    cfg.maxDuration = 90 * kS;
+    return cfg;
 }
 
 /** The bench/fig_budget quick-mode config at the pinned point. */
@@ -87,34 +84,14 @@ figBudgetConfig(
     const std::optional<budget::BudgetPolicy> &policy,
     double quality_budget, double shed_budget)
 {
-    ClusterConfigBuilder builder;
-    for (int n = 0; n < 3; ++n) {
-        builder.node();
-        if (n == 0)
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(0.60, 1.30,
-                                                       30 * kS, 3 * kS,
-                                                       25 * kS,
-                                                       10 * kS));
-        else
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.60));
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.65));
+    ClusterConfig cfg = admissionClusterConfig(1.30);
+    if (policy) {
+        cfg.budget.enabled = true;
+        cfg.budget.policy = *policy;
+        cfg.budget.qualityBudget = quality_budget;
+        cfg.budget.shedBudget = shed_budget;
     }
-    builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(PlacementKind::QosAware)
-        .admission(admission::AdmissionKind::QosShed,
-                   admission::BatchingKind::None)
-        .epoch(5 * kS)
-        .seed(71)
-        .maxDuration(90 * kS);
-    if (policy)
-        builder.budget(*policy, quality_budget, shed_budget);
-    return builder.build();
+    return cfg;
 }
 
 /** Min over nodes of the node's mean service QoS met fraction. */
@@ -136,8 +113,7 @@ TEST(BudgetGoldenTest, DisabledBudgetsPinToPreBudgetCluster)
 {
     // Captured at the commit immediately before src/budget/ landed:
     // any drift here means the disabled path is no longer inert.
-    const ClusterResult r =
-        Cluster(admissionClusterBuilder().build()).run();
+    const ClusterResult r = Cluster(admissionClusterConfig()).run();
 
     EXPECT_FALSE(r.budgetEnabled);
     EXPECT_PINNED(r.worstServiceRatio, 0.94315106906576962);
@@ -302,28 +278,31 @@ TEST(BudgetMigrationTest, SlicesTrackThePostMoveRosterAtFirstTick)
     // The crowd hits node 0 early (8 s) so the move lands at the 10
     // or 15 s barrier while both long apps (50+ nominal seconds) are
     // provably still running at the 20 s horizon.
-    ClusterConfigBuilder builder;
+    ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
-        builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.45, 0.97, 8 * kS, 2 * kS,
-                                     30 * kS, 5 * kS)
-                               : colo::Scenario::constant(0.45));
+        colo::Scenario mc = colo::Scenario::constant(0.45);
+        if (n == 0)
+            mc = colo::Scenario::flashCrowd(0.45, 0.97, 8 * kS, 2 * kS,
+                                            30 * kS, 5 * kS);
+        NodeSpec node;
+        node.services.push_back({services::ServiceKind::Memcached, mc});
+        cfg.nodes.push_back(std::move(node));
     }
     const int pin_bayesian =
         approx::findProfile("bayesian").mostApproxIndex();
     const int pin_snp = approx::findProfile("snp").mostApproxIndex();
-    Cluster cl(builder.app("bayesian", pin_bayesian)
-                   .app("snp", pin_snp)
-                   .runtime(core::RuntimeKind::Precise)
-                   .placement(PlacementKind::QosAware)
-                   .budget(budget::BudgetPolicy::Proportional,
-                           quality_budget, 1.5)
-                   .epoch(5 * kS)
-                   .maxDuration(20 * kS)
-                   .seed(71)
-                   .build());
+    cfg.apps = {"bayesian", "snp"};
+    cfg.initialVariants = {pin_bayesian, pin_snp};
+    cfg.runtime = core::RuntimeKind::Precise;
+    cfg.placement = PlacementKind::QosAware;
+    cfg.budget.enabled = true;
+    cfg.budget.policy = budget::BudgetPolicy::Proportional;
+    cfg.budget.qualityBudget = quality_budget;
+    cfg.budget.shedBudget = 1.5;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = 20 * kS;
+    cfg.seed = 71;
+    Cluster cl(std::move(cfg));
     const std::vector<std::size_t> initial = cl.initialAssignment();
     std::vector<colo::TimelineRecorder> series(cl.nodeCount());
     for (std::size_t n = 0; n < series.size(); ++n)

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -221,29 +222,33 @@ constexpr std::size_t kKiB = 1024;
 cluster::ClusterConfig
 scaleShape()
 {
-    cluster::ClusterConfigBuilder builder;
+    cluster::ClusterConfig cfg;
+    cfg.nodes.resize(kNodes);
     for (std::size_t n = 0; n < kNodes; ++n) {
-        builder.node();
+        // Exact capacity, as a copied config would have: the cluster
+        // moves these vectors into its node configs.
+        cfg.nodes[n].services.reserve(kServicesPerNode);
         for (std::size_t s = 0; s < kServicesPerNode; ++s) {
             const bool mc = s % 2 == 0;
-            const double load =
-                0.40 + 0.03 * static_cast<double>((n + s) % 5);
-            builder.service((mc ? "mc-" : "ngx-") + std::to_string(s),
-                            mc ? services::ServiceKind::Memcached
-                               : services::ServiceKind::Nginx,
-                            colo::Scenario::constant(load));
+            colo::ServiceSpec svc;
+            svc.kind = mc ? services::ServiceKind::Memcached
+                          : services::ServiceKind::Nginx;
+            svc.scenario = colo::Scenario::constant(
+                0.40 + 0.03 * static_cast<double>((n + s) % 5));
+            svc.name = (mc ? "mc-" : "ngx-") + std::to_string(s);
+            cfg.nodes[n].services.push_back(std::move(svc));
         }
     }
-    builder.apps({"canneal", "streamcluster", "bayesian", "kmeans"});
-    builder.runtime(core::RuntimeKind::Pliant);
-    builder.placement(cluster::PlacementKind::Static);
-    builder.tick(1 * kS);
-    builder.decisionInterval(1 * kS);
-    builder.epoch(5 * kS);
-    builder.maxDuration(12 * kS);
-    builder.seed(97);
-    builder.threads(1);
-    return builder.build();
+    cfg.apps = {"canneal", "streamcluster", "bayesian", "kmeans"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::Static;
+    cfg.tick = 1 * kS;
+    cfg.decisionInterval = 1 * kS;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = 12 * kS;
+    cfg.seed = 97;
+    cfg.threads = 1;
+    return cfg;
 }
 
 /** `bytes` in KiB per node, for the failure messages. */

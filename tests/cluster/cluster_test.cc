@@ -2,9 +2,9 @@
  * @file
  * Tests for the cluster layer:
  *
- *  - builder/config validation (zero-node clusters, service-less
- *    nodes, bad epochs, duplicate node names and the exact text that
- *    names the first repeat, bad loads);
+ *  - config validation (zero-node clusters, service-less nodes, bad
+ *    epochs, duplicate node names and the exact text that names the
+ *    first repeat, bad loads), and what the builder itself adds;
  *  - every shared setting reaches every node config;
  *  - placement semantics: static round-robin and least-loaded LPT
  *    assignments, QoS-aware migration's fixed thresholds and
@@ -63,6 +63,23 @@ runRecorded(ClusterConfig cfg)
 }
 
 /**
+ * `nodes` default nodes, each hosting one memcached at constant
+ * `load`, sharing `apps`.
+ */
+ClusterConfig
+memcachedCluster(std::size_t nodes, double load,
+                 std::vector<std::string> apps)
+{
+    ClusterConfig cfg;
+    cfg.nodes.resize(nodes);
+    for (NodeSpec &node : cfg.nodes)
+        node.services.push_back({services::ServiceKind::Memcached,
+                                 colo::Scenario::constant(load)});
+    cfg.apps = std::move(apps);
+    return cfg;
+}
+
+/**
  * The acceptance cluster: three memcached+nginx nodes, a flash crowd
  * on node 0, six apps placed by the given policy. The precise
  * runtime leaves the crowd unmitigated locally, so the QoS-aware
@@ -75,42 +92,36 @@ acceptanceConfig(PlacementKind placement, core::RuntimeKind runtime,
     // Background loads are low enough that, even under the precise
     // baseline, only the flash-crowded node violates its QoS — the
     // signal the QoS-aware policy migrates on.
-    ClusterConfigBuilder builder;
-    for (int n = 0; n < 3; ++n) {
-        builder.node();
-        builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.45, 0.97, 20 * kS, 3 * kS,
-                                     40 * kS, 10 * kS)
-                               : colo::Scenario::constant(0.45));
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.45));
-    }
-    return builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(runtime)
-        .placement(placement)
-        .epoch(5 * kS)
-        .maxDuration(120 * kS)
-        .seed(71)
-        .threads(threads)
-        .build();
+    ClusterConfig cfg = memcachedCluster(
+        3, 0.45,
+        {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+         "streamcluster"});
+    cfg.nodes[0].services[0].scenario = colo::Scenario::flashCrowd(
+        0.45, 0.97, 20 * kS, 3 * kS, 40 * kS, 10 * kS);
+    for (NodeSpec &node : cfg.nodes)
+        node.services.push_back({services::ServiceKind::Nginx,
+                                 colo::Scenario::constant(0.45)});
+    cfg.runtime = runtime;
+    cfg.placement = placement;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = 120 * kS;
+    cfg.seed = 71;
+    cfg.threads = threads;
+    return cfg;
 }
 
 TEST(ClusterValidationTest, RejectsZeroNodeCluster)
 {
-    ClusterConfigBuilder builder;
-    EXPECT_THROW(builder.apps({"canneal"}).build(), util::FatalError);
+    EXPECT_THROW(validateClusterConfig(memcachedCluster(0, 0.5, {"canneal"})),
+                 util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsNodeWithoutServices)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(2)
-                     .apps({"canneal"})
-                     .build(),
-                 util::FatalError);
+    ClusterConfig cfg;
+    cfg.nodes.resize(2);
+    cfg.apps = {"canneal"};
+    EXPECT_THROW(validateClusterConfig(cfg), util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsServiceBeforeNode)
@@ -121,58 +132,96 @@ TEST(ClusterValidationTest, RejectsServiceBeforeNode)
                  util::FatalError);
 }
 
+TEST(ClusterBuilderTest, BuildMatchesThePlainConfig)
+{
+    // build() copies and validates: apps() appends names only (no
+    // initialVariants), and admission()/budget() switch their layer
+    // on. A builder whose config fails validation throws from build().
+    ClusterConfigBuilder builder;
+    builder.apps({"canneal"});
+    EXPECT_THROW(builder.build(), util::FatalError);
+    builder.node("edge")
+        .service(services::ServiceKind::Memcached,
+                 colo::Scenario::constant(0.5))
+        .service("web", services::ServiceKind::Nginx,
+                 colo::Scenario::constant(0.6))
+        .node()
+        .service(services::ServiceKind::Memcached,
+                 colo::Scenario::constant(0.4))
+        .apps({"bayesian"})
+        .runtime(core::RuntimeKind::Learned)
+        .placement(PlacementKind::QosAware)
+        .admission(admission::AdmissionKind::QosShed,
+                   admission::BatchingKind::Adaptive)
+        .budget(budget::BudgetPolicy::Learned, 0.1, 1.5)
+        .epoch(10 * kS)
+        .decisionInterval(2 * kS)
+        .tick(20 * sim::kMillisecond)
+        .maxDuration(30 * kS)
+        .seed(7)
+        .threads(2);
+    const ClusterConfig built = builder.build();
+
+    ASSERT_EQ(built.nodes.size(), 2u);
+    EXPECT_EQ(built.nodes[0].name, "edge");
+    EXPECT_EQ(built.nodes[1].name, "");
+    EXPECT_EQ(built.nodes[1].services.size(), 1u);
+    ASSERT_EQ(built.nodes[0].services.size(), 2u);
+    EXPECT_EQ(built.nodes[0].services[0].name, "");
+    EXPECT_EQ(built.nodes[0].services[1].name, "web");
+    EXPECT_EQ(built.nodes[0].services[1].kind,
+              services::ServiceKind::Nginx);
+    EXPECT_EQ(built.apps, (std::vector<std::string>{"canneal", "bayesian"}));
+    EXPECT_TRUE(built.initialVariants.empty());
+    EXPECT_EQ(built.runtime, core::RuntimeKind::Learned);
+    EXPECT_EQ(built.placement, PlacementKind::QosAware);
+    EXPECT_TRUE(built.admission.enabled);
+    EXPECT_EQ(built.admission.policy, admission::AdmissionKind::QosShed);
+    EXPECT_EQ(built.admission.batching, admission::BatchingKind::Adaptive);
+    EXPECT_TRUE(built.budget.enabled);
+    EXPECT_EQ(built.budget.policy, budget::BudgetPolicy::Learned);
+    EXPECT_EQ(built.budget.qualityBudget, 0.1);
+    EXPECT_EQ(built.budget.shedBudget, 1.5);
+    EXPECT_EQ(built.epoch, 10 * kS);
+    EXPECT_EQ(built.decisionInterval, 2 * kS);
+    EXPECT_EQ(built.tick, 20 * sim::kMillisecond);
+    EXPECT_EQ(built.maxDuration, 30 * kS);
+    EXPECT_EQ(built.seed, 7u);
+    EXPECT_EQ(built.threads, 2u);
+}
+
 TEST(ClusterValidationTest, RejectsEpochShorterThanInterval)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(1)
-                     .serviceOnAll(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5))
-                     .apps({"canneal"})
-                     .epoch(sim::kSecond / 2)
-                     .build(),
-                 util::FatalError);
+    ClusterConfig cfg = memcachedCluster(1, 0.5, {"canneal"});
+    cfg.epoch = sim::kSecond / 2;
+    EXPECT_THROW(validateClusterConfig(cfg), util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsDuplicateNodeNames)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .node("twin")
-                     .service(services::ServiceKind::Memcached,
-                              colo::Scenario::constant(0.5))
-                     .node("twin")
-                     .service(services::ServiceKind::Nginx,
-                              colo::Scenario::constant(0.5))
-                     .apps({"canneal"})
-                     .build(),
-                 util::FatalError);
+    ClusterConfig cfg = memcachedCluster(2, 0.5, {"canneal"});
+    cfg.nodes[0].name = "twin";
+    cfg.nodes[1].name = "twin";
+    cfg.nodes[1].services[0].kind = services::ServiceKind::Nginx;
+    EXPECT_THROW(validateClusterConfig(cfg), util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsUnknownAndDuplicateApps)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(1)
-                     .serviceOnAll(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5))
-                     .app("no-such-app")
-                     .build(),
-                 util::FatalError);
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(1)
-                     .serviceOnAll(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5))
-                     .app("canneal")
-                     .app("canneal")
-                     .build(),
+    EXPECT_THROW(
+        validateClusterConfig(memcachedCluster(1, 0.5, {"no-such-app"})),
+        util::FatalError);
+    EXPECT_THROW(validateClusterConfig(
+                     memcachedCluster(1, 0.5, {"canneal", "canneal"})),
                  util::FatalError);
 }
 
-/** The FatalError text `build` throws ("" when it does not throw). */
-template <typename Build>
+/** The FatalError text validateClusterConfig throws ("" if none). */
 std::string
-fatalText(Build build)
+fatalText(const ClusterConfig &cfg)
 {
     try {
-        build();
+        validateClusterConfig(cfg);
     } catch (const util::FatalError &e) {
         return e.what();
     }
@@ -183,12 +232,10 @@ TEST(ClusterValidationTest, DuplicateNodeNameReportsTheFirstRepeated)
 {
     // Names a, b, b, a: the lowest index whose name recurs later is
     // 0, so 'a' is reported even though the b pair is adjacent.
-    ClusterConfigBuilder builder;
-    for (const char *name : {"a", "b", "b", "a"})
-        builder.node(name).service(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5));
-    builder.apps({"canneal"});
-    EXPECT_EQ(fatalText([&] { builder.build(); }),
+    ClusterConfig cfg = memcachedCluster(4, 0.5, {"canneal"});
+    for (std::size_t n = 0; n < cfg.nodes.size(); ++n)
+        cfg.nodes[n].name = n == 0 || n == 3 ? "a" : "b";
+    EXPECT_EQ(fatalText(cfg),
               "duplicate node name 'a' in cluster config");
 }
 
@@ -196,57 +243,37 @@ TEST(ClusterValidationTest, UnnamedNodeCollidesWithExplicitName)
 {
     // The unnamed node at index 1 resolves to "node1", which an
     // explicitly named later node repeats.
-    ClusterConfigBuilder builder;
-    builder.node().service(services::ServiceKind::Memcached,
-                           colo::Scenario::constant(0.5));
-    builder.node().service(services::ServiceKind::Memcached,
-                           colo::Scenario::constant(0.5));
-    builder.node("node1").service(services::ServiceKind::Nginx,
-                                  colo::Scenario::constant(0.5));
-    builder.apps({"canneal"});
-    EXPECT_EQ(fatalText([&] { builder.build(); }),
+    ClusterConfig cfg = memcachedCluster(3, 0.5, {"canneal"});
+    cfg.nodes[2].name = "node1";
+    cfg.nodes[2].services[0].kind = services::ServiceKind::Nginx;
+    EXPECT_EQ(fatalText(cfg),
               "duplicate node name 'node1' in cluster config");
 }
 
 TEST(ClusterValidationTest, DuplicateUnnamedTenantsNameTheNode)
 {
-    ClusterConfigBuilder builder;
-    builder.node("edge")
-        .service(services::ServiceKind::Memcached,
-                 colo::Scenario::constant(0.5))
-        .service(services::ServiceKind::Memcached,
-                 colo::Scenario::constant(0.6));
-    builder.apps({"canneal"});
-    EXPECT_EQ(fatalText([&] { builder.build(); }),
+    ClusterConfig cfg = memcachedCluster(1, 0.5, {"canneal"});
+    cfg.nodes[0].name = "edge";
+    cfg.nodes[0].services.push_back({services::ServiceKind::Memcached,
+                                     colo::Scenario::constant(0.6)});
+    EXPECT_EQ(fatalText(cfg),
               "duplicate service 'memcached' on node 'edge': give "
               "same-kind tenants distinct instance names");
 }
 
 TEST(ClusterValidationTest, DuplicateAppReportsTheFirstRepeated)
 {
-    ClusterConfigBuilder builder;
-    builder.nodes(2).serviceOnAll(services::ServiceKind::Memcached,
-                                  colo::Scenario::constant(0.5));
-    builder.apps({"canneal", "bayesian", "bayesian", "canneal"});
-    EXPECT_EQ(fatalText([&] { builder.build(); }),
+    EXPECT_EQ(fatalText(memcachedCluster(
+                  2, 0.5, {"canneal", "bayesian", "bayesian", "canneal"})),
               "duplicate app 'canneal' in colocation config: each "
               "approximate application may appear once");
 }
 
 TEST(ClusterValidationTest, ConstructorRejectsBadLoads)
 {
-    // Raw configs skip build(), so Cluster::Cluster must catch these
-    // before run() builds the first engine.
-    const auto raw = [] {
-        ClusterConfig cfg;
-        cfg.nodes.resize(2);
-        for (NodeSpec &node : cfg.nodes)
-            node.services.push_back(
-                {services::ServiceKind::Memcached,
-                 colo::Scenario::constant(0.5), ""});
-        cfg.apps = {"canneal"};
-        return cfg;
-    };
+    // Cluster::Cluster must catch these before run() builds the
+    // first engine.
+    const auto raw = [] { return memcachedCluster(2, 0.5, {"canneal"}); };
     EXPECT_NO_THROW(Cluster c(raw()));
     for (const double bad :
          {std::numeric_limits<double>::quiet_NaN(), -0.1,
@@ -498,16 +525,11 @@ TEST(ClusterIdleNodeTest, AppLessNodesKeepServingAndReporting)
     // One app on three nodes: two nodes host no app, but their
     // services keep running (and reporting QoS) for the whole
     // cluster experiment.
-    const RecordedCluster rec =
-        runRecorded(ClusterConfigBuilder()
-                        .nodes(3)
-                        .serviceOnAll(services::ServiceKind::Memcached,
-                                      colo::Scenario::constant(0.6))
-                        .apps({"bayesian"})
-                        .placement(PlacementKind::LeastLoaded)
-                        .maxDuration(60 * kS)
-                        .seed(5)
-                        .build());
+    ClusterConfig cfg = memcachedCluster(3, 0.6, {"bayesian"});
+    cfg.placement = PlacementKind::LeastLoaded;
+    cfg.maxDuration = 60 * kS;
+    cfg.seed = 5;
+    const RecordedCluster rec = runRecorded(std::move(cfg));
     const ClusterResult &r = rec.result;
     ASSERT_EQ(r.nodes.size(), 3u);
     EXPECT_EQ(r.appsTotal, 1);
@@ -530,24 +552,15 @@ TEST(ClusterIdleNodeTest, AppLessNodeIsAValidMigrationTarget)
     // Two apps on three nodes: the third node starts empty. When the
     // crowd hits node 0 it has the most headroom, so the QoS-aware
     // policy migrates onto it.
-    ClusterConfigBuilder builder;
-    for (int n = 0; n < 3; ++n) {
-        builder.node();
-        builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.45, 0.97, 20 * kS, 3 * kS,
-                                     40 * kS, 10 * kS)
-                               : colo::Scenario::constant(0.45));
-    }
-    const ClusterResult r =
-        Cluster(builder.apps({"bayesian", "snp"})
-                    .runtime(core::RuntimeKind::Precise)
-                    .placement(PlacementKind::QosAware)
-                    .epoch(5 * kS)
-                    .maxDuration(120 * kS)
-                    .seed(71)
-                    .build())
-            .run();
+    ClusterConfig cfg = memcachedCluster(3, 0.45, {"bayesian", "snp"});
+    cfg.nodes[0].services[0].scenario = colo::Scenario::flashCrowd(
+        0.45, 0.97, 20 * kS, 3 * kS, 40 * kS, 10 * kS);
+    cfg.runtime = core::RuntimeKind::Precise;
+    cfg.placement = PlacementKind::QosAware;
+    cfg.epoch = 5 * kS;
+    cfg.maxDuration = 120 * kS;
+    cfg.seed = 71;
+    const ClusterResult r = Cluster(std::move(cfg)).run();
 
     ASSERT_FALSE(r.migrations.empty());
     EXPECT_EQ(r.migrations.front().from, 0u);
@@ -568,17 +581,13 @@ TEST(ClusterTickCountTest, RunEndingAtAppCompletionReportsFewerTicks)
     // long before the 600 s horizon, so the nodes execute fewer
     // ticks than nodes x horizon / tick.
     const auto config = [](sim::Time horizon) {
-        return ClusterConfigBuilder()
-            .nodes(2)
-            .serviceOnAll(services::ServiceKind::Memcached,
-                          colo::Scenario::constant(0.6))
-            .apps({"bayesian"})
-            .placement(PlacementKind::Static)
-            .tick(10 * sim::kMillisecond)
-            .epoch(5 * kS)
-            .maxDuration(horizon)
-            .seed(5)
-            .build();
+        ClusterConfig cfg = memcachedCluster(2, 0.6, {"bayesian"});
+        cfg.placement = PlacementKind::Static;
+        cfg.tick = 10 * sim::kMillisecond;
+        cfg.epoch = 5 * kS;
+        cfg.maxDuration = horizon;
+        cfg.seed = 5;
+        return cfg;
     };
     const ClusterResult early = Cluster(config(600 * kS)).run();
     ASSERT_EQ(early.appsFinished, early.appsTotal);
@@ -602,22 +611,12 @@ TEST(ClusterTickCountTest, RunEndingAtAppCompletionReportsFewerTicks)
 
 TEST(ClusterValidationTest, RejectsNonPositiveTiming)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(1)
-                     .serviceOnAll(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5))
-                     .apps({"canneal"})
-                     .maxDuration(0)
-                     .build(),
-                 util::FatalError);
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(1)
-                     .serviceOnAll(services::ServiceKind::Memcached,
-                                   colo::Scenario::constant(0.5))
-                     .apps({"canneal"})
-                     .tick(0)
-                     .build(),
-                 util::FatalError);
+    ClusterConfig cfg = memcachedCluster(1, 0.5, {"canneal"});
+    cfg.maxDuration = 0;
+    EXPECT_THROW(validateClusterConfig(cfg), util::FatalError);
+    cfg = memcachedCluster(1, 0.5, {"canneal"});
+    cfg.tick = 0;
+    EXPECT_THROW(validateClusterConfig(cfg), util::FatalError);
 }
 
 TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
@@ -689,12 +688,7 @@ TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
 
 TEST(ClusterValidationTest, TimelineSinkNeedsAnExistingNode)
 {
-    Cluster cl(ClusterConfigBuilder()
-                   .nodes(2)
-                   .serviceOnAll(services::ServiceKind::Memcached,
-                                 colo::Scenario::constant(0.5))
-                   .apps({"canneal"})
-                   .build());
+    Cluster cl(memcachedCluster(2, 0.5, {"canneal"}));
     colo::TimelineRecorder recorder;
     EXPECT_NO_THROW(cl.setTimelineSink(1, &recorder));
     EXPECT_THROW(cl.setTimelineSink(2, &recorder), util::FatalError);

@@ -12,6 +12,7 @@
 #include "cluster/cluster.hh"
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -32,30 +33,26 @@ constexpr double kRelTol = 1e-9;
 ClusterConfig
 figClusterConfig(core::RuntimeKind runtime)
 {
-    ClusterConfigBuilder builder;
+    ClusterConfig cfg;
     for (int n = 0; n < 3; ++n) {
-        builder.node();
+        colo::Scenario mc = colo::Scenario::constant(0.60);
         if (n == 0)
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::flashCrowd(0.60, 0.95,
-                                                       30 * kS, 3 * kS,
-                                                       25 * kS,
-                                                       10 * kS));
-        else
-            builder.service(services::ServiceKind::Memcached,
-                            colo::Scenario::constant(0.60));
-        builder.service(services::ServiceKind::Nginx,
-                        colo::Scenario::constant(0.65));
+            mc = colo::Scenario::flashCrowd(0.60, 0.95, 30 * kS, 3 * kS,
+                                            25 * kS, 10 * kS);
+        NodeSpec node;
+        node.services.push_back({services::ServiceKind::Memcached, mc});
+        node.services.push_back(
+            {services::ServiceKind::Nginx, colo::Scenario::constant(0.65)});
+        cfg.nodes.push_back(std::move(node));
     }
-    return builder
-        .apps({"canneal", "bayesian", "snp", "kmeans", "raytrace",
-               "streamcluster"})
-        .runtime(runtime)
-        .placement(PlacementKind::QosAware)
-        .epoch(5 * kS)
-        .seed(71)
-        .maxDuration(90 * kS)
-        .build();
+    cfg.apps = {"canneal", "bayesian", "snp", "kmeans", "raytrace",
+                "streamcluster"};
+    cfg.runtime = runtime;
+    cfg.placement = PlacementKind::QosAware;
+    cfg.epoch = 5 * kS;
+    cfg.seed = 71;
+    cfg.maxDuration = 90 * kS;
+    return cfg;
 }
 
 TEST(FigClusterGoldenTest, PreciseQosAwareRollupsArePinned)

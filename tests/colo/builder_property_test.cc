@@ -2,15 +2,15 @@
  * @file
  * Property-style sweep over config validation: a seeded SplitMix64
  * stream drives randomized *invalid* configurations through
- * colo::checkConfig (raw ColoConfig structs, the pass Engine's
- * constructor runs) and cluster::ClusterConfigBuilder, and every one
- * of them must throw util::FatalError before any tick runs — never
- * later, inside the tick loop (where a zero tick would hang and a
- * bad variant index would fault). Invalid admission-control fields
- * are one of the randomized classes, so the front-end's config
- * surface is held to the same contract. An invalid setting a cluster
- * shares with its nodes (colo::RunConfig) must fail both layers with
- * the same message.
+ * colo::checkConfig and cluster::validateClusterConfig (the passes
+ * the Engine and Cluster constructors run on raw config structs),
+ * and every one of them must throw util::FatalError before any tick
+ * runs — never later, inside the tick loop (where a zero tick would
+ * hang and a bad variant index would fault). Invalid admission-
+ * control fields are one of the randomized classes, so the front-
+ * end's config surface is held to the same contract. An invalid
+ * setting a cluster shares with its nodes (colo::RunConfig) must
+ * fail both layers with the same message.
  *
  * The equivalence harness (EquivalenceHarnessTest): random *valid*
  * engine and cluster configs must validate, and each must give the
@@ -278,6 +278,8 @@ TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
         {"duplicate app", "duplicate app '"},
         {"unknown app", "no catalog profile named '"},
         {"out-of-range variant", "is out of range"},
+        {"variants not parallel to apps",
+         "the list must be empty or parallel to apps"},
     };
     util::SplitMix64 sm(0x5A4EDu);
     for (int iter = 0; iter < 120; ++iter) {
@@ -310,12 +312,20 @@ TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
             shared.apps.push_back("no-such-app-" +
                                   std::to_string(sm.next() % 1000));
             break;
-        default: {
+        case 7: {
             shared.initialVariants.assign(shared.apps.size(), 0);
             const auto &prof = approx::findProfile(shared.apps[app]);
             shared.initialVariants[app] =
                 static_cast<int>(prof.variants.size()) +
                 static_cast<int>(sm.next() % 4);
+            break;
+        }
+        default: {
+            // Non-empty, one or more entries short or long.
+            std::size_t n = 1 + sm.next() % (shared.apps.size() + 2);
+            if (n == shared.apps.size())
+                ++n;
+            shared.initialVariants.assign(n, 0);
             break;
         }
         }
@@ -343,112 +353,116 @@ TEST(BuilderPropertyTest, SharedSettingErrorsReadTheSameInBothLayers)
     }
 }
 
-TEST(BuilderPropertyTest, RandomInvalidClusterConfigsThrowAtBuildTime)
+/** Append a node named `name` hosting one tenant. */
+void
+addNode(cluster::ClusterConfig &cfg, std::string name,
+        services::ServiceKind kind, colo::Scenario scenario)
+{
+    cluster::NodeSpec node;
+    node.name = std::move(name);
+    node.services.push_back({kind, std::move(scenario)});
+    cfg.nodes.push_back(std::move(node));
+}
+
+TEST(BuilderPropertyTest, RandomInvalidClusterConfigsFailValidation)
 {
     util::SplitMix64 sm(0xC1BADu);
     for (int iter = 0; iter < 120; ++iter) {
-        cluster::ClusterConfigBuilder builder;
+        cluster::ClusterConfig cfg;
         const auto kind = sm.next() % 11;
         // Most classes need a well-formed base cluster first.
         if (kind != 0 && kind != 1 && kind != 9) {
-            builder.nodes(1 + sm.next() % 3);
-            builder.serviceOnAll(services::ServiceKind::Memcached,
-                                 colo::Scenario::constant(
-                                     loadDraw(sm)));
+            cfg.nodes.resize(1 + sm.next() % 3);
+            const double load = loadDraw(sm);
+            for (cluster::NodeSpec &node : cfg.nodes)
+                node.services.push_back({services::ServiceKind::Memcached,
+                                         colo::Scenario::constant(load)});
         }
         switch (kind) {
         case 0: // no nodes at all
-            builder.apps(pickApps(sm, 1));
+            cfg.apps = pickApps(sm, 1);
             break;
         case 1: // a node without any service
-            builder.nodes(1 + sm.next() % 3);
-            builder.apps(pickApps(sm, 1));
+            cfg.nodes.resize(1 + sm.next() % 3);
+            cfg.apps = pickApps(sm, 1);
             break;
-        case 2: { // duplicate node names
-            builder.node("twin").service(
-                services::ServiceKind::Nginx,
-                colo::Scenario::constant(loadDraw(sm)));
-            builder.node("twin").service(
-                services::ServiceKind::Nginx,
-                colo::Scenario::constant(loadDraw(sm)));
-            builder.apps(pickApps(sm, 1));
+        case 2: // duplicate node names
+            addNode(cfg, "twin", services::ServiceKind::Nginx,
+                    colo::Scenario::constant(loadDraw(sm)));
+            addNode(cfg, "twin", services::ServiceKind::Nginx,
+                    colo::Scenario::constant(loadDraw(sm)));
+            cfg.apps = pickApps(sm, 1);
             break;
-        }
         case 3: // epoch shorter than the decision interval
-            builder.apps(pickApps(sm, 1));
-            builder.decisionInterval(kS).epoch(
-                kS / (2 + sm.next() % 8));
+            cfg.apps = pickApps(sm, 1);
+            cfg.decisionInterval = kS;
+            cfg.epoch = kS / (2 + sm.next() % 8);
             break;
         case 4: // bad timing
-            builder.apps(pickApps(sm, 1));
+            cfg.apps = pickApps(sm, 1);
             switch (sm.next() % 4) {
             case 0:
-                builder.tick(0);
+                cfg.tick = 0;
                 break;
             case 1:
-                builder.epoch(
-                    -static_cast<sim::Time>(sm.next() % 50));
+                cfg.epoch = -static_cast<sim::Time>(sm.next() % 50);
                 break;
             case 2:
                 // Interval shorter than one simulation tick.
-                builder.tick(10 * sim::kMillisecond)
-                    .decisionInterval(sim::kMillisecond)
-                    .epoch(sim::kMillisecond);
+                cfg.tick = 10 * sim::kMillisecond;
+                cfg.decisionInterval = sim::kMillisecond;
+                cfg.epoch = sim::kMillisecond;
                 break;
             default:
-                builder.maxDuration(0);
+                cfg.maxDuration = 0;
                 break;
             }
             break;
         case 5: // unknown or duplicate app
             if (sm.next() % 2 == 0) {
-                builder.app("bogus-" +
-                            std::to_string(sm.next() % 1000));
+                cfg.apps = {"bogus-" + std::to_string(sm.next() % 1000)};
             } else {
                 const auto apps = pickApps(sm, 1);
-                builder.app(apps[0]).app(apps[0]);
+                cfg.apps = {apps[0], apps[0]};
             }
             break;
         case 6: { // out-of-range initial variant
-            const auto apps = pickApps(sm, 1);
-            const auto &prof = approx::findProfile(apps[0]);
-            builder.app(apps[0],
-                        static_cast<int>(prof.variants.size()) +
-                            static_cast<int>(sm.next() % 4));
+            cfg.apps = pickApps(sm, 1);
+            const auto &prof = approx::findProfile(cfg.apps[0]);
+            const int end = static_cast<int>(prof.variants.size());
+            cfg.initialVariants = {end + static_cast<int>(sm.next() % 4)};
             break;
         }
-        case 7: { // out-of-range admission field
-            builder.apps(pickApps(sm, 1));
-            builder.admission(invalidAdmissionDraw(sm));
+        case 7: // out-of-range admission field
+            cfg.apps = pickApps(sm, 1);
+            cfg.admission = invalidAdmissionDraw(sm);
+            break;
+        case 8: // out-of-range budget field
+            cfg.apps = pickApps(sm, 1);
+            cfg.budget = invalidBudgetDraw(sm);
+            break;
+        case 10: // non-finite or negative scenario load
+            addNode(cfg, "bad-load", services::ServiceKind::Nginx,
+                    invalidScenarioDraw(sm));
+            cfg.apps = pickApps(sm, 1);
+            break;
+        default: // budget without a cluster (single node)
+            addNode(cfg, "solo", services::ServiceKind::Memcached,
+                    colo::Scenario::constant(loadDraw(sm)));
+            cfg.apps = pickApps(sm, 1);
+            cfg.budget.enabled = true;
+            cfg.budget.policy =
+                static_cast<budget::BudgetPolicy>(sm.next() % 3);
+            cfg.budget.qualityBudget =
+                static_cast<double>(sm.next() % 100) / 100.0;
+            cfg.budget.shedBudget =
+                static_cast<double>(sm.next() % 100) / 100.0;
             break;
         }
-        case 8: { // out-of-range budget field
-            builder.apps(pickApps(sm, 1));
-            builder.budget(invalidBudgetDraw(sm));
-            break;
-        }
-        case 10: { // non-finite or negative scenario load
-            builder.node("bad-load").service(
-                services::ServiceKind::Nginx, invalidScenarioDraw(sm));
-            builder.apps(pickApps(sm, 1));
-            break;
-        }
-        default: { // budget without a cluster (single node)
-            builder.node("solo").service(
-                services::ServiceKind::Memcached,
-                colo::Scenario::constant(loadDraw(sm)));
-            builder.apps(pickApps(sm, 1));
-            builder.budget(
-                static_cast<budget::BudgetPolicy>(sm.next() % 3),
-                static_cast<double>(sm.next() % 100) / 100.0,
-                static_cast<double>(sm.next() % 100) / 100.0);
-            break;
-        }
-        }
-        EXPECT_THROW(builder.build(), util::FatalError)
+        EXPECT_THROW(cluster::validateClusterConfig(cfg), util::FatalError)
             << "invalid cluster config class " << kind
             << " (iteration " << iter
-            << ") must fail at build time";
+            << ") must fail validation";
     }
 }
 

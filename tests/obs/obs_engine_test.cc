@@ -56,23 +56,21 @@ engineConfig()
 cluster::ClusterConfig
 clusterConfig()
 {
-    cluster::ClusterConfigBuilder builder;
-    for (int n = 0; n < 3; ++n) {
-        builder.node();
-        builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.60, 0.95, 20 * kS, 3 * kS,
-                                     20 * kS, 10 * kS)
-                               : colo::Scenario::constant(0.60));
-    }
-    builder.apps({"canneal", "bayesian", "snp"})
-        .runtime(core::RuntimeKind::Pliant)
-        .placement(cluster::PlacementKind::QosAware)
-        .epoch(5 * kS)
-        .seed(71)
-        .maxDuration(60 * kS)
-        .observability(true);
-    return builder.build();
+    cluster::ClusterConfig cfg;
+    cfg.nodes.resize(3);
+    for (cluster::NodeSpec &node : cfg.nodes)
+        node.services.push_back({services::ServiceKind::Memcached,
+                                 colo::Scenario::constant(0.60)});
+    cfg.nodes[0].services[0].scenario = colo::Scenario::flashCrowd(
+        0.60, 0.95, 20 * kS, 3 * kS, 20 * kS, 10 * kS);
+    cfg.apps = {"canneal", "bayesian", "snp"};
+    cfg.runtime = core::RuntimeKind::Pliant;
+    cfg.placement = cluster::PlacementKind::QosAware;
+    cfg.epoch = 5 * kS;
+    cfg.seed = 71;
+    cfg.maxDuration = 60 * kS;
+    cfg.observability.metrics = true;
+    return cfg;
 }
 
 TEST(ObsEngineTest, SummaryCsvObsColumnsAppearOnlyWhenEnabled)
